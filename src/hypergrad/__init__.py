@@ -14,7 +14,8 @@ from .dynamics import GradientDescent, Momentum, materialize_step_jacobians
 from .engines import (HypergradResult, Tape, evaluate_response, forward_hg,
                       record_trajectory, reverse_hg, rtho_stream)
 from .errors import (ConfigError, DimensionMismatchError, HypergradError,
-                     IngestError, NonFiniteError, TapeReplayError)
+                     InfeasibleHypersError, IngestError, NonFiniteError,
+                     TapeReplayError)
 from .layouts import VectorLayout
 from .objectives import (DatasetValidation, MultitaskLinear, QuadraticToy,
                          QuadraticValidation, WeightedSoftmax)
@@ -29,7 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "Box", "BoxL1", "ConfigError", "Constraints", "Dataset",
     "DatasetValidation", "DimensionMismatchError", "Exponential", "FDPolicy",
-    "GradientDescent", "HypergradError", "HypergradResult", "IngestError",
+    "GradientDescent", "HypergradError", "HypergradResult",
+    "InfeasibleHypersError", "IngestError",
     "LearningRateDecayedToZero", "MTLCone", "MaxHyperIters",
     "MinibatchSchedule", "Momentum", "MultitaskLinear", "NonFiniteError",
     "NonNeg", "ProjectedAdam", "QuadraticToy", "QuadraticValidation",

@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the experiment runners plus ``check``,
 which executes the full oracle suite and reports one line per check.
 Exit codes: 0 success, 1 failed checks, 2 configuration error,
-3 numerical divergence, 4 I/O error.
+3 numerical divergence, 4 I/O error, 5 infeasible hyperparameters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from .config import ExperimentConfig, parse_config
-from .errors import ConfigError, IngestError, NonFiniteError
+from .errors import InfeasibleHypersError, IngestError, NonFiniteError
 from .experiments import (run_bench, run_hyperclean, run_mtl, run_randsearch,
                           run_rtho, write_report)
 from .verify import run_check_suite
@@ -134,21 +134,19 @@ def main(argv=None) -> int:
         print(f"{args.command}: {_summarize(report)}")
         print(f"wrote {out_path}")
         return 0
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    # IngestError is a ValueError: it must be caught before the generic case
+    except (IngestError, OSError) as err:
+        print(f"I/O error: {err}", file=sys.stderr)
+        return 4
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NonFiniteError as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return 3
-    except IngestError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return 4
+    except InfeasibleHypersError as err:
+        print(f"infeasible hyperparameters: {err}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

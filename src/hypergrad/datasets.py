@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,14 +70,13 @@ class Dataset:
             n_classes=self.n_classes,
         )
 
-    def with_labels(self, labels) -> "Dataset":
-        return replace(self, labels=labels)
-
 
 @lru_cache(maxsize=64)
 def _epoch_permutation(seed, epoch, n):
-    rng = make_rng(seed, 0x5C4ED, epoch)
-    return rng.permutation(n)
+    # shared by every schedule with the same key: callers get read-only views
+    perm = make_rng(seed, 0x5C4ED, epoch).permutation(n)
+    perm.flags.writeable = False
+    return perm
 
 
 @dataclass(frozen=True)

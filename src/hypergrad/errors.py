@@ -27,6 +27,10 @@ class TapeReplayError(HypergradError):
     """Replaying a recorded trajectory did not reproduce it bit-exactly."""
 
 
+class InfeasibleHypersError(HypergradError):
+    """The outer loop recorded hyperparameters outside their constraint set."""
+
+
 class ConfigError(HypergradError, ValueError):
     """Invalid or incomplete experiment configuration."""
 

@@ -34,6 +34,7 @@ from .datasets import (Dataset, MinibatchSchedule, blob_task,
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
+from .errors import InfeasibleHypersError
 from .layouts import VectorLayout
 from .objectives import DatasetValidation, MultitaskLinear, WeightedSoftmax
 from .outer import (BoxL1, Constraints, Exponential, MTLCone, NonNeg,
@@ -176,8 +177,8 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
     )
     for r in records:
         if not constraints.contains(r.lam):
-            raise AssertionError(f"infeasible weights recorded at "
-                                 f"hyper-iteration {r.index}")
+            raise InfeasibleHypersError(f"infeasible weights recorded at "
+                                        f"hyper-iteration {r.index}")
 
     kept = np.nonzero(lam_final > 0.0)[0]
     discarded = np.nonzero(lam_final == 0.0)[0]
@@ -301,7 +302,8 @@ def _coupled_run(train, val, test, cfg, mode, radius=None):
     )
     for r in records:
         if not constraints.contains(r.lam):
-            raise AssertionError(f"infeasible hypers at hyper-iteration {r.index}")
+            raise InfeasibleHypersError(
+                f"infeasible hypers at hyper-iteration {r.index}")
     w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, lam, layout=layout,
                    **obj_kwargs)
     coupling = obj._coupling_matrix(lam)

@@ -14,6 +14,7 @@ Parameter vectors for the linear softmax models are laid out as
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,8 +293,8 @@ class MultitaskLinear:
                 )
             self.fixed_coupling = None
         else:
-            self.fixed_coupling = (np.zeros((k, k)) if fixed_coupling is None
-                                   else np.asarray(fixed_coupling, dtype=np.float64))
+            self.fixed_coupling = _frozen(np.zeros((k, k)) if fixed_coupling is None
+                                          else np.array(fixed_coupling, dtype=np.float64))
         if rho_segment is not None:
             want = k if per_task_rho else 1
             if hyper_layout is None or rho_segment not in hyper_layout:
@@ -305,45 +306,62 @@ class MultitaskLinear:
                 )
             self.fixed_rho = None
         else:
-            self.fixed_rho = np.broadcast_to(
+            self.fixed_rho = _frozen(np.broadcast_to(
                 np.asarray(fixed_rho, dtype=np.float64), (k,)
-            ).copy()
+            ).copy())
+        # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
+        self._below_diag = np.tri(k, k=-1, dtype=bool)
+        self._on_or_below_diag = np.tri(k, dtype=bool)
+        self._bound_key = None
+        self._bound = None
         self._cache = _BatchCache()
 
     # -- hyper access -------------------------------------------------
 
-    def _coupling_matrix(self, lam):
-        k = self.n_classes
-        if self.coupling == "none":
-            return self.fixed_coupling if self.coupling_segment is None else np.zeros((k, k))
-        if self.coupling_segment is None:
-            raw = self.fixed_coupling
-        elif self.coupling == "uniform":
-            a = self.hyper_layout.get(lam, self.coupling_segment)[0]
-            return np.full((k, k), a)
-        else:
-            raw = self.hyper_layout.get(lam, self.coupling_segment).reshape(k, k)
-        upper = np.triu(raw)
-        return upper + np.triu(raw, 1).T
+    def _symmetrize(self, raw):
+        """Upper triangle of ``raw`` (diagonal included) mirrored below it."""
+        upper = np.where(self._below_diag, 0.0, raw)
+        return upper + np.where(self._on_or_below_diag, 0.0, raw).T
 
-    def _rho(self, lam):
-        k = self.n_classes
-        if self.rho_segment is None:
-            return self.fixed_rho
-        seg = self.hyper_layout.get(lam, self.rho_segment)
-        return seg if self.per_task_rho else np.broadcast_to(seg, (k,))
+    def _bind(self, lam):
+        """The lambda-only terms of the penalty, built once per distinct lam.
+
+        Keyed on lam's bytes, so a lam mutated in place is rebuilt; the
+        arrays are private copies and read-only.
+        """
+        key = lam.tobytes()
+        if key != self._bound_key:
+            k = self.n_classes
+            if self.coupling_segment is None:
+                c = self.fixed_coupling
+                if self.coupling != "none":
+                    c = self._symmetrize(c)
+            elif self.coupling == "uniform":
+                c = np.full((k, k), self.hyper_layout.get(lam, self.coupling_segment)[0])
+            else:
+                raw = self.hyper_layout.get(lam, self.coupling_segment).reshape(k, k)
+                c = self._symmetrize(raw)
+            if self.rho_segment is None:
+                rho = self.fixed_rho
+            else:
+                rho = self.hyper_layout.get(lam, self.rho_segment).copy()
+                if not self.per_task_rho:
+                    rho = np.broadcast_to(rho, (k,))
+            self._bound = _BoundPenalty(_frozen(c), _frozen(rho),
+                                        *map(_frozen, _penalty_factors(c, rho)))
+            self._bound_key = key
+        return self._bound
+
+    def _coupling_matrix(self, lam):
+        return self._bind(lam).coupling
 
     def regularizer(self, w, lam):
         """The penalty term alone, full-strength (no batch scaling)."""
         mat, _ = unpack_linear(w, self.n_classes, self.n_features)
-        c = self._coupling_matrix(lam)
+        bound = self._bind(lam)
         sq = (mat * mat).sum(axis=1)
         d = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
-        return float((c * d).sum() + self._rho(lam) @ sq)
-
-    def _reg_grad_mat(self, mat, c, rho):
-        lap = np.diag(c.sum(axis=1)) - c
-        return 4.0 * lap @ mat + 2.0 * rho[:, None] * mat
+        return float((bound.coupling * d).sum() + bound.rho @ sq)
 
     # -- objective interface -------------------------------------------
 
@@ -353,7 +371,7 @@ class MultitaskLinear:
             x = self.dataset.features[idx]
             y = self.dataset.labels[idx]
             g, p = _ce_grad_coefs(x, y, *unpack_linear(w, self.n_classes, self.n_features))
-            return idx, x, y, g, p
+            return x, g, p, len(idx) / self.dataset.n
         return self._cache.get(t, w, build)
 
     def _frac(self, t):
@@ -369,20 +387,22 @@ class MultitaskLinear:
                                     "training objective", step=t)
 
     def grad_w(self, w, lam, t):
-        idx, x, _, g, _ = self._batch(t, w)
+        x, g, _, frac = self._batch(t, w)
         out = _assemble_wgrad(g, x)
         mat, _ = unpack_linear(w, self.n_classes, self.n_features)
-        reg = self._reg_grad_mat(mat, self._coupling_matrix(lam), self._rho(lam))
-        out[: mat.size] += self._frac(t) * reg.ravel()
+        bound = self._bind(lam)
+        reg = _reg_grad_mat(mat, bound.lap4, bound.rho2)
+        out[: mat.size] += frac * reg.ravel()
         return out
 
     def hvp_w(self, w, lam, t, r):
-        idx, x, _, _, p = self._batch(t, w)
+        x, _, p, frac = self._batch(t, w)
         rmat, rb = unpack_linear(r, self.n_classes, self.n_features)
         v = _gauss_newton_dirs(p, x @ rmat.T + rb)
         out = _assemble_wgrad(v, x)
-        reg = self._reg_grad_mat(rmat, self._coupling_matrix(lam), self._rho(lam))
-        out[: rmat.size] += self._frac(t) * reg.ravel()
+        bound = self._bind(lam)
+        reg = _reg_grad_mat(rmat, bound.lap4, bound.rho2)
+        out[: rmat.size] += frac * reg.ravel()
         return out
 
     def cross_jvp(self, w, lam, t, q):
@@ -394,12 +414,12 @@ class MultitaskLinear:
                 qa = self.hyper_layout.get(q, self.coupling_segment)[0]
                 if qa != 0.0:
                     ones = np.full((k, k), qa)
-                    acc += self._reg_grad_mat(mat, ones, np.zeros(k))
+                    acc += _reg_grad_mat(mat, *_penalty_factors(ones, np.zeros(k)))
             else:
                 qc = self.hyper_layout.get(q, self.coupling_segment).reshape(k, k)
-                qeff = np.triu(qc) + np.triu(qc, 1).T
+                qeff = self._symmetrize(qc)
                 if np.any(qeff):
-                    acc += self._reg_grad_mat(mat, qeff, np.zeros(k))
+                    acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
         if self.rho_segment is not None:
             qr = self.hyper_layout.get(q, self.rho_segment)
             rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
@@ -424,9 +444,9 @@ class MultitaskLinear:
                 # d<alpha, grad_W reg>/dC[j,k] for stored upper entries:
                 # 4 (a_j - a_k).(w_j - w_k)
                 m = amat @ mat.T
-                diag = np.diag(m)
+                diag = m.diagonal()
                 pair = diag[:, None] + diag[None, :] - m - m.T
-                vals = np.triu(4.0 * pair, 1)
+                vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
                 out[seg] = frac * vals.ravel()
         if self.rho_segment is not None:
             seg = self.hyper_layout.slice_of(self.rho_segment)
@@ -443,6 +463,28 @@ class MultitaskLinear:
         if not pieces:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pieces)
+
+
+# The lambda-only terms of MultitaskLinear's penalty at one lam: the
+# symmetric C, the per-class ridge strengths, 4 (diag(C 1) - C) and 2 rho
+# as a column.
+_BoundPenalty = namedtuple("_BoundPenalty", "coupling rho lap4 rho2")
+
+
+def _penalty_factors(c, rho):
+    """(4 L, 2 rho[:, None]) for coupling ``c``, L its graph Laplacian."""
+    lap = np.diag(c.sum(axis=1)) - c
+    return 4.0 * lap, 2.0 * rho[:, None]
+
+
+def _reg_grad_mat(mat, lap4, rho2):
+    """Gradient of the penalty in the weight rows: 4 L W + 2 rho * W."""
+    return lap4 @ mat + rho2 * mat
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +587,3 @@ def val_grad_state(val, state, state_layout) -> np.ndarray:
     sl = state_layout.slice_of("w")
     out[sl] = val.grad(state[sl])
     return out
-
-
-def accuracy_of(val, state, state_layout) -> float:
-    return val.accuracy(state_layout.get(state, "w"))

@@ -124,6 +124,11 @@ class BoxL1:
         self.radius = float(radius)
 
     def project(self, x):
+        if self.lo * len(x) > self.radius:
+            raise ValueError(
+                f"empty feasible set: {len(x)} entries >= lo={self.lo} "
+                f"cannot sum to <= radius={self.radius}"
+            )
         clipped = np.clip(x, self.lo, self.hi)
         if float(clipped.sum()) <= self.radius:
             return clipped

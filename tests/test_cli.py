@@ -214,3 +214,47 @@ def test_cli_rerun_reproduces_digest(tmp_path, capsys):
         payload = json.loads((out_dir / "rtho" / "metrics.json").read_text())
         digests.append(payload["digest"])
     assert digests[0] == digests[1]
+
+
+def _write_garbage_idx(tmp_path):
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(b"not an idx file")
+    return (f"experiment = clean\ntrain_images = {bad}\n"
+            f"train_labels = {bad}\n")
+
+
+def _fail_one_check(monkeypatch):
+    from hypergrad import cli
+    from hypergrad.verify import CheckResult
+    monkeypatch.setattr(cli, "run_check_suite",
+                        lambda seed: [CheckResult("always fails", False)])
+
+
+def _reject_every_lambda(monkeypatch):
+    from hypergrad.outer import Constraints
+    monkeypatch.setattr(Constraints, "contains", lambda self, lam: False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("command, cfg_text, patch, code, stderr_tag", [
+    ("clean", lambda tmp: TINY_CLEAN, None, 0, ""),
+    ("check", None, _fail_one_check, 1, ""),
+    ("clean", lambda tmp: "experiment = clean\ninner_steps = 0\n", None, 2,
+     "config error"),
+    ("mtl", lambda tmp: TINY_MTL.replace("inner_lr = 0.01", "inner_lr = 1e15"),
+     None, 3, "numerical divergence"),
+    ("clean", _write_garbage_idx, None, 4, "I/O error"),
+    ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
+     "infeasible hyperparameters"),
+], ids=["ok", "failed-checks", "config", "divergence", "ingest", "infeasible"])
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
+                            patch, code, stderr_tag):
+    if patch is not None:
+        patch(monkeypatch)
+    argv = [command, "--out", str(tmp_path / "runs")]
+    if cfg_text is not None:
+        argv += ["--config", write_cfg(tmp_path, cfg_text(tmp_path))]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code, err
+    assert stderr_tag in err

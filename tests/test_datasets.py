@@ -89,6 +89,14 @@ class TestMinibatchSchedule:
         second = np.concatenate([sched.indices(3), sched.indices(4)])
         assert not np.array_equal(first, second)
 
+    def test_cached_permutation_is_read_only(self):
+        a = MinibatchSchedule(n=6, batch_size=3, seed=0).indices(1)
+        before = a.copy()
+        with pytest.raises(ValueError):
+            a[:] = 0
+        fresh = MinibatchSchedule(n=6, batch_size=3, seed=0).indices(1)
+        assert np.array_equal(fresh, before)
+
     def test_full_batch_schedule(self):
         sched = full_batch_schedule(7)
         assert np.array_equal(sched.indices(1), np.arange(7))

@@ -172,11 +172,8 @@ def mtl_setup(coupling="full", per_task_rho=True, k=3, p=4, n=9, seed=2):
     labels = rng.integers(0, k, size=n)
     labels[:k] = np.arange(k)  # every class present
     train = Dataset(features=feats, labels=labels, n_classes=k)
-    if coupling == "uniform":
-        layout = VectorLayout([("coupling", 1), ("rho", 1)])
-    else:
-        layout = VectorLayout([("coupling", k * k),
-                               ("rho", k if per_task_rho else 1)])
+    layout = VectorLayout([("coupling", 1 if coupling == "uniform" else k * k),
+                           ("rho", k if per_task_rho else 1)])
     obj = MultitaskLinear(train, hyper_layout=layout, coupling=coupling,
                           per_task_rho=per_task_rho)
     return obj, layout, train
@@ -297,6 +294,47 @@ def test_mtl_minibatch_scales_regularizer():
     penalty_full = obj.value(w, lam_on, 1) - obj.value(w, lam_off, 1)
     penalty_mb = obj_mb.value(w, lam_on, 1) - obj_mb.value(w, lam_off, 1)
     assert abs(penalty_mb - penalty_full * 3.0 / train.n) < 1e-10
+    grad_full = obj.grad_w(w, lam_on, 1) - obj.grad_w(w, lam_off, 1)
+    grad_mb = obj_mb.grad_w(w, lam_on, 1) - obj_mb.grad_w(w, lam_off, 1)
+    assert np.max(np.abs(grad_mb - grad_full * 3.0 / train.n)) < 1e-10
+
+
+@pytest.mark.parametrize("per_task_rho", [True, False])
+@pytest.mark.parametrize("coupling", ["full", "uniform", "none"])
+def test_mtl_bound_lambda_matches_fresh_objective(coupling, per_task_rho):
+    # lambda-only terms are memoised per distinct lam; every product must
+    # stay bit-equal to a freshly built objective's, including when the
+    # caller mutates a lam array in place after using it
+    obj, layout, _ = mtl_setup(coupling=coupling, per_task_rho=per_task_rho)
+    rng = make_rng(2, 8)
+    w = rng.standard_normal(obj.n_params)
+    r = rng.standard_normal(obj.n_params)
+    q = rng.standard_normal(layout.size)
+    x, y, z = (rng.random(layout.size) for _ in range(3))
+
+    def products(o, lam):
+        return [o.grad_w(w, lam, 1).tobytes(), o.hvp_w(w, lam, 1, r).tobytes(),
+                o.cross_jvp(w, lam, 1, q).tobytes(),
+                o.cross_vjp(w, lam, 1, r).tobytes(),
+                np.float64(o.regularizer(w, lam)).tobytes()]
+
+    def check(lam):
+        fresh, _, _ = mtl_setup(coupling=coupling, per_task_rho=per_task_rho)
+        assert products(obj, lam) == products(fresh, lam.copy())
+
+    a = x.copy()
+    check(a)
+    a[:] = y          # the same array, mutated in place after use
+    check(a)
+    b = y.copy()
+    a[:] = z          # the memo's key bytes, now through another array
+    check(b)
+    check(a)
+    bound = obj._bind(z)
+    for arr in bound:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        obj._coupling_matrix(z)[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

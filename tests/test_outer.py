@@ -93,6 +93,17 @@ def test_box_l1_clips_before_shrinking():
     assert np.max(np.abs(out - [1.0, 0.0])) < 1e-12
 
 
+def test_box_l1_rejects_empty_feasible_set():
+    # three entries >= 0.5 cannot sum to <= 1.0
+    with pytest.raises(ValueError, match="empty feasible set"):
+        BoxL1(0.5, 1.0, radius=1.0).project(np.array([0.9, 0.9, 0.9]))
+    with pytest.raises(ValueError, match="empty box"):
+        BoxL1(1.0, 0.5, radius=1.0)
+    # the boundary lo * n == radius is feasible: every entry at lo
+    out = BoxL1(0.5, 1.0, radius=1.5).project(np.array([0.9, 0.9, 0.9]))
+    assert np.max(np.abs(out - 0.5)) < 1e-12
+
+
 def test_mtl_cone_hand_case():
     # [[0, -1], [3, 0]] -> symmetrize to [[0, 1], [1, 0]]: the (0,1) pair
     # averages to 1 after clipping the negative entry... the projection
