@@ -79,6 +79,14 @@ def _epoch_permutation(seed, epoch, n):
     return perm
 
 
+@lru_cache(maxsize=64)
+def _full_batch(n):
+    # every full-batch step reads the same index set; shared read-only
+    idx = np.arange(n)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass(frozen=True)
 class MinibatchSchedule:
     """Pure function from step index to minibatch index set.
@@ -100,8 +108,12 @@ class MinibatchSchedule:
             raise ValueError("batch_size must be positive")
 
     @property
+    def full_batch(self) -> bool:
+        return self.batch_size is None or self.batch_size >= self.n
+
+    @property
     def batches_per_epoch(self) -> int:
-        if self.batch_size is None or self.batch_size >= self.n:
+        if self.full_batch:
             return 1
         return -(-self.n // self.batch_size)
 
@@ -109,8 +121,8 @@ class MinibatchSchedule:
         """Index set of minibatch ``t`` (t >= 1)."""
         if t < 1:
             raise ValueError(f"step index must be >= 1, got {t}")
-        if self.batch_size is None or self.batch_size >= self.n:
-            return np.arange(self.n)
+        if self.full_batch:
+            return _full_batch(self.n)
         bpe = self.batches_per_epoch
         epoch, slot = divmod(t - 1, bpe)
         perm = _epoch_permutation(self.seed, epoch, self.n)

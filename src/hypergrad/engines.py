@@ -19,7 +19,10 @@ Z propagation is deliberately structured as one state-JVP per column of
 Z plus unit-direction hyper-JVPs for the columns of B_t; only columns
 listed by ``dyn.touched_hypers(t)`` are filled, which keeps the per-step
 cost at O(batch) instead of O(m) when each minibatch touches few
-hyperparameters.
+hyperparameters. What those products share within one step (the
+minibatch's softmax quantities and, for constant example weights, the
+gradient itself) is built once per (t, s) by the objective, so a step
+costs its m state-JVPs, its touched hyper columns and one ``step``.
 """
 
 from __future__ import annotations

@@ -251,14 +251,23 @@ def _train_mtl(train, n_steps, lr, lam, layout=None, **obj_kwargs):
 
 
 def _stl_grid(train, val, test, cfg):
-    """Per-task ridge sweep: shared value first, then one greedy pass."""
+    """Per-task ridge sweep: shared value first, then one greedy pass.
+
+    The greedy pass revisits the current best vector once per task and
+    once at the end; fits are memoised on the vector's bytes, so each
+    distinct vector trains once.
+    """
     k = train.n_classes
+    fits = {}
 
     def fit_score(rho_vec):
-        w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, np.zeros(0),
-                       coupling="none", coupling_segment=None,
-                       rho_segment=None, fixed_rho=rho_vec, per_task_rho=True)
-        return w, DatasetValidation(val).value(w)
+        key = rho_vec.tobytes()
+        if key not in fits:
+            w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, np.zeros(0),
+                           coupling="none", coupling_segment=None,
+                           rho_segment=None, fixed_rho=rho_vec, per_task_rho=True)
+            fits[key] = w, DatasetValidation(val).value(w)
+        return fits[key]
 
     best_shared, best_score = None, np.inf
     for rho in _RHO_GRID:

@@ -52,7 +52,7 @@ def vecmat(x, a) -> np.ndarray:
 
 def ensure_finite(arr, context, step=None):
     """Raise NonFiniteError if any entry of ``arr`` is NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {context}", step=step)
     return arr
 

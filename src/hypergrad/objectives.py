@@ -69,9 +69,18 @@ def _ce_grad_coefs(x, y, mat, bias):
     return g, p
 
 
-def _assemble_wgrad(coefs, x):
-    """Sum_i outer(coefs_i, x_i) and the bias part, flattened."""
-    return pack_linear(coefs.T @ x, coefs.sum(axis=0))
+def _assemble_wgrad(coefs, x, scale=None):
+    """Sum_i outer(coefs_i, x_i) and the bias part, flattened, times ``scale``.
+
+    Both blocks are written into one vector and scaled in place.
+    """
+    k, f = coefs.shape[1], x.shape[1]
+    out = np.empty(k * f + k)
+    np.matmul(coefs.T, x, out=out[: k * f].reshape(k, f))
+    np.sum(coefs, axis=0, out=out[k * f :])
+    if scale is not None:
+        out *= scale
+    return out
 
 
 def _gauss_newton_dirs(p, u):
@@ -80,28 +89,69 @@ def _gauss_newton_dirs(p, u):
     return pu - p * pu.sum(axis=1, keepdims=True)
 
 
+def _batch_rows(dataset, schedule, t):
+    """(idx, x, y) of minibatch ``t``.
+
+    A full batch over a C-contiguous feature matrix reads the dataset in
+    place instead of gathering an identical copy.
+    """
+    idx = schedule.indices(t)
+    x, y = dataset.features, dataset.labels
+    if schedule.full_batch and schedule.n == len(x) and x.flags.c_contiguous:
+        return idx, x, y
+    return idx, x[idx], y[idx]
+
+
+class _Batch:
+    """Softmax quantities of one step at one w.
+
+    ``frac`` is the batch's share of the training set; ``grad`` is filled
+    by objectives whose gradient depends on (t, w) only.
+    """
+
+    __slots__ = ("idx", "x", "g", "p", "frac", "grad")
+
+    def __init__(self, obj, t, w):
+        self.idx, self.x, y = _batch_rows(obj.dataset, obj.schedule, t)
+        self.g, self.p = _ce_grad_coefs(
+            self.x, y, *unpack_linear(w, obj.n_classes, obj.n_features))
+        self.frac = len(self.idx) / obj.dataset.n
+        self.grad = None
+
+
 class _BatchCache:
     """Memo of per-step softmax quantities keyed by (t, parameter bytes).
 
     Within one training step the dynamics evaluate several products at
     the same (t, w); caching the shared probabilities keeps forward-mode
     cost at one matrix pass per product instead of several. Pure
-    speedup: every entry is a function of the key only.
+    speedup: every entry is a function of the key only. A lookup
+    compares t first and reads w's bytes only when some entry has the
+    same t; the oldest entry is evicted first.
     """
 
     def __init__(self, maxsize=4):
-        self._store = {}
+        self._entries = []  # (t, w bytes, entry), oldest first
         self._maxsize = maxsize
 
     def get(self, t, w, build):
-        key = (t, w.tobytes())
-        hit = self._store.get(key)
-        if hit is None:
-            hit = build()
-            if len(self._store) >= self._maxsize:
-                self._store.pop(next(iter(self._store)))
-            self._store[key] = hit
-        return hit
+        key = None
+        for entry_t, entry_key, entry in self._entries:
+            if entry_t == t:
+                if key is None:
+                    key = w.tobytes()
+                if entry_key == key:
+                    return entry
+        entry = build()
+        if len(self._entries) >= self._maxsize:
+            del self._entries[0]
+        self._entries.append((t, w.tobytes() if key is None else key, entry))
+        return entry
+
+
+# the index set of an objective that touches no hypers, shared read-only
+_NO_HYPERS = np.empty(0, dtype=np.int64)
+_NO_HYPERS.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +181,7 @@ class QuadraticToy:
         return np.zeros_like(lam)
 
     def touched_hypers(self, t):
-        return np.empty(0, dtype=np.int64)
+        return _NO_HYPERS
 
 
 class WeightedSoftmax:
@@ -140,7 +190,9 @@ class WeightedSoftmax:
     J_t(w; lam) = (1/N) sum_{i in batch t} c_i * ce_i(w), where N is the
     full training-set size (so minibatch and full-batch formulations
     agree in expectation) and c is either the ``weight_segment`` slice of
-    the hyper vector or a fixed constant vector.
+    the hyper vector or a fixed constant vector (all ones by default).
+    With constant weights the gradient depends on (t, w) only, so it is
+    built once per cached batch and returned read-only.
     """
 
     def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
@@ -167,8 +219,11 @@ class WeightedSoftmax:
                 )
             self.fixed_weights = None
         else:
-            self.fixed_weights = (np.ones(dataset.n) if fixed_weights is None
-                                  else np.asarray(fixed_weights, dtype=np.float64))
+            self.fixed_weights = _frozen(
+                np.ones(dataset.n) if fixed_weights is None
+                else np.array(fixed_weights, dtype=np.float64))
+        # all-ones weights leave each example's row as it is
+        self._unit_weights = weight_segment is None and fixed_weights is None
         self._scale = 1.0 / dataset.n
         self._cache = _BatchCache()
 
@@ -177,41 +232,42 @@ class WeightedSoftmax:
             return self.fixed_weights
         return self.hyper_layout.get(lam, self.weight_segment)
 
+    def _weighted(self, rows, idx, lam):
+        """Each example's row times its weight c_i."""
+        if self._unit_weights:
+            return rows
+        return rows * self._weights(lam)[idx][:, None]
+
     def _batch(self, t, w):
-        def build():
-            idx = self.schedule.indices(t)
-            x = self.dataset.features[idx]
-            y = self.dataset.labels[idx]
-            g, p = _ce_grad_coefs(x, y, *unpack_linear(w, self.n_classes, self.n_features))
-            return idx, x, y, g, p
-        return self._cache.get(t, w, build)
+        return self._cache.get(t, w, lambda: _Batch(self, t, w))
 
     def value(self, w, lam, t):
-        idx = self.schedule.indices(t)
-        x = self.dataset.features[idx]
-        y = self.dataset.labels[idx]
+        idx, x, y = _batch_rows(self.dataset, self.schedule, t)
         losses = _ce_losses(x, y, *unpack_linear(w, self.n_classes, self.n_features))
         c = self._weights(lam)[idx]
         return ensure_finite_scalar(self._scale * float(c @ losses),
                                     "training objective", step=t)
 
     def grad_w(self, w, lam, t):
-        idx, x, _, g, _ = self._batch(t, w)
-        c = self._weights(lam)[idx]
-        return self._scale * _assemble_wgrad(g * c[:, None], x)
+        b = self._batch(t, w)
+        if b.grad is not None:
+            return b.grad
+        grad = _assemble_wgrad(self._weighted(b.g, b.idx, lam), b.x, self._scale)
+        if self.weight_segment is None:  # constant weights: one per (t, w)
+            b.grad = _frozen(grad)
+        return grad
 
     def hvp_w(self, w, lam, t, r):
-        idx, x, _, _, p = self._batch(t, w)
+        b = self._batch(t, w)
         rmat, rb = unpack_linear(r, self.n_classes, self.n_features)
-        u = x @ rmat.T + rb
-        v = _gauss_newton_dirs(p, u)
-        c = self._weights(lam)[idx]
-        return self._scale * _assemble_wgrad(v * c[:, None], x)
+        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
+        return _assemble_wgrad(self._weighted(v, b.idx, lam), b.x, self._scale)
 
     def cross_jvp(self, w, lam, t, q):
         if self.weight_segment is None:
             return np.zeros_like(w)
-        idx, x, _, g, _ = self._batch(t, w)
+        b = self._batch(t, w)
+        idx, x, g = b.idx, b.x, b.g
         qb = self.hyper_layout.get(q, self.weight_segment)[idx]
         nz = np.nonzero(qb)[0]
         if nz.size == 0:
@@ -221,23 +277,23 @@ class WeightedSoftmax:
             # gradient, no batch-wide pass needed
             i = int(nz[0])
             return (self._scale * qb[i]) * pack_linear(np.outer(g[i], x[i]), g[i])
-        return self._scale * _assemble_wgrad(g * qb[:, None], x)
+        return _assemble_wgrad(g * qb[:, None], x, self._scale)
 
     def cross_vjp(self, w, lam, t, alpha):
         out = np.zeros_like(lam)
         if self.weight_segment is None:
             return out
-        idx, x, _, g, _ = self._batch(t, w)
+        b = self._batch(t, w)
         amat, ab = unpack_linear(alpha, self.n_classes, self.n_features)
         # alpha . grad(ce_i) for each batch example, in one pass
-        per_example = ((x @ amat.T + ab) * g).sum(axis=1)
+        per_example = ((b.x @ amat.T + ab) * b.g).sum(axis=1)
         seg = self.hyper_layout.slice_of(self.weight_segment)
-        out[seg.start + idx] = self._scale * per_example
+        out[seg.start + b.idx] = self._scale * per_example
         return out
 
     def touched_hypers(self, t):
         if self.weight_segment is None:
-            return np.empty(0, dtype=np.int64)
+            return _NO_HYPERS
         seg = self.hyper_layout.slice_of(self.weight_segment)
         return np.sort(seg.start + self.schedule.indices(t))
 
@@ -366,43 +422,35 @@ class MultitaskLinear:
     # -- objective interface -------------------------------------------
 
     def _batch(self, t, w):
-        def build():
-            idx = self.schedule.indices(t)
-            x = self.dataset.features[idx]
-            y = self.dataset.labels[idx]
-            g, p = _ce_grad_coefs(x, y, *unpack_linear(w, self.n_classes, self.n_features))
-            return x, g, p, len(idx) / self.dataset.n
-        return self._cache.get(t, w, build)
+        return self._cache.get(t, w, lambda: _Batch(self, t, w))
 
     def _frac(self, t):
         return len(self.schedule.indices(t)) / self.dataset.n
 
     def value(self, w, lam, t):
-        idx = self.schedule.indices(t)
-        x = self.dataset.features[idx]
-        y = self.dataset.labels[idx]
+        _, x, y = _batch_rows(self.dataset, self.schedule, t)
         data = float(_ce_losses(x, y, *unpack_linear(w, self.n_classes,
                                                      self.n_features)).sum())
         return ensure_finite_scalar(data + self._frac(t) * self.regularizer(w, lam),
                                     "training objective", step=t)
 
     def grad_w(self, w, lam, t):
-        x, g, _, frac = self._batch(t, w)
-        out = _assemble_wgrad(g, x)
+        b = self._batch(t, w)
+        out = _assemble_wgrad(b.g, b.x)
         mat, _ = unpack_linear(w, self.n_classes, self.n_features)
         bound = self._bind(lam)
         reg = _reg_grad_mat(mat, bound.lap4, bound.rho2)
-        out[: mat.size] += frac * reg.ravel()
+        out[: mat.size] += b.frac * reg.ravel()
         return out
 
     def hvp_w(self, w, lam, t, r):
-        x, _, p, frac = self._batch(t, w)
+        b = self._batch(t, w)
         rmat, rb = unpack_linear(r, self.n_classes, self.n_features)
-        v = _gauss_newton_dirs(p, x @ rmat.T + rb)
-        out = _assemble_wgrad(v, x)
+        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
+        out = _assemble_wgrad(v, b.x)
         bound = self._bind(lam)
         reg = _reg_grad_mat(rmat, bound.lap4, bound.rho2)
-        out[: rmat.size] += frac * reg.ravel()
+        out[: rmat.size] += b.frac * reg.ravel()
         return out
 
     def cross_jvp(self, w, lam, t, q):
@@ -461,7 +509,7 @@ class MultitaskLinear:
         if self.rho_segment is not None:
             pieces.append(self.hyper_layout.indices(self.rho_segment))
         if not pieces:
-            return np.empty(0, dtype=np.int64)
+            return _NO_HYPERS
         return np.concatenate(pieces)
 
 

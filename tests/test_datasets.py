@@ -101,3 +101,14 @@ class TestMinibatchSchedule:
         sched = full_batch_schedule(7)
         assert np.array_equal(sched.indices(1), np.arange(7))
         assert np.array_equal(sched.indices(123), np.arange(7))
+
+    def test_full_batch_indices_are_shared_read_only(self):
+        sched = full_batch_schedule(7)
+        idx = sched.indices(1)
+        assert sched.full_batch
+        assert sched.indices(2) is idx
+        with pytest.raises(ValueError):
+            idx[0] = 3
+        assert np.array_equal(full_batch_schedule(7).indices(9), np.arange(7))
+        assert MinibatchSchedule(n=7, batch_size=7).full_batch
+        assert not MinibatchSchedule(n=7, batch_size=6).full_batch

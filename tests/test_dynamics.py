@@ -8,9 +8,10 @@ materialized Jacobians.
 import numpy as np
 import pytest
 
-from hypergrad.datasets import blob_task
+from hypergrad.datasets import MinibatchSchedule, blob_task
 from hypergrad.dynamics import (GradientDescent, Momentum,
                                 materialize_step_jacobians)
+from hypergrad.errors import DimensionMismatchError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import QuadraticToy, WeightedSoftmax
@@ -201,6 +202,59 @@ def test_touched_hypers_includes_dynamics_hypers():
     assert layout.indices("eta")[0] in touched
     assert layout.indices("mu")[0] in touched
     assert touched.size == 2 + 8
+
+
+def test_momentum_products_reject_wrong_length_vectors():
+    dyn, layout = softmax_gdm()
+    rng = make_rng(4, 2)
+    lam = layout.pack(eta=0.1, mu=0.5, weights=1.0)
+    s = rng.standard_normal(dyn.n_state)
+    short = s[:-1]
+    q = layout.pack(eta=1.0)
+    calls = [
+        lambda: dyn.step(short, lam, 1),
+        lambda: dyn.jvp_state(short, lam, 1, s),
+        lambda: dyn.jvp_state(s, lam, 1, short),
+        lambda: dyn.jvp_hyper(short, lam, 1, q),
+        lambda: dyn.vjp_state(short, lam, 1, s),
+        lambda: dyn.vjp_state(s, lam, 1, short),
+        lambda: dyn.vjp_hyper(short, lam, 1, s),
+        lambda: dyn.vjp_hyper(s, lam, 1, short),
+        lambda: dyn.weights_of(short),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
+def touched_cases():
+    train, _, _ = blob_task(2, 8, 4, 4)
+    sched = MinibatchSchedule(n=8, batch_size=3, seed=2)
+    for weights in ("unit", "fixed", "hyper"):
+        segs = [("eta", 1), ("mu", 1)] + ([("weights", 8)] if weights == "hyper" else [])
+        layout = VectorLayout(segs)
+        obj = WeightedSoftmax(
+            train, hyper_layout=layout, schedule=sched,
+            weight_segment="weights" if weights == "hyper" else None,
+            fixed_weights=np.linspace(0.5, 1.5, 8) if weights == "fixed" else None)
+        own = layout.slice_of("eta").start, layout.slice_of("mu").start
+        yield f"GD-{weights}", GradientDescent(obj), own[:1]
+        yield f"GD-const-eta-{weights}", GradientDescent(obj, eta=0.1), ()
+        yield f"GDM-{weights}", Momentum(obj), own
+
+
+@pytest.mark.parametrize("case", list(touched_cases()), ids=lambda c: c[0])
+def test_touched_hypers_read_only_and_equal_to_sorted_merge(case):
+    _, dyn, own = case
+    for t in range(1, 6):
+        got = dyn.touched_hypers(t)
+        obj_indices = dyn.objective.touched_hypers(t)
+        want = (obj_indices if not own else
+                np.unique(np.concatenate([obj_indices,
+                                          np.asarray(own, dtype=np.int64)])))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_materialize_gate():

@@ -9,7 +9,7 @@ against materialized linear algebra.
 import numpy as np
 import pytest
 
-from hypergrad.datasets import blob_task
+from hypergrad.datasets import MinibatchSchedule, blob_task
 from hypergrad.dynamics import (GradientDescent, Momentum,
                                 materialize_step_jacobians)
 from hypergrad.engines import (StreamEmission, Tape, evaluate_response,
@@ -300,3 +300,72 @@ def test_evaluate_response_is_pure():
     b = evaluate_response(dyn, e, s0, lam, 5)
     assert a == b
     assert abs(a - 0.5 * 4.0 * (1 - 0.3) ** 10) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# product-call contract
+
+
+class CountingDynamics:
+    """Wraps a dynamics object and counts its protocol calls."""
+
+    PRODUCTS = ("step", "jvp_state", "jvp_hyper", "vjp_state", "vjp_hyper",
+                "touched_hypers")
+
+    def __init__(self, dyn):
+        self._dyn = dyn
+        self.calls = dict.fromkeys(self.PRODUCTS, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._dyn, name)
+        if name not in self.PRODUCTS:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+        return counted
+
+
+def contract_problems():
+    # GD with per-example weight hypers, Momentum with eta, mu and weights
+    train, _, _ = blob_task(3, 6, 4, 4, n_classes=2, n_features=3)
+    layout = VectorLayout([("eta", 1), ("weights", 6)])
+    obj = WeightedSoftmax(train, hyper_layout=layout,
+                          schedule=MinibatchSchedule(n=6, batch_size=4, seed=3))
+    gd = GradientDescent(obj, eta="eta")
+    w0 = make_rng(3, 77).standard_normal(obj.n_params) * 0.1
+    e = QuadraticValidation(obj.n_params,
+                            center=make_rng(3, 78).standard_normal(obj.n_params))
+    gd_problem = (gd, e, gd.init_state(w0), layout.pack(eta=0.2, weights=1.0))
+    gdm, e, s0, layout = softmax_problem()
+    gdm_problem = (gdm, e, s0, layout.pack(eta=0.1, mu=0.5, weights=1.0))
+    return [gd_problem, gdm_problem]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["GD", "GDM"])
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_forward_makes_t_times_m_state_products(which, n_steps):
+    dyn, e, s0, lam = contract_problems()[which]
+    counted = CountingDynamics(dyn)
+    forward_hg(counted, e, s0, lam, n_steps)
+    assert counted.calls["jvp_state"] == n_steps * len(lam)
+    assert counted.calls["step"] == n_steps
+    assert counted.calls["touched_hypers"] == n_steps
+    assert counted.calls["vjp_state"] == counted.calls["vjp_hyper"] == 0
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["GD", "GDM"])
+@pytest.mark.parametrize("keep_adjoints", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_reverse_makes_t_hyper_and_t_minus_one_state_products(
+        which, keep_adjoints, n_steps):
+    dyn, e, s0, lam = contract_problems()[which]
+    counted = CountingDynamics(dyn)
+    result = reverse_hg(counted, e, s0, lam, n_steps,
+                        keep_adjoints=keep_adjoints)
+    assert counted.calls["vjp_hyper"] == n_steps
+    assert counted.calls["vjp_state"] == n_steps - 1 + int(keep_adjoints)
+    assert counted.calls["step"] == n_steps
+    assert counted.calls["jvp_state"] == counted.calls["jvp_hyper"] == 0
+    assert len(result.tape) == n_steps + 1

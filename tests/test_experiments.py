@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from hypergrad import experiments
 from hypergrad.config import ExperimentConfig
 from hypergrad.experiments import (RunReport, _f1, run_bench, run_hyperclean,
                                    run_mtl, run_randsearch, run_rtho,
@@ -104,6 +105,33 @@ def test_mtl_report_structure():
     assert np.array_equal(c, c.T)
     assert np.all(c >= 0)
     assert c.sum() <= 2.0 + 1e-9
+
+
+def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
+    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=1, n_classes=3,
+                           n_clusters=2, n_features=6, n_train=12, n_val=12,
+                           n_test=30, inner_steps=15, inner_lr=0.01)
+    train, val, test, _ = experiments._mtl_data(cfg, 0)
+    fitted = []
+    train_mtl = experiments._train_mtl
+
+    def counting(*args, **kwargs):
+        fitted.append(kwargs["fixed_rho"].tobytes())
+        return train_mtl(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_train_mtl", counting)
+    acc, rho_vec = experiments._stl_grid(train, val, test, cfg)
+    # 7 shared values, then 7 per task; the greedy pass revisits the
+    # current best vector once per task and once at the end
+    assert len(fitted) == len(set(fitted))
+    assert 7 <= len(fitted) <= 7 + 3 * 7
+    assert rho_vec.tobytes() in fitted
+    monkeypatch.undo()
+    w = experiments._train_mtl(train, cfg.inner_steps, cfg.inner_lr,
+                               np.zeros(0), coupling="none",
+                               coupling_segment=None, rho_segment=None,
+                               fixed_rho=rho_vec, per_task_rho=True)
+    assert acc == experiments._accuracy_pct(test, w)
 
 
 # ---------------------------------------------------------------------------

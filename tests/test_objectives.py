@@ -162,6 +162,91 @@ def test_weighted_softmax_fixed_weights_has_no_hypers():
     assert obj.value(w, np.zeros(0), 1) > 0.0
 
 
+def weight_kinds_task(kind, batch_size=None, order="C"):
+    """WeightedSoftmax with unit, fixed or hyper example weights, and its lam."""
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    if order == "F":
+        train = Dataset(features=np.asfortranarray(train.features),
+                        labels=train.labels, n_classes=train.n_classes)
+    sched = (None if batch_size is None
+             else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
+    fixed = make_rng(5, 3).random(8)
+    if kind == "unit":
+        return WeightedSoftmax(train, schedule=sched, weight_segment=None), np.zeros(0)
+    if kind == "fixed":
+        obj = WeightedSoftmax(train, schedule=sched, weight_segment=None,
+                              fixed_weights=fixed)
+        return obj, np.zeros(0)
+    layout = VectorLayout([("weights", 8)])
+    obj = WeightedSoftmax(train, hyper_layout=layout, schedule=sched)
+    return obj, layout.pack(weights=fixed if kind == "hyper" else 1.0)
+
+
+@pytest.mark.parametrize("batch_size", [None, 3])
+@pytest.mark.parametrize("kind,as_hyper", [("unit", "hyper-ones"),
+                                           ("fixed", "hyper")])
+def test_constant_weight_gradient_is_cached_read_only(kind, as_hyper, batch_size):
+    # with constant weights the gradient is built once per (t, w) and
+    # shared; it must be read-only and bit-equal both to a freshly built
+    # objective's and to the same weights passed as hypers
+    obj, lam = weight_kinds_task(kind, batch_size)
+    rng = make_rng(5, 4)
+    w = rng.standard_normal(obj.n_params)
+    r = rng.standard_normal(obj.n_params)
+    g = obj.grad_w(w, lam, 2)
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    assert obj.grad_w(w, lam, 2) is g
+    fresh, _ = weight_kinds_task(kind, batch_size)
+    assert g.tobytes() == fresh.grad_w(w.copy(), lam, 2).tobytes()
+    weighted, hyper_lam = weight_kinds_task(as_hyper, batch_size)
+    assert g.tobytes() == weighted.grad_w(w, hyper_lam, 2).tobytes()
+    assert (obj.hvp_w(w, lam, 2, r).tobytes()
+            == weighted.hvp_w(w, hyper_lam, 2, r).tobytes())
+    assert obj.value(w, lam, 2) == weighted.value(w, hyper_lam, 2)
+
+
+def test_fixed_weights_are_a_private_read_only_copy():
+    train, _, _ = blob_task(5, 8, 4, 4)
+    weights = np.linspace(0.5, 1.5, 8)
+    obj = WeightedSoftmax(train, weight_segment=None, fixed_weights=weights)
+    weights[:] = 0.0  # the caller's array stays theirs
+    assert weights.flags.writeable
+    assert not obj.fixed_weights.flags.writeable
+    assert np.array_equal(obj.fixed_weights, np.linspace(0.5, 1.5, 8))
+
+
+@pytest.mark.parametrize("batch_size", [None, 3])
+@pytest.mark.parametrize("kind", ["unit", "fixed", "hyper"])
+def test_mutating_w_in_place_rebuilds_cached_batch(kind, batch_size):
+    obj, lam = weight_kinds_task(kind, batch_size)
+    rng = make_rng(5, 6)
+    w = rng.standard_normal(obj.n_params)
+    r = rng.standard_normal(obj.n_params)
+    before = (obj.grad_w(w, lam, 1).copy(), obj.hvp_w(w, lam, 1, r))
+    w[3] += 0.5  # same array, same t
+    after = (obj.grad_w(w, lam, 1), obj.hvp_w(w, lam, 1, r))
+    fresh, _ = weight_kinds_task(kind, batch_size)
+    expect = (fresh.grad_w(w.copy(), lam, 1), fresh.hvp_w(w.copy(), lam, 1, r))
+    for got, want, old in zip(after, expect, before):
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, old)
+
+
+def test_full_batch_reads_contiguous_features_in_place():
+    c_obj, lam = weight_kinds_task("hyper")
+    f_obj, _ = weight_kinds_task("hyper", order="F")
+    w = make_rng(5, 7).standard_normal(c_obj.n_params)
+    assert c_obj._batch(1, w).x is c_obj.dataset.features
+    # a non-contiguous matrix is gathered into a C-ordered copy instead
+    f_x = f_obj._batch(1, w).x
+    assert f_x is not f_obj.dataset.features and f_x.flags.c_contiguous
+    assert c_obj.grad_w(w, lam, 1).tobytes() == f_obj.grad_w(w, lam, 1).tobytes()
+    mb_obj, _ = weight_kinds_task("hyper", batch_size=8)  # batch == n: full
+    assert mb_obj._batch(1, w).x is mb_obj.dataset.features
+
+
 # ---------------------------------------------------------------------------
 # MultitaskLinear
 
