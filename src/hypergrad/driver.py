@@ -145,6 +145,7 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
     while not _stopped(stop, records):
         k = len(records) + 1
         started = time.perf_counter()
+        result = None  # free the previous tape before recording the next
         try:
             result = compute(dyn, E, s0, lam, n_steps)
         except HypergradError as err:

@@ -7,10 +7,12 @@ d f / d lam of the unrolled iteration:
 * ``forward_hg`` propagates the sensitivity matrix Z_t = ds_t/dlam
   alongside the states via Z_t = A_t Z_{t-1} + B_t. Cost grows linearly
   with the number of hyperparameters; memory O(dm), states overwritten.
-* ``reverse_hg`` records the whole trajectory (a Tape of T+1 states) and
-  runs the adjoint recursion alpha_{t-1} = alpha_t A_t backwards,
-  accumulating g = sum_t alpha_t B_t. Cost is independent of m; memory
-  O(Td).
+* ``reverse_hg`` records the whole trajectory (a Tape of T+1 read-only
+  states) and runs the adjoint recursion alpha_{t-1} = alpha_t A_t
+  backwards, accumulating g = sum_t alpha_t B_t. Cost is independent of
+  m; memory O(Td + T*b*k): the sweep reuses each step's b x k softmax
+  probabilities from the recording pass, as backpropagation through
+  time reuses its activations, instead of recomputing them.
 * ``rtho_stream`` keeps the forward accumulation running during a single
   training run and emits the partial hypergradient grad E(s_t) Z_t every
   ``delta`` steps so an outer updater can adjust lam mid-flight.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import TapeReplayError
 from .numerics import as_vector, ensure_finite
-from .objectives import val_grad_state, val_value
+from .objectives import _frozen, _trajectory_scope, val_grad_state, val_value
 
 
 @dataclass
@@ -65,7 +67,11 @@ class Tape:
         return sum(s.nbytes for s in self.states)
 
     def verify(self, dyn):
-        """Replay the dynamics from s_0 and demand bit-exact agreement."""
+        """Replay the dynamics from s_0 and demand bit-exact agreement.
+
+        The replay steps from a writable copy, so none of what the
+        recording pass kept for the reverse sweep serves it.
+        """
         s = self.states[0].copy()
         for t in range(1, len(self.states)):
             s = dyn.step(s, self.lam, t)
@@ -78,12 +84,16 @@ class Tape:
 
 
 def record_trajectory(dyn, s0, lam, n_steps, t0=0):
-    """Run ``n_steps`` of the dynamics, keeping every state."""
-    s = as_vector(s0).copy()
-    states = [s.copy()]
+    """Run ``n_steps`` of the dynamics, keeping every state read-only.
+
+    Each step starts from the recorded (read-only) state, so what the
+    objective builds at a step is tied to the tape entry it came from.
+    """
+    s = _frozen(as_vector(s0).copy())
+    states = [s]
     for k in range(1, n_steps + 1):
-        s = dyn.step(s, lam, t0 + k)
-        states.append(s.copy())
+        s = _frozen(dyn.step(s, lam, t0 + k))
+        states.append(s)
     return Tape(states=states, lam=np.asarray(lam, dtype=np.float64).copy(),
                 schedule=getattr(dyn.objective, "schedule", None))
 
@@ -127,28 +137,36 @@ def reverse_hg(dyn, E, s0, lam, n_steps, include_first_step=True,
                verify_tape=False, keep_adjoints=False) -> HypergradResult:
     """Reverse-mode hypergradient via the adjoint recursion over a tape.
 
+    Memory is O(Td + T*b*k): besides the T+1 states, the objective keeps
+    each step's b x k softmax probabilities from the recording pass for
+    the sweep, which reuses them instead of recomputing them. They are
+    matched against the read-only tape state they were built from and
+    dropped when this call returns or raises; ``verify_tape`` replays
+    from a writable copy, which they never serve.
+
     ``include_first_step=False`` reproduces a historical pseudocode
     variant whose loop bounds drop the t=1 accumulation term (it sums
     alpha_t B_t for t = 2..T only); the default matches the closed form
     sum_{t=1}^{T} alpha_t B_t.
     """
     lam = as_vector(lam)
-    tape = record_trajectory(dyn, s0, lam, n_steps)
-    if verify_tape:
-        tape.verify(dyn)
-    s_final = tape.states[-1]
-    alpha = val_grad_state(E, s_final, dyn.state_layout)
-    adjoints = {n_steps: alpha.copy()} if keep_adjoints else None
-    grad = np.zeros(len(lam))
-    t_lo = 1 if include_first_step else 2
-    for t in range(n_steps, 0, -1):
-        s_prev = tape.states[t - 1]
-        if t >= t_lo:
-            grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
-        if t > 1 or keep_adjoints:
-            alpha = dyn.vjp_state(s_prev, lam, t, alpha)
-            if keep_adjoints:
-                adjoints[t - 1] = alpha.copy()
+    with _trajectory_scope(dyn.objective):
+        tape = record_trajectory(dyn, s0, lam, n_steps)
+        if verify_tape:
+            tape.verify(dyn)
+        s_final = tape.states[-1]
+        alpha = val_grad_state(E, s_final, dyn.state_layout)
+        adjoints = {n_steps: alpha.copy()} if keep_adjoints else None
+        grad = np.zeros(len(lam))
+        t_lo = 1 if include_first_step else 2
+        for t in range(n_steps, 0, -1):
+            s_prev = tape.states[t - 1]
+            if t >= t_lo:
+                grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
+            if t > 1 or keep_adjoints:
+                alpha = dyn.vjp_state(s_prev, lam, t, alpha)
+                if keep_adjoints:
+                    adjoints[t - 1] = alpha.copy()
     ensure_finite(grad, "hypergradient")
     return HypergradResult(gradient=grad,
                            response=val_value(E, s_final, dyn.state_layout),

@@ -15,6 +15,7 @@ Parameter vectors for the linear softmax models are laid out as
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,11 @@ def _ce_losses(x, y, mat, bias):
     return -logp[np.arange(len(y)), y]
 
 
-def _ce_grad_coefs(x, y, mat, bias):
-    """Per-example dloss/dlogits = softmax - onehot, plus the probs."""
-    p = softmax_rows(x @ mat.T + bias)
+def _grad_coefs(p, y):
+    """Per-example dloss/dlogits = p - onehot(y) from the probabilities p."""
     g = p.copy()
     g[np.arange(len(y)), y] -= 1.0
-    return g, p
+    return g
 
 
 def _assemble_wgrad(coefs, x, scale=None):
@@ -77,7 +77,7 @@ def _assemble_wgrad(coefs, x, scale=None):
     k, f = coefs.shape[1], x.shape[1]
     out = np.empty(k * f + k)
     np.matmul(coefs.T, x, out=out[: k * f].reshape(k, f))
-    np.sum(coefs, axis=0, out=out[k * f :])
+    coefs.sum(axis=0, out=out[k * f :])
     if scale is not None:
         out *= scale
     return out
@@ -105,18 +105,29 @@ def _batch_rows(dataset, schedule, t):
 class _Batch:
     """Softmax quantities of one step at one w.
 
-    ``frac`` is the batch's share of the training set; ``grad`` is filled
-    by objectives whose gradient depends on (t, w) only.
+    ``p`` holds the (read-only) probabilities, computed unless given;
+    the coefficients ``g = p - onehot`` are derived from them on first
+    use. ``frac`` is the batch's share of the training set; ``grad`` is
+    filled by objectives whose gradient depends on (t, w) only.
     """
 
-    __slots__ = ("idx", "x", "g", "p", "frac", "grad")
+    __slots__ = ("idx", "x", "y", "p", "_g", "frac", "grad")
 
-    def __init__(self, obj, t, w):
-        self.idx, self.x, y = _batch_rows(obj.dataset, obj.schedule, t)
-        self.g, self.p = _ce_grad_coefs(
-            self.x, y, *unpack_linear(w, obj.n_classes, obj.n_features))
+    def __init__(self, obj, t, w, p=None):
+        self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule, t)
+        if p is None:
+            mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
+            p = _frozen(softmax_rows(self.x @ mat.T + bias))
+        self.p = p
+        self._g = None
         self.frac = len(self.idx) / obj.dataset.n
         self.grad = None
+
+    @property
+    def g(self):
+        if self._g is None:
+            self._g = _grad_coefs(self.p, self.y)
+        return self._g
 
 
 class _BatchCache:
@@ -128,13 +139,30 @@ class _BatchCache:
     speedup: every entry is a function of the key only. A lookup
     compares t first and reads w's bytes only when some entry has the
     same t; the oldest entry is evicted first.
+
+    Inside ``trajectory()`` the cache also keeps, for every step t, the
+    probabilities built at a read-only w together with that w, so the
+    reverse sweep over a recorded tape reuses the recording pass's
+    softmax. Such an entry serves only a read-only w at the same t with
+    the same content; writable vectors (a replay from a copy, say) are
+    neither served nor kept.
     """
 
     def __init__(self, maxsize=4):
         self._entries = []  # (t, w bytes, entry), oldest first
         self._maxsize = maxsize
+        self._steps = None  # t -> (read-only w, p) inside trajectory()
 
-    def get(self, t, w, build):
+    @contextmanager
+    def trajectory(self):
+        """Keep one step's probabilities per t until the block exits."""
+        outer, self._steps = self._steps, {}
+        try:
+            yield
+        finally:
+            self._steps = outer
+
+    def get(self, obj, t, w):
         key = None
         for entry_t, entry_key, entry in self._entries:
             if entry_t == t:
@@ -142,11 +170,33 @@ class _BatchCache:
                     key = w.tobytes()
                 if entry_key == key:
                     return entry
-        entry = build()
+        steps = self._steps
+        if steps is not None and _read_only(w):
+            kept = steps.get(t)
+            if kept is not None and (kept[0] is w or np.array_equal(kept[0], w)):
+                entry = _Batch(obj, t, w, kept[1])
+            else:
+                entry = _Batch(obj, t, w)
+                steps[t] = (w, entry.p)
+        else:
+            entry = _Batch(obj, t, w)
         if len(self._entries) >= self._maxsize:
             del self._entries[0]
         self._entries.append((t, w.tobytes() if key is None else key, entry))
         return entry
+
+
+def _read_only(w):
+    """True when neither ``w`` nor the array owning its memory is writable."""
+    base = w if w.base is None else w.base
+    return (not w.flags.writeable and isinstance(base, np.ndarray)
+            and not base.flags.writeable)
+
+
+def _trajectory_scope(objective):
+    """The objective's trajectory() scope, or a no-op if it has no cache."""
+    cache = getattr(objective, "_cache", None)
+    return nullcontext() if cache is None else cache.trajectory()
 
 
 # the index set of an objective that touches no hypers, shared read-only
@@ -239,7 +289,7 @@ class WeightedSoftmax:
         return rows * self._weights(lam)[idx][:, None]
 
     def _batch(self, t, w):
-        return self._cache.get(t, w, lambda: _Batch(self, t, w))
+        return self._cache.get(self, t, w)
 
     def value(self, w, lam, t):
         idx, x, y = _batch_rows(self.dataset, self.schedule, t)
@@ -365,6 +415,13 @@ class MultitaskLinear:
             self.fixed_rho = _frozen(np.broadcast_to(
                 np.asarray(fixed_rho, dtype=np.float64), (k,)
             ).copy())
+        # hyper slices and the full-batch fraction, looked up once
+        self._coupling_slice = (None if self.coupling_segment is None
+                                else hyper_layout.slice_of(self.coupling_segment))
+        self._rho_slice = (None if rho_segment is None
+                           else hyper_layout.slice_of(rho_segment))
+        self._full_frac = (self.schedule.n / dataset.n if self.schedule.full_batch
+                           else None)
         # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
         self._below_diag = np.tri(k, k=-1, dtype=bool)
         self._on_or_below_diag = np.tri(k, dtype=bool)
@@ -422,9 +479,11 @@ class MultitaskLinear:
     # -- objective interface -------------------------------------------
 
     def _batch(self, t, w):
-        return self._cache.get(t, w, lambda: _Batch(self, t, w))
+        return self._cache.get(self, t, w)
 
     def _frac(self, t):
+        if self._full_frac is not None:
+            return self._full_frac
         return len(self.schedule.indices(t)) / self.dataset.n
 
     def value(self, w, lam, t):
@@ -455,21 +514,24 @@ class MultitaskLinear:
 
     def cross_jvp(self, w, lam, t, q):
         mat, _ = unpack_linear(w, self.n_classes, self.n_features)
+        if self.hyper_layout is not None and len(q) != self.hyper_layout.size:
+            raise DimensionMismatchError(
+                f"vector has length {len(q)}, layout expects {self.hyper_layout.size}"
+            )
         k = self.n_classes
         acc = np.zeros_like(mat)
-        if self.coupling_segment is not None:
+        if self._coupling_slice is not None:
             if self.coupling == "uniform":
-                qa = self.hyper_layout.get(q, self.coupling_segment)[0]
+                qa = q[self._coupling_slice][0]
                 if qa != 0.0:
                     ones = np.full((k, k), qa)
                     acc += _reg_grad_mat(mat, *_penalty_factors(ones, np.zeros(k)))
             else:
-                qc = self.hyper_layout.get(q, self.coupling_segment).reshape(k, k)
-                qeff = self._symmetrize(qc)
+                qeff = self._symmetrize(q[self._coupling_slice].reshape(k, k))
                 if np.any(qeff):
                     acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
-        if self.rho_segment is not None:
-            qr = self.hyper_layout.get(q, self.rho_segment)
+        if self._rho_slice is not None:
+            qr = q[self._rho_slice]
             rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
             acc += 2.0 * rho_dir[:, None] * mat
         out = np.zeros_like(w)
@@ -482,12 +544,11 @@ class MultitaskLinear:
         k = self.n_classes
         frac = self._frac(t)
         out = np.zeros_like(lam)
-        if self.coupling_segment is not None:
-            seg = self.hyper_layout.slice_of(self.coupling_segment)
+        if self._coupling_slice is not None:
             if self.coupling == "uniform":
                 val = 4.0 * (k * (amat * mat).sum()
                              - amat.sum(axis=0) @ mat.sum(axis=0))
-                out[seg] = frac * val
+                out[self._coupling_slice] = frac * val
             else:
                 # d<alpha, grad_W reg>/dC[j,k] for stored upper entries:
                 # 4 (a_j - a_k).(w_j - w_k)
@@ -495,11 +556,11 @@ class MultitaskLinear:
                 diag = m.diagonal()
                 pair = diag[:, None] + diag[None, :] - m - m.T
                 vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
-                out[seg] = frac * vals.ravel()
-        if self.rho_segment is not None:
-            seg = self.hyper_layout.slice_of(self.rho_segment)
+                out[self._coupling_slice] = frac * vals.ravel()
+        if self._rho_slice is not None:
             per_task = 2.0 * (amat * mat).sum(axis=1)
-            out[seg] = frac * (per_task if self.per_task_rho else per_task.sum())
+            out[self._rho_slice] = frac * (per_task if self.per_task_rho
+                                           else per_task.sum())
         return out
 
     def touched_hypers(self, t):
@@ -603,7 +664,7 @@ class DatasetValidation:
         mat, bias = unpack_linear(w, self.n_classes, self.n_features)
         n = len(self._y)
         if self.kind == "cross_entropy":
-            g, _ = _ce_grad_coefs(self._x, self._y, mat, bias)
+            g = _grad_coefs(softmax_rows(self._x @ mat.T + bias), self._y)
             return _assemble_wgrad(g, self._x) / n
         scores = self._x @ mat.T + bias
         resid = scores - _onehot(self._y, self.n_classes)

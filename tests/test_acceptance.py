@@ -25,6 +25,8 @@ from hypergrad.verify import (build_instance_grid, check_chain_agreement,
                               check_fd_agreement, check_projections,
                               check_zero_lr_identity)
 
+pytestmark = pytest.mark.acceptance
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -1,12 +1,16 @@
 """Batch and streaming hyper-iteration loops plus their stop rules."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from hypergrad import driver
 from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, ValidationEarlyStop, WallClock,
                               batch_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
+from hypergrad.engines import HypergradResult, Tape
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import QuadraticToy, QuadraticValidation
 from hypergrad.outer import Box, BoxL1, Constraints, NonNeg
@@ -103,6 +107,24 @@ def test_batch_loop_engines_agree_on_trajectory():
     for rf, rr in zip(rec_f, rec_r):
         assert np.max(np.abs(rf.lam - rr.lam)) < 1e-7
         assert abs(rf.response - rr.response) < 1e-9
+
+
+def test_batch_loop_frees_previous_tape_before_next_compute(monkeypatch):
+    # only one tape may be alive at a time: the previous hyper-iteration's
+    # result is released before the next one is recorded
+    dyn, e, s0, layout = scalar_problem()
+    previous = []
+
+    def compute(dyn, e, s0, lam, n_steps):
+        if previous:
+            assert previous[-1]() is None, "previous tape still alive"
+        tape = Tape(states=[s0.copy()], lam=lam.copy())
+        previous.append(weakref.ref(tape))
+        return HypergradResult(gradient=np.zeros_like(lam), response=0.0,
+                               mode="reverse", tape=tape)
+    monkeypatch.setattr(driver, "reverse_hg", compute)
+    batch_ho_loop(dyn, e, s0, layout.pack(eta=0.2), None, 2, MaxHyperIters(3))
+    assert len(previous) == 3
 
 
 def test_batch_loop_keeps_iterates_feasible():

@@ -9,16 +9,18 @@ against materialized linear algebra.
 import numpy as np
 import pytest
 
+from hypergrad import engines, objectives
 from hypergrad.datasets import MinibatchSchedule, blob_task
 from hypergrad.dynamics import (GradientDescent, Momentum,
                                 materialize_step_jacobians)
 from hypergrad.engines import (StreamEmission, Tape, evaluate_response,
                                forward_hg, record_trajectory, reverse_hg,
                                rtho_stream)
-from hypergrad.errors import TapeReplayError
+from hypergrad.errors import NonFiniteError, TapeReplayError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
-from hypergrad.objectives import (QuadraticToy, QuadraticValidation,
+from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
+                                  QuadraticToy, QuadraticValidation,
                                   WeightedSoftmax, val_grad_state)
 from hypergrad.oracle import materialized_chain
 
@@ -369,3 +371,135 @@ def test_reverse_makes_t_hyper_and_t_minus_one_state_products(
     assert counted.calls["step"] == n_steps
     assert counted.calls["jvp_state"] == counted.calls["jvp_hyper"] == 0
     assert len(result.tape) == n_steps + 1
+
+
+# ---------------------------------------------------------------------------
+# the sweep reuses the recording pass's softmax
+
+
+def retention_problem(kind, batch_size=None):
+    """(make, E, s0, lam) with a builder of fresh, identical dynamics."""
+    train, val, _ = blob_task(4, 8, 6, 1, n_classes=3, n_features=4)
+    sched = (None if batch_size is None
+             else MinibatchSchedule(n=8, batch_size=batch_size, seed=4))
+    if kind == "mtl":
+        layout = VectorLayout([("coupling", 9), ("rho", 1)])
+
+        def make():
+            return GradientDescent(MultitaskLinear(train, hyper_layout=layout,
+                                                   schedule=sched), eta=0.05)
+        lam = layout.pack(coupling=make_rng(4, 1).random(9) * 0.1, rho=0.2)
+    else:
+        layout = VectorLayout([("eta", 1), ("mu", 1), ("weights", 8)])
+
+        def make():
+            return Momentum(WeightedSoftmax(train, hyper_layout=layout,
+                                            schedule=sched))
+        lam = layout.pack(eta=0.3, mu=0.5, weights=make_rng(4, 1).random(8))
+    n_params = make().objective.n_params
+    s0 = make().init_state(make_rng(4, 2).standard_normal(n_params) * 0.1)
+    return make, DatasetValidation(val), s0, lam
+
+
+RETENTION_CASES = [("mtl", None), ("mtl", 3), ("weighted", None),
+                   ("weighted", 3)]
+RETENTION_IDS = ["mtl-full", "mtl-minibatch", "weighted-full",
+                 "weighted-minibatch"]
+
+
+@pytest.fixture
+def softmax_calls(monkeypatch):
+    """Counts objectives.softmax_rows calls from here on."""
+    calls = [0]
+    original = objectives.softmax_rows
+
+    def counted(scores):
+        calls[0] += 1
+        return original(scores)
+    monkeypatch.setattr(objectives, "softmax_rows", counted)
+    return calls
+
+
+def rebuilt_sweep(make, e, tape, lam):
+    """reverse_hg's gradient over ``tape``, every product on a fresh objective."""
+    n_steps = tape.n_steps
+    dyn = make()
+    alpha = val_grad_state(e, tape.states[-1], dyn.state_layout)
+    grad = np.zeros(len(lam))
+    for t in range(n_steps, 0, -1):
+        s_prev = tape.states[t - 1].copy()
+        grad += make().vjp_hyper(s_prev, lam, t, alpha)
+        if t > 1:
+            alpha = make().vjp_state(s_prev, lam, t, alpha)
+    return grad
+
+
+@pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
+def test_reverse_builds_each_step_softmax_once(kind, batch_size, softmax_calls):
+    make, e, s0, lam = retention_problem(kind, batch_size)
+    n_steps = 7
+    result = reverse_hg(make(), e, s0, lam, n_steps)
+    # one per recorded step, plus one for the validation gradient
+    assert softmax_calls[0] == n_steps + 1
+    assert (result.gradient.tobytes()
+            == rebuilt_sweep(make, e, result.tape, lam).tobytes())
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["writable", "read-only"])
+@pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
+def test_replaced_tape_state_rebuilds_its_step(kind, batch_size, frozen,
+                                                softmax_calls, monkeypatch):
+    make, e, s0, lam = retention_problem(kind, batch_size)
+    n_steps, k = 6, 3
+    record = engines.record_trajectory
+
+    def tampered(*args):
+        tape = record(*args)
+        tape.states[k] = tape.states[k] + 1e-3  # as the tampering test does
+        if frozen:
+            tape.states[k].flags.writeable = False
+        return tape
+    monkeypatch.setattr(engines, "record_trajectory", tampered)
+    result = reverse_hg(make(), e, s0, lam, n_steps)
+    # the sweep at step k + 1 starts from the replaced state
+    assert softmax_calls[0] == n_steps + 2
+    assert (result.gradient.tobytes()
+            == rebuilt_sweep(make, e, result.tape, lam).tobytes())
+
+
+@pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
+def test_verify_tape_recomputes_every_step(kind, batch_size, softmax_calls):
+    make, e, s0, lam = retention_problem(kind, batch_size)
+    # longer than the 4-entry per-step memo: it is keyed by content, so
+    # it would serve the whole replay of a tape of at most 4 steps
+    n_steps = 6
+    plain = reverse_hg(make(), e, s0, lam, n_steps)
+    softmax_calls[0] = 0
+    verified = reverse_hg(make(), e, s0, lam, n_steps, verify_tape=True)
+    assert softmax_calls[0] == 2 * n_steps + 1
+    assert verified.gradient.tobytes() == plain.gradient.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mtl", "weighted"])
+def test_nothing_retained_after_reverse(kind):
+    make, e, s0, lam = retention_problem(kind)
+    dyn = make()
+    reverse_hg(dyn, e, s0, lam, 4)
+    assert dyn.objective._cache._steps is None
+    # a diverging run raises mid-recording and still drops every entry
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        reverse_hg(dyn, e, s0, np.full_like(lam, 1e300), 4)
+    assert dyn.objective._cache._steps is None
+
+
+def test_tape_states_are_read_only():
+    make, e, s0, lam = retention_problem("weighted")
+    tapes = [record_trajectory(make(), s0, lam, 3),
+             reverse_hg(make(), e, s0, lam, 3).tape]
+    for tape in tapes:
+        assert len(tape) == 4 and tape.nbytes() == 4 * s0.nbytes
+        for state in tape.states:
+            assert not state.flags.writeable
+            with pytest.raises(ValueError):
+                state[0] = 1.0
+    assert s0.flags.writeable  # the caller's s0 is copied, not frozen
