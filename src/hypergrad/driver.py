@@ -7,6 +7,16 @@ Two protocols:
   hypergradient (either engine), and applies one projected Adam update.
   Retraining from scratch keeps the response a pure function of lam,
   which the finite-difference oracle relies on.
+
+  ``lockstep_ho_loop`` moves several outer paths over one problem
+  forward together. Each path has its own constraints, Adam state, stop
+  rules and records; in each hyper-iteration the paths whose lam are
+  bit-equal share one hypergradient, handed read-only to each path's
+  update and released before the next group's is computed, so one tape
+  is alive at a time. A record's ``seconds`` is the time of the
+  hypergradient it used plus its own update: paths sharing a
+  hypergradient each count all of it. ``batch_ho_loop`` is the one-path
+  case.
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps.
 
@@ -130,36 +140,75 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
                   engine="reverse", lr=0.005, beta1=0.9, beta2=0.999,
                   eps=1e-8, record_extras=None):
     """Retrain / hypergradient / projected-Adam loop. Returns (lam, records)."""
+    [(lam, records)], _ = lockstep_ho_loop(
+        dyn, E, s0, [(lam0, constraints, stop)], n_steps, engine=engine,
+        lr=lr, beta1=beta1, beta2=beta2, eps=eps, record_extras=record_extras)
+    return lam, records
+
+
+class _OuterPath:
+    """One outer trajectory of a lockstep run."""
+
+    def __init__(self, lam0, constraints, stop, adam):
+        self.updater = ProjectedAdam(constraints, **adam)
+        self.lam = lam0 if constraints is None else constraints.project(lam0)
+        self.stop = stop
+        self.records = []
+
+
+def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
+                     beta1=0.9, beta2=0.999, eps=1e-8, record_extras=None):
+    """Batch loops over one problem, one hypergradient per distinct lam.
+
+    ``paths`` lists one (lam0, constraints, stop) per outer path. Returns
+    one (lam, records) per path, in order, and the number of
+    hypergradients computed.
+    """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
-    m = len(lam0)
+    m = max((len(lam0) for lam0, _, _ in paths), default=0)
     if engine == "forward" and m > 10 * dyn.n_state:
         raise ValueError(
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    updater = ProjectedAdam(constraints, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    lam = lam0 if constraints is None else constraints.project(lam0)
+    adam = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    paths = [_OuterPath(lam0, constraints, stop, adam)
+             for lam0, constraints, stop in paths]
     compute = forward_hg if engine == "forward" else reverse_hg
-    records = []
-    while not _stopped(stop, records):
-        k = len(records) + 1
-        started = time.perf_counter()
-        result = None  # free the previous tape before recording the next
-        try:
-            result = compute(dyn, E, s0, lam, n_steps)
-        except HypergradError as err:
-            raise _rescope(err, k) from err
-        lam = updater(lam, result.gradient)
-        record = HyperIterRecord(
-            index=k, response=result.response,
-            grad_norm=float(np.linalg.norm(result.gradient)),
-            lam=lam.copy(), seconds=time.perf_counter() - started,
-        )
-        if record_extras is not None:
-            record.extras = record_extras(lam, result)
-        records.append(record)
-    return lam, records
+    n_computed = 0
+    while True:
+        groups = {}
+        for path in paths:
+            if not _stopped(path.stop, path.records):
+                groups.setdefault(path.lam.tobytes(), []).append(path)
+        if not groups:
+            break
+        for group in groups.values():
+            k = len(group[0].records) + 1
+            started = time.perf_counter()
+            result = None  # free the previous tape before recording the next
+            try:
+                result = compute(dyn, E, s0, group[0].lam, n_steps)
+            except HypergradError as err:
+                raise _rescope(err, k) from err
+            n_computed += 1
+            gradient = result.gradient
+            gradient.flags.writeable = False
+            grad_norm = float(np.linalg.norm(gradient))
+            shared = time.perf_counter() - started
+            for path in group:
+                own = time.perf_counter()
+                path.lam = path.updater(path.lam, gradient)
+                record = HyperIterRecord(
+                    index=len(path.records) + 1, response=result.response,
+                    grad_norm=grad_norm, lam=path.lam.copy(),
+                    seconds=shared + time.perf_counter() - own,
+                )
+                if record_extras is not None:
+                    record.extras = record_extras(path.lam, result)
+                path.records.append(record)
+    return [(path.lam, path.records) for path in paths], n_computed
 
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop,

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import TapeReplayError
 from .numerics import as_vector, ensure_finite
-from .objectives import _frozen, _trajectory_scope, val_grad_state, val_value
+from .objectives import (_clear_memo, _frozen, _trajectory_scope,
+                         val_grad_state, val_value)
 
 
 @dataclass
@@ -69,9 +70,11 @@ class Tape:
     def verify(self, dyn):
         """Replay the dynamics from s_0 and demand bit-exact agreement.
 
-        The replay steps from a writable copy, so none of what the
-        recording pass kept for the reverse sweep serves it.
+        The replay steps from a writable copy after the objective's
+        per-step memo is emptied, so nothing the recording pass built
+        serves it: every step is recomputed.
         """
+        _clear_memo(dyn.objective)
         s = self.states[0].copy()
         for t in range(1, len(self.states)):
             s = dyn.step(s, self.lam, t)

@@ -32,7 +32,7 @@ from .data_io import corrupt_labels, ingest_idx, write_curves_csv, write_jsonl
 from .datasets import (Dataset, MinibatchSchedule, blob_task,
                        clustered_task_data, full_batch_schedule)
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
-                     stream_ho_loop)
+                     lockstep_ho_loop, stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
 from .errors import InfeasibleHypersError
 from .layouts import VectorLayout
@@ -286,47 +286,75 @@ def _stl_grid(train, val, test, cfg):
     return _accuracy_pct(test, w), rho_vec
 
 
-def _coupled_run(train, val, test, cfg, mode, radius=None):
-    """Hyper-optimize a coupled model; returns (test accuracy, final lam, records)."""
+def _coupled_runs(train, val, test, cfg, mode, radii=(None,)):
+    """Hyper-optimize a coupled model once per coupling radius, in lockstep.
+
+    The radii share one problem, so while their lam agree they share
+    each hypergradient. Returns one (test accuracy, final lam, records,
+    coupling) per radius and the number of hypergradients computed.
+    """
     k = train.n_classes
     if mode == "uniform":
         layout = VectorLayout([("coupling", 1), ("rho", 1)])
-        rules = {"coupling": NonNeg(), "rho": NonNeg()}
         lam0 = layout.pack(coupling=0.0, rho=_RHO_INIT)
         obj_kwargs = dict(coupling="uniform", per_task_rho=False)
     else:
         layout = VectorLayout([("coupling", k * k), ("rho", k)])
-        rules = {"coupling": MTLCone(radius), "rho": NonNeg()}
         lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, _RHO_INIT))
         obj_kwargs = dict(coupling="full", per_task_rho=True)
     obj = MultitaskLinear(train, hyper_layout=layout, **obj_kwargs)
     dyn = GradientDescent(obj, eta=cfg.inner_lr)
-    constraints = Constraints(layout, rules)
+    constraints = [
+        Constraints(layout, {"coupling": NonNeg() if mode == "uniform"
+                             else MTLCone(r), "rho": NonNeg()})
+        for r in radii
+    ]
     e_val = DatasetValidation(val)
     s0 = dyn.init_state(np.zeros(obj.n_params))
-    lam, records = batch_ho_loop(
-        dyn, e_val, s0, lam0, constraints, cfg.inner_steps,
-        stop=MaxHyperIters(cfg.hyper_iters), engine=cfg.engine,
-        lr=cfg.hyper_lr,
+    paths, n_computed = lockstep_ho_loop(
+        dyn, e_val, s0,
+        [(lam0, c, MaxHyperIters(cfg.hyper_iters)) for c in constraints],
+        cfg.inner_steps, engine=cfg.engine, lr=cfg.hyper_lr,
     )
-    for r in records:
-        if not constraints.contains(r.lam):
-            raise InfeasibleHypersError(
-                f"infeasible hypers at hyper-iteration {r.index}")
-    w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, lam, layout=layout,
-                   **obj_kwargs)
-    coupling = obj._coupling_matrix(lam)
-    return _accuracy_pct(test, w), lam, records, coupling
+    accuracy = {}  # one retrain per distinct final lam
+    runs = []
+    for cons, (lam, records) in zip(constraints, paths):
+        for r in records:
+            if not cons.contains(r.lam):
+                raise InfeasibleHypersError(
+                    f"infeasible hypers at hyper-iteration {r.index}")
+        key = lam.tobytes()
+        if key not in accuracy:
+            w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, lam,
+                           layout=layout, **obj_kwargs)
+            accuracy[key] = _accuracy_pct(test, w)
+        runs.append((accuracy[key], lam, records, obj._coupling_matrix(lam)))
+    return runs, n_computed
+
+
+def _parted_at(records_a, records_b):
+    """First hyper-iteration whose lam differs between two paths, or None."""
+    for a, b in zip(records_a, records_b):
+        if a.lam.tobytes() != b.lam.tobytes():
+            return a.index
+    return None
 
 
 def run_mtl(cfg: ExperimentConfig) -> RunReport:
-    """STL / NMTL / HMTL / HMTL-S comparison over seeded splits."""
+    """STL / NMTL / HMTL / HMTL-S comparison over seeded splits.
+
+    HMTL and HMTL-S run as two lockstep paths of one problem: they share
+    every hypergradient until the HMTL-S radius binds. ``timings`` gives,
+    per seed, the hyper-iteration where they parted (None if they never
+    did) and the number of hypergradients computed.
+    """
     cfg.validate()
     if cfg.n_classes < 2:
         raise ValueError("multitask comparison needs at least 2 classes")
     methods = {"stl": [], "nmtl": [], "hmtl": [], "hmtl_s": []}
     all_records = []
     couplings = {"hmtl": [], "hmtl_s": []}
+    per_seed = []
     for rep in range(cfg.n_seeds):
         seed = cfg.seed + rep
         train, val, test, _ = _mtl_data(cfg, seed)
@@ -334,20 +362,20 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
         acc_stl, _ = _stl_grid(train, val, test, cfg)
         methods["stl"].append(acc_stl)
 
-        acc_nmtl, _, recs, _ = _coupled_run(train, val, test, cfg, "uniform")
+        [(acc_nmtl, _, recs, _)], n_uniform = _coupled_runs(
+            train, val, test, cfg, "uniform")
         methods["nmtl"].append(acc_nmtl)
         _tag_records(recs, all_records, seed=seed, method="nmtl")
 
-        acc_hmtl, _, recs, c_mat = _coupled_run(train, val, test, cfg, "full")
-        methods["hmtl"].append(acc_hmtl)
-        _tag_records(recs, all_records, seed=seed, method="hmtl")
-        couplings["hmtl"].append(c_mat)
-
-        acc_s, _, recs, c_mat = _coupled_run(train, val, test, cfg, "full",
-                                             radius=cfg.radius)
-        methods["hmtl_s"].append(acc_s)
-        _tag_records(recs, all_records, seed=seed, method="hmtl_s")
-        couplings["hmtl_s"].append(c_mat)
+        runs, n_full = _coupled_runs(train, val, test, cfg, "full",
+                                     radii=(None, cfg.radius))
+        for name, (acc, _, recs, c_mat) in zip(("hmtl", "hmtl_s"), runs):
+            methods[name].append(acc)
+            _tag_records(recs, all_records, seed=seed, method=name)
+            couplings[name].append(c_mat)
+        per_seed.append({"seed": seed,
+                         "hmtl_parted_at": _parted_at(runs[0][2], runs[1][2]),
+                         "hypergradients": n_uniform + n_full})
 
     metrics = {"seeds": [cfg.seed + r for r in range(cfg.n_seeds)]}
     for name, accs in methods.items():
@@ -370,7 +398,7 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
         )
     }
     return RunReport("mtl", config_as_dict(cfg), all_records, metrics,
-                     curves=curves)
+                     timings={"seeds": per_seed}, curves=curves)
 
 
 def _tag_records(records, sink, **tags):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,13 +63,6 @@ def _ce_losses(x, y, mat, bias):
     return -logp[np.arange(len(y)), y]
 
 
-def _grad_coefs(p, y):
-    """Per-example dloss/dlogits = p - onehot(y) from the probabilities p."""
-    g = p.copy()
-    g[np.arange(len(y)), y] -= 1.0
-    return g
-
-
 def _assemble_wgrad(coefs, x, scale=None):
     """Sum_i outer(coefs_i, x_i) and the bias part, flattened, times ``scale``.
 
@@ -107,14 +101,18 @@ class _Batch:
 
     ``p`` holds the (read-only) probabilities, computed unless given;
     the coefficients ``g = p - onehot`` are derived from them on first
-    use. ``frac`` is the batch's share of the training set; ``grad`` is
-    filled by objectives whose gradient depends on (t, w) only.
+    use, with the batch's rows of the objective's read-only one-hot
+    labels. ``frac`` is the batch's share of the training set; ``grad``
+    is filled by objectives whose gradient depends on (t, w) only.
     """
 
-    __slots__ = ("idx", "x", "y", "p", "_g", "frac", "grad")
+    __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "frac", "grad")
 
     def __init__(self, obj, t, w, p=None):
         self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule, t)
+        # a full batch read in place takes the whole one-hot as it is
+        self.onehot = (obj._onehot if self.y is obj.dataset.labels
+                       else obj._onehot[self.idx])
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
             p = _frozen(softmax_rows(self.x @ mat.T + bias))
@@ -126,7 +124,7 @@ class _Batch:
     @property
     def g(self):
         if self._g is None:
-            self._g = _grad_coefs(self.p, self.y)
+            self._g = self.p - self.onehot  # per-example dloss/dlogits
         return self._g
 
 
@@ -161,6 +159,10 @@ class _BatchCache:
             yield
         finally:
             self._steps = outer
+
+    def clear(self):
+        """Drop the (t, w) memo; what ``trajectory()`` keeps stays."""
+        self._entries.clear()
 
     def get(self, obj, t, w):
         key = None
@@ -197,6 +199,13 @@ def _trajectory_scope(objective):
     """The objective's trajectory() scope, or a no-op if it has no cache."""
     cache = getattr(objective, "_cache", None)
     return nullcontext() if cache is None else cache.trajectory()
+
+
+def _clear_memo(objective):
+    """Empty the objective's (t, w) memo, if it has one."""
+    cache = getattr(objective, "_cache", None)
+    if cache is not None:
+        cache.clear()
 
 
 # the index set of an objective that touches no hypers, shared read-only
@@ -275,6 +284,7 @@ class WeightedSoftmax:
         # all-ones weights leave each example's row as it is
         self._unit_weights = weight_segment is None and fixed_weights is None
         self._scale = 1.0 / dataset.n
+        self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
         self._cache = _BatchCache()
 
     def _weights(self, lam):
@@ -427,6 +437,7 @@ class MultitaskLinear:
         self._on_or_below_diag = np.tri(k, dtype=bool)
         self._bound_key = None
         self._bound = None
+        self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
         self._cache = _BatchCache()
 
     # -- hyper access -------------------------------------------------
@@ -656,7 +667,7 @@ class DatasetValidation:
             val = float(_ce_losses(self._x, self._y, mat, bias).mean())
         else:
             scores = self._x @ mat.T + bias
-            resid = scores - _onehot(self._y, self.n_classes)
+            resid = scores - self._targets
             val = float((resid * resid).sum() / len(self._y))
         return ensure_finite_scalar(val, "validation error")
 
@@ -664,11 +675,16 @@ class DatasetValidation:
         mat, bias = unpack_linear(w, self.n_classes, self.n_features)
         n = len(self._y)
         if self.kind == "cross_entropy":
-            g = _grad_coefs(softmax_rows(self._x @ mat.T + bias), self._y)
+            g = softmax_rows(self._x @ mat.T + bias) - self._targets
             return _assemble_wgrad(g, self._x) / n
         scores = self._x @ mat.T + bias
-        resid = scores - _onehot(self._y, self.n_classes)
+        resid = scores - self._targets
         return _assemble_wgrad(2.0 * resid, self._x) / n
+
+    @cached_property
+    def _targets(self):
+        """One-hot labels, read-only, built on the first value/grad needing them."""
+        return _frozen(_onehot(self._y, self.n_classes))
 
     def accuracy(self, w):
         mat, bias = unpack_linear(w, self.n_classes, self.n_features)

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from hypergrad import driver
+from hypergrad.datasets import clustered_task_data
 from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, ValidationEarlyStop, WallClock,
-                              batch_ho_loop, stream_ho_loop)
+                              batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
 from hypergrad.engines import HypergradResult, Tape
 from hypergrad.layouts import VectorLayout
-from hypergrad.objectives import QuadraticToy, QuadraticValidation
-from hypergrad.outer import Box, BoxL1, Constraints, NonNeg
+from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
+                                  QuadraticToy, QuadraticValidation)
+from hypergrad.outer import Box, BoxL1, Constraints, MTLCone, NonNeg
 
 
 def scalar_problem(s0=1.0, n=1):
@@ -211,6 +213,141 @@ def test_batch_loop_record_extras_hook():
         record_extras=lambda lam, result: {"eta": float(lam[0])})
     assert all("eta" in r.extras for r in records)
     assert records[0].extras["eta"] == records[0].lam[0]
+
+
+# ---------------------------------------------------------------------------
+# lockstep paths
+
+LOCKSTEP_ITERS = 8
+LOCKSTEP_PARTED_AT = 3  # the radius first binds in this hyper-iteration
+
+
+def coupled_problem():
+    """Tiny HMTL problem and the (lam0, constraints) of HMTL and HMTL-S.
+
+    The unbounded path's coupling mass grows by ~0.15 per iteration
+    (0.150, 0.299, 0.445, ...), so the 0.3 radius binds at iteration 3.
+    """
+    k = 3
+    train, val, _, _ = clustered_task_data(0, k, 2, 5, 3, 3, 3,
+                                           cluster_separation=2.0,
+                                           class_spread=0.3)
+    layout = VectorLayout([("coupling", k * k), ("rho", k)])
+    obj = MultitaskLinear(train, hyper_layout=layout, coupling="full",
+                          per_task_rho=True)
+    dyn = GradientDescent(obj, eta=0.05)
+    s0 = dyn.init_state(np.zeros(obj.n_params))
+    lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, 0.1))
+    starts = [(lam0, Constraints(layout, {"coupling": MTLCone(r),
+                                          "rho": NonNeg()}))
+              for r in (None, 0.3)]
+    return dyn, DatasetValidation(val), s0, starts
+
+
+def run_lockstep(dyn, e, s0, starts):
+    return lockstep_ho_loop(
+        dyn, e, s0, [(lam0, c, MaxHyperIters(LOCKSTEP_ITERS))
+                     for lam0, c in starts], 10, lr=0.05)
+
+
+def test_lockstep_paths_equal_separate_runs():
+    dyn, e, s0, starts = coupled_problem()
+    paths, _ = run_lockstep(dyn, e, s0, starts)
+    for (lam0, cons), (lam, records) in zip(starts, paths):
+        alone_lam, alone = batch_ho_loop(*coupled_problem()[:3], lam0, cons,
+                                         10, MaxHyperIters(LOCKSTEP_ITERS),
+                                         lr=0.05)
+        assert lam.tobytes() == alone_lam.tobytes()
+        assert len(records) == len(alone) == LOCKSTEP_ITERS
+        for r, a in zip(records, alone):
+            assert (r.index, r.response, r.grad_norm) == (a.index, a.response,
+                                                          a.grad_norm)
+            assert r.lam.tobytes() == a.lam.tobytes()
+    # the two paths part where the radius binds
+    (_, unbounded), (_, bounded) = paths
+    differ = [r.index for r, b in zip(unbounded, bounded)
+              if r.lam.tobytes() != b.lam.tobytes()]
+    assert differ[0] == LOCKSTEP_PARTED_AT
+
+
+def test_lockstep_computes_once_per_distinct_lam(monkeypatch):
+    dyn, e, s0, starts = coupled_problem()
+    seen = []
+    real = driver.reverse_hg
+
+    def counting(dyn, e, s0, lam, n_steps):
+        seen.append(lam.tobytes())
+        return real(dyn, e, s0, lam, n_steps)
+    monkeypatch.setattr(driver, "reverse_hg", counting)
+    paths, n_computed = run_lockstep(dyn, e, s0, starts)
+    # one per iteration up to the parting one, then one per path
+    shared = LOCKSTEP_PARTED_AT
+    assert n_computed == len(seen) == shared + 2 * (LOCKSTEP_ITERS - shared)
+    (_, unbounded), (_, bounded) = paths
+    lam0 = [cons.project(lam0).tobytes() for lam0, cons in starts]
+    assert lam0[0] == lam0[1]
+    want = [lam0[0]] + [r.lam.tobytes() for r in unbounded[:shared - 1]]
+    for r, b in zip(unbounded[shared - 1:-1], bounded[shared - 1:-1]):
+        want += [r.lam.tobytes(), b.lam.tobytes()]
+    assert seen == want
+
+
+def test_lockstep_frees_each_group_tape_before_the_next(monkeypatch):
+    # two paths that never share: every iteration computes two groups,
+    # and each group's tape must be dead when the next one is recorded
+    dyn, e, s0, layout = scalar_problem()
+    previous = []
+
+    def compute(dyn, e, s0, lam, n_steps):
+        if previous:
+            assert previous[-1]() is None, "previous group's tape alive"
+        tape = Tape(states=[s0.copy()], lam=lam.copy())
+        previous.append(weakref.ref(tape))
+        return HypergradResult(gradient=np.full_like(lam, 0.1), response=0.0,
+                               mode="reverse", tape=tape)
+    monkeypatch.setattr(driver, "reverse_hg", compute)
+    paths, n_computed = lockstep_ho_loop(
+        dyn, e, s0, [(layout.pack(eta=0.2), None, MaxHyperIters(3)),
+                     (layout.pack(eta=0.4), None, MaxHyperIters(3))], 2)
+    assert n_computed == len(previous) == 6
+    assert [len(records) for _, records in paths] == [3, 3]
+
+
+def test_lockstep_shared_gradient_is_read_only(monkeypatch):
+    dyn, e, s0, layout = scalar_problem()
+    handed = []
+
+    def compute(dyn, e, s0, lam, n_steps):
+        handed.append(np.full_like(lam, 0.1))
+        return HypergradResult(gradient=handed[-1], response=0.0,
+                               mode="reverse")
+
+    def extras(lam, result):
+        assert result.gradient is handed[-1]
+        assert not result.gradient.flags.writeable
+        with pytest.raises(ValueError):
+            result.gradient[0] = 0.0
+        return {}
+    monkeypatch.setattr(driver, "reverse_hg", compute)
+    lam0 = layout.pack(eta=0.2)
+    paths, n_computed = lockstep_ho_loop(
+        dyn, e, s0, [(lam0, None, MaxHyperIters(2)),
+                     (lam0, None, MaxHyperIters(2))], 2, record_extras=extras)
+    assert n_computed == 2
+    assert paths[0][0].tobytes() == paths[1][0].tobytes()
+
+
+def test_lockstep_paths_stop_on_their_own_rules():
+    dyn, e, s0, layout = scalar_problem()
+    lam0 = layout.pack(eta=0.2)
+    paths, n_computed = lockstep_ho_loop(
+        dyn, e, s0, [(lam0, None, MaxHyperIters(2)),
+                     (lam0, None, MaxHyperIters(5))], 2)
+    assert [len(records) for _, records in paths] == [2, 5]
+    assert n_computed == 5
+    _, alone = batch_ho_loop(dyn, e, s0, lam0, None, 2, MaxHyperIters(5))
+    assert ([r.lam.tobytes() for r in paths[1][1]]
+            == [r.lam.tobytes() for r in alone])
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,19 @@ def test_verify_tape_recomputes_every_step(kind, batch_size, softmax_calls):
     assert verified.gradient.tobytes() == plain.gradient.tobytes()
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
+def test_verify_tape_replays_short_tapes(kind, batch_size, n_steps,
+                                         softmax_calls):
+    # a tape that fits in the 4-entry per-step memo is replayed in full too
+    make, e, s0, lam = retention_problem(kind, batch_size)
+    plain = reverse_hg(make(), e, s0, lam, n_steps)
+    softmax_calls[0] = 0
+    verified = reverse_hg(make(), e, s0, lam, n_steps, verify_tape=True)
+    assert softmax_calls[0] == 2 * n_steps + 1
+    assert verified.gradient.tobytes() == plain.gradient.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["mtl", "weighted"])
 def test_nothing_retained_after_reverse(kind):
     make, e, s0, lam = retention_problem(kind)

@@ -3,8 +3,10 @@ bitwise rerun determinism.  Full-scale behaviour is the acceptance
 suite's job."""
 
 import dataclasses
+import json
 
 import numpy as np
+import pytest
 
 from hypergrad import experiments
 from hypergrad.config import ExperimentConfig
@@ -105,6 +107,47 @@ def test_mtl_report_structure():
     assert np.array_equal(c, c.T)
     assert np.all(c >= 0)
     assert c.sum() <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("radius,parted_at", [(1e9, None), (0.5, 4)])
+def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
+                                                      monkeypatch, tmp_path):
+    iters = 6
+    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=4,
+                           n_clusters=2, n_features=8, n_train=16, n_val=16,
+                           n_test=40, inner_steps=25, inner_lr=0.01,
+                           radius=radius, hyper_iters=iters, hyper_lr=0.05)
+    retrained = []
+    train_mtl = experiments._train_mtl
+
+    def counting(*args, **kwargs):
+        if kwargs.get("coupling") == "full":
+            retrained.append(args[3].tobytes())
+        return train_mtl(*args, **kwargs)
+    monkeypatch.setattr(experiments, "_train_mtl", counting)
+    report = run_mtl(cfg)
+    shared = iters if parted_at is None else parted_at
+    want = [{"seed": seed, "hmtl_parted_at": parted_at,
+             "hypergradients": iters + shared + 2 * (iters - shared)}
+            for seed in (0, 1)]
+    assert report.timings == {"seeds": want}
+    for seed in (0, 1):
+        recs = [r for r in report.records if r.extras["seed"] == seed]
+        assert [r.extras["method"] for r in recs] == (
+            ["nmtl"] * iters + ["hmtl"] * iters + ["hmtl_s"] * iters)
+        hmtl, hmtl_s = recs[iters:2 * iters], recs[2 * iters:]
+        differ = [a.index for a, b in zip(hmtl, hmtl_s)
+                  if a.lam.tobytes() != b.lam.tobytes()]
+        assert (differ[0] if differ else None) == parted_at
+    # one retrain per distinct final lam
+    assert len(retrained) == len(set(retrained)) == (2 if parted_at is None
+                                                     else 4)
+    digest = report.digest()
+    payload = json.loads((write_report(report, tmp_path)
+                          / "metrics.json").read_text())
+    assert payload["timings"] == {"seeds": want}
+    report.timings = {}
+    assert report.digest() == digest == payload["digest"]
 
 
 def test_stl_grid_fits_each_rho_vector_once(monkeypatch):

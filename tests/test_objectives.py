@@ -14,7 +14,8 @@ from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
-                                  WeightedSoftmax, pack_linear, unpack_linear)
+                                  WeightedSoftmax, _assemble_wgrad,
+                                  pack_linear, softmax_rows, unpack_linear)
 
 
 def fd_grad(fn, w, h=1e-6):
@@ -245,6 +246,51 @@ def test_full_batch_reads_contiguous_features_in_place():
     assert c_obj.grad_w(w, lam, 1).tobytes() == f_obj.grad_w(w, lam, 1).tobytes()
     mb_obj, _ = weight_kinds_task("hyper", batch_size=8)  # batch == n: full
     assert mb_obj._batch(1, w).x is mb_obj.dataset.features
+
+
+def label_subtract_coefs(p, y):
+    """Reference dloss/dlogits: p with 1 subtracted at each row's label."""
+    g = p.copy()
+    g[np.arange(len(y)), y] -= 1.0
+    return g
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("batch_size", [None, 3])
+@pytest.mark.parametrize("model", ["weighted", "mtl"])
+def test_grad_coefs_equal_label_subtract(model, batch_size, order):
+    # g = p - onehot from the objective's read-only one-hot has the bits
+    # of subtracting 1 at each label, for a full batch read in place, a
+    # gathered full batch and a minibatch alike
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    if order == "F":
+        train = Dataset(features=np.asfortranarray(train.features),
+                        labels=train.labels, n_classes=train.n_classes)
+    sched = (None if batch_size is None
+             else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
+    if model == "weighted":
+        obj = WeightedSoftmax(train, schedule=sched, weight_segment=None)
+    else:
+        obj = MultitaskLinear(train, schedule=sched, per_task_rho=True,
+                              hyper_layout=VectorLayout([("coupling", 9),
+                                                         ("rho", 3)]))
+    assert not obj._onehot.flags.writeable
+    w = make_rng(5, 8).standard_normal(obj.n_params)
+    for t in (1, 2, 3):
+        b = obj._batch(t, w)
+        assert b.g.tobytes() == label_subtract_coefs(b.p, b.y).tobytes()
+
+
+@pytest.mark.parametrize("subset", [None, 5])
+def test_validation_grad_equals_label_subtract(subset):
+    train = tiny_task(n=9, p=3, k=3)
+    e = DatasetValidation(train, subset_size=subset, subset_seed=2)
+    w = make_rng(1, 10).standard_normal(3 * 4)
+    mat, bias = unpack_linear(w, 3, 3)
+    g = label_subtract_coefs(softmax_rows(e._x @ mat.T + bias), e._y)
+    want = _assemble_wgrad(g, e._x) / len(e._y)
+    assert e.grad(w).tobytes() == want.tobytes()
+    assert not e._targets.flags.writeable
 
 
 # ---------------------------------------------------------------------------
