@@ -7,12 +7,11 @@ experiments built on top.
 """
 
 from .datasets import Dataset, MinibatchSchedule, full_batch_schedule
-from .driver import (LearningRateDecayedToZero, MaxHyperIters,
-                     ValidationEarlyStop, WallClock, batch_ho_loop,
+from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      stream_ho_loop)
 from .dynamics import GradientDescent, Momentum, materialize_step_jacobians
 from .engines import (HypergradResult, Tape, evaluate_response, forward_hg,
-                      record_trajectory, reverse_hg, rtho_stream)
+                      record_trajectory, reverse_hg, rtho_stream, train)
 from .errors import (ConfigError, DimensionMismatchError, HypergradError,
                      InfeasibleHypersError, IngestError, NonFiniteError,
                      TapeReplayError)
@@ -36,11 +35,11 @@ __all__ = [
     "MinibatchSchedule", "Momentum", "MultitaskLinear", "NonFiniteError",
     "NonNeg", "ProjectedAdam", "QuadraticToy", "QuadraticValidation",
     "SearchSpace", "Tape", "TapeReplayError", "Uniform", "UnitInterval",
-    "ValidationEarlyStop", "VectorLayout", "WallClock", "WeightedSoftmax",
+    "VectorLayout", "WeightedSoftmax",
     "adam_update", "batch_ho_loop", "chain_eval", "evaluate_response",
     "fd_hypergrad", "forward_hg", "full_batch_schedule",
     "materialize_step_jacobians", "materialized_chain",
     "quadratic_gd_response", "random_search", "record_trajectory",
-    "reverse_hg", "rtho_stream", "stream_ho_loop",
+    "reverse_hg", "rtho_stream", "stream_ho_loop", "train",
     "zero_lr_first_emission_check",
 ]

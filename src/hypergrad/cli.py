@@ -116,7 +116,7 @@ def _summarize(report):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args).validate()
         if args.command == "check":
             results = run_check_suite(cfg.seed)
             n_fail = 0
@@ -127,8 +127,6 @@ def main(argv=None) -> int:
                 n_fail += 0 if res.ok else 1
             print(f"{len(results) - n_fail}/{len(results)} checks passed")
             return 0 if n_fail == 0 else 1
-        cfg.experiment = args.command
-        cfg.validate()
         report = _RUNNERS[args.command](cfg)
         out_path = write_report(report, cfg.out_dir)
         print(f"{args.command}: {_summarize(report)}")

@@ -15,6 +15,12 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# data-file keys no experiment reads, and the IDX keys only clean reads
+_UNREAD_FILE_KEYS = ("val_images", "val_labels", "train_csv", "val_csv",
+                     "test_csv")
+_IDX_FILE_KEYS = ("train_images", "train_labels", "test_images",
+                  "test_labels")
+
 
 @dataclass
 class ExperimentConfig:
@@ -24,7 +30,10 @@ class ExperimentConfig:
     out_dir: str = "runs"
     engine: str = "reverse"
 
-    # data files (IDX pairs or CSV); synthetic generation when absent
+    # IDX data files, read by clean only; synthetic generation when absent.
+    # The val_* and *_csv keys are read by no experiment: validate()
+    # rejects them (they stay fields because every digest hashes the
+    # full config).
     train_images: str | None = None
     train_labels: str | None = None
     val_images: str | None = None
@@ -77,7 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"engine must be forward or reverse, "
                               f"got {self.engine!r}")
         positives = ["inner_steps", "hyper_iters", "delta", "n_train",
-                     "n_val", "n_test", "n_classes", "budget", "n_seeds"]
+                     "n_val", "n_test", "n_classes", "n_features",
+                     "n_clusters", "budget", "n_seeds"]
+        if self.val_subset is not None:
+            positives.append("val_subset")
         for name in positives:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -90,11 +102,30 @@ class ExperimentConfig:
             raise ConfigError(f"inner_lr must be positive, got {self.inner_lr}")
         if self.hyper_lr <= 0:
             raise ConfigError(f"hyper_lr must be positive, got {self.hyper_lr}")
-        idx_pair = (self.train_images is None) != (self.train_labels is None)
-        if idx_pair:
-            raise ConfigError("train_images and train_labels must be "
-                              "given together")
+        self._validate_data_files()
         return self
+
+    def _validate_data_files(self):
+        """Reject every data-file key the experiment would not read."""
+        for name in _UNREAD_FILE_KEYS:
+            if getattr(self, name) is not None:
+                raise ConfigError(f"{name} is read by no experiment; only "
+                                  f"clean reads data, from train_images/"
+                                  f"train_labels and test_images/test_labels")
+        given = [name for name in _IDX_FILE_KEYS
+                 if getattr(self, name) is not None]
+        if given and self.experiment != "clean":
+            raise ConfigError(f"{given[0]} is read only by clean; "
+                              f"{self.experiment} runs on synthetic data")
+        for split in ("train", "test"):
+            if ((getattr(self, f"{split}_images") is None)
+                    != (getattr(self, f"{split}_labels") is None)):
+                raise ConfigError(f"{split}_images and {split}_labels must "
+                                  f"be given together")
+        if self.test_images is not None and self.train_images is None:
+            raise ConfigError("test_images is read only together with "
+                              "train_images; without them clean runs on "
+                              "synthetic data")
 
 
 def _field_types():

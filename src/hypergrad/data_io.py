@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX and CSV), label corruption, and result writers.
+"""IDX dataset ingestion, label corruption, and result writers.
 
 IDX here means the classic big-endian binary format used for image/label
 archives: magic 0x00000801 for 1-D unsigned-byte label files and
@@ -91,57 +91,6 @@ def ingest_idx(images_path, labels_path=None, split="train"):
         n_classes = int(labels.max()) + 1
     return Dataset(features=features, labels=labels, split=split,
                    n_classes=n_classes)
-
-
-def _looks_numeric(token):
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def ingest_csv(path, split="train"):
-    """CSV with the label in the first column; a header row is optional."""
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and not all(_looks_numeric(c) for c in row):
-                continue  # header
-            if not all(_looks_numeric(c) for c in row):
-                raise IngestError(f"{path}:{lineno}: non-numeric entry in {row!r}")
-            rows.append([float(c) for c in row])
-    if not rows:
-        raise IngestError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise IngestError(
-                f"{path}: ragged CSV: row {i} has {len(row)} fields, "
-                f"expected {width}"
-            )
-    data = np.asarray(rows, dtype=np.float64)
-    raw_labels = data[:, 0]
-    features = data[:, 1:]
-    if np.all(raw_labels == np.round(raw_labels)) and raw_labels.min() >= 0:
-        labels = raw_labels.astype(np.int64)
-        n_classes = int(labels.max()) + 1
-        return Dataset(features=features, labels=labels, split=split,
-                       n_classes=n_classes)
-    return Dataset(features=features, labels=raw_labels.reshape(-1, 1),
-                   split=split)
-
-
-def ingest(path, fmt="auto", labels_path=None, split="train"):
-    if fmt == "auto":
-        fmt = "csv" if str(path).lower().endswith(".csv") else "idx"
-    if fmt == "idx":
-        return ingest_idx(path, labels_path=labels_path, split=split)
-    if fmt == "csv":
-        return ingest_csv(path, split=split)
-    raise IngestError(f"unknown dataset format {fmt!r}")
 
 
 def corrupt_labels(ds: Dataset, fraction, seed):

@@ -136,22 +136,6 @@ def full_batch_schedule(n) -> MinibatchSchedule:
 # ---------------------------------------------------------------------------
 # Synthetic generators
 
-_SPLIT_STREAMS = {"train": 1, "validation": 2, "test": 3}
-
-
-def gaussian_blobs(n, n_classes, n_features, seed, separation=2.0, split="train"):
-    """Isotropic Gaussian class clusters with unit noise.
-
-    Class means sit at ``separation`` times random unit directions, drawn
-    once from the seed so the train/validation/test splits of the same
-    task share geometry.
-    """
-    rng = make_rng(seed, 0xB10B5)
-    dirs = rng.standard_normal((n_classes, n_features))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    means = separation * dirs
-    return _sample_blobs(means, n, seed, stream=_SPLIT_STREAMS.get(split, 9), split=split)
-
 
 def blob_task(seed, n_train, n_val, n_test, n_classes=2, n_features=2, separation=2.0,
               antipodal=False):

@@ -49,23 +49,6 @@ class MaxHyperIters:
         return len(records) >= self.n
 
 
-class ValidationEarlyStop:
-    """Stop when the response has not improved for ``patience`` records."""
-
-    def __init__(self, patience, min_delta=0.0):
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.min_delta = min_delta
-
-    def triggered(self, records):
-        if len(records) <= self.patience:
-            return False
-        best_early = min(r.response for r in records[: -self.patience])
-        recent = min(r.response for r in records[-self.patience :])
-        return recent > best_early - self.min_delta
-
-
 class LearningRateDecayedToZero:
     """Stop once the projected learning rate sits at 0 for a full batch."""
 
@@ -77,14 +60,6 @@ class LearningRateDecayedToZero:
             return False
         return (records[-1].lam[self.index] == 0.0
                 and records[-2].lam[self.index] == 0.0)
-
-
-class WallClock:
-    def __init__(self, minutes):
-        self.deadline = time.monotonic() + minutes * 60.0
-
-    def triggered(self, records):
-        return time.monotonic() >= self.deadline
 
 
 def _stopped(stop, records):

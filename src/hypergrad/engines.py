@@ -1,8 +1,8 @@
 """Hypergradient engines: forward, reverse, and the real-time stream.
 
 Training is treated as a dynamical system s_t = Phi_t(s_{t-1}, lam); the
-response is f(lam) = E(s_T(lam)). Both engines compute the exact
-d f / d lam of the unrolled iteration:
+response is f(lam) = E(s_T(lam)), with s_T from ``train``. Both engines
+compute the exact d f / d lam of the unrolled iteration:
 
 * ``forward_hg`` propagates the sensitivity matrix Z_t = ds_t/dlam
   alongside the states via Z_t = A_t Z_{t-1} + B_t. Cost grows linearly
@@ -44,18 +44,16 @@ class HypergradResult:
     gradient: np.ndarray
     response: float
     mode: str
-    partials: list = None
     adjoints: list = None
     tape: "Tape" = None
 
 
 @dataclass
 class Tape:
-    """Recorded trajectory s_0 ... s_T plus the inputs that produced it."""
+    """Recorded trajectory s_0 ... s_T plus the lam that produced it."""
 
     states: list
     lam: np.ndarray
-    schedule: object = None
 
     def __len__(self):
         return len(self.states)
@@ -97,16 +95,20 @@ def record_trajectory(dyn, s0, lam, n_steps, t0=0):
     for k in range(1, n_steps + 1):
         s = _frozen(dyn.step(s, lam, t0 + k))
         states.append(s)
-    return Tape(states=states, lam=np.asarray(lam, dtype=np.float64).copy(),
-                schedule=getattr(dyn.objective, "schedule", None))
+    return Tape(states=states, lam=np.asarray(lam, dtype=np.float64).copy())
+
+
+def train(dyn, s0, lam, n_steps):
+    """s_T: ``n_steps`` steps of the dynamics from a copy of s_0."""
+    s = as_vector(s0).copy()
+    for t in range(1, n_steps + 1):
+        s = dyn.step(s, lam, t)
+    return s
 
 
 def evaluate_response(dyn, E, s0, lam, n_steps):
     """f(lam): train from s0 for n_steps and report the validation error."""
-    s = as_vector(s0).copy()
-    for t in range(1, n_steps + 1):
-        s = dyn.step(s, lam, t)
-    return val_value(E, s, dyn.state_layout)
+    return val_value(E, train(dyn, s0, lam, n_steps), dyn.state_layout)
 
 
 def _propagate_z(dyn, s, z, lam, t, q_buf):
@@ -136,8 +138,8 @@ def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
                            mode="forward")
 
 
-def reverse_hg(dyn, E, s0, lam, n_steps, include_first_step=True,
-               verify_tape=False, keep_adjoints=False) -> HypergradResult:
+def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False,
+               keep_adjoints=False) -> HypergradResult:
     """Reverse-mode hypergradient via the adjoint recursion over a tape.
 
     Memory is O(Td + T*b*k): besides the T+1 states, the objective keeps
@@ -147,10 +149,7 @@ def reverse_hg(dyn, E, s0, lam, n_steps, include_first_step=True,
     dropped when this call returns or raises; ``verify_tape`` replays
     from a writable copy, which they never serve.
 
-    ``include_first_step=False`` reproduces a historical pseudocode
-    variant whose loop bounds drop the t=1 accumulation term (it sums
-    alpha_t B_t for t = 2..T only); the default matches the closed form
-    sum_{t=1}^{T} alpha_t B_t.
+    The gradient is the closed form sum_{t=1}^{T} alpha_t B_t.
     """
     lam = as_vector(lam)
     with _trajectory_scope(dyn.objective):
@@ -161,11 +160,9 @@ def reverse_hg(dyn, E, s0, lam, n_steps, include_first_step=True,
         alpha = val_grad_state(E, s_final, dyn.state_layout)
         adjoints = {n_steps: alpha.copy()} if keep_adjoints else None
         grad = np.zeros(len(lam))
-        t_lo = 1 if include_first_step else 2
         for t in range(n_steps, 0, -1):
             s_prev = tape.states[t - 1]
-            if t >= t_lo:
-                grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
+            grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
             if t > 1 or keep_adjoints:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
                 if keep_adjoints:
@@ -193,8 +190,8 @@ class StreamEmission:
     state: np.ndarray
 
 
-def rtho_stream(dyn, E, s0, lam, delta, updater=None, stop=None,
-                max_steps=None, reset_z=False, restart_state=False):
+def rtho_stream(dyn, E, s0, lam, delta, updater=None, max_steps=None,
+                reset_z=False, restart_state=False):
     """Generator of real-time partial hypergradients every ``delta`` steps.
 
     After each emission the optional ``updater`` maps (lam, partial) to
@@ -202,7 +199,9 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None, stop=None,
     across updates by default; ``reset_z`` zeroes it after each one.
     ``restart_state`` additionally rewinds the state to s_0 and the
     schedule clock to 0 after each emission, which makes a delta-step
-    stream coincide with the batch-mode hyper-iteration protocol.
+    stream coincide with the batch-mode hyper-iteration protocol. The
+    stream stops after ``max_steps`` steps, if given; stop rules belong
+    to the consumer (see ``driver.stream_ho_loop``).
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
@@ -229,8 +228,6 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None, stop=None,
                                   response=response, lam=lam.copy(),
                                   state=s.copy())
         yield emission
-        if stop is not None and stop(emission):
-            return
         if max_steps is not None and total >= max_steps:
             return
         if reset_z:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engines
 from .config import ExperimentConfig, config_as_dict, config_to_text
 from .data_io import corrupt_labels, ingest_idx, write_curves_csv, write_jsonl
 from .datasets import (Dataset, MinibatchSchedule, blob_task,
@@ -90,20 +91,11 @@ def write_report(report: RunReport, out_dir):
 # Shared pieces
 
 
-def _plain_softmax_objective(ds, schedule=None):
-    return WeightedSoftmax(ds, hyper_layout=None, schedule=schedule,
-                           weight_segment=None)
-
-
-def _train_softmax(ds, n_steps, lr, schedule=None, w0=None):
-    """Uniform-weight softmax training; returns the final weight vector."""
-    obj = _plain_softmax_objective(ds, schedule)
+def _fit(obj, n_steps, lr, lam=None):
+    """Weights after ``n_steps`` of GD at rate ``lr`` on ``obj`` from w = 0."""
     dyn = GradientDescent(obj, eta=lr)
-    s = dyn.init_state(np.zeros(obj.n_params) if w0 is None else w0)
-    lam = np.zeros(0)
-    for t in range(1, n_steps + 1):
-        s = dyn.step(s, lam, t)
-    return s
+    return engines.train(dyn, dyn.init_state(np.zeros(obj.n_params)),
+                         np.zeros(0) if lam is None else lam, n_steps)
 
 
 def _accuracy_pct(ds, w):
@@ -191,9 +183,10 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
         labels=np.concatenate([corrupted_train.labels[kept], val.labels]),
         split="train", n_classes=corrupted_train.n_classes,
     )
-    w_clean = _train_softmax(pooled, cfg.inner_steps, cfg.inner_lr)
-    w_baseline = _train_softmax(corrupted_train, cfg.inner_steps, cfg.inner_lr)
-    w_oracle = _train_softmax(train, cfg.inner_steps, cfg.inner_lr)
+    w_clean, w_baseline, w_oracle = (
+        _fit(WeightedSoftmax(ds, weight_segment=None), cfg.inner_steps,
+             cfg.inner_lr)
+        for ds in (pooled, corrupted_train, train))
 
     metrics = {
         "seed": cfg.seed,
@@ -241,15 +234,6 @@ def _mtl_data(cfg, seed):
                                cluster_separation=2.0, class_spread=spread)
 
 
-def _train_mtl(train, n_steps, lr, lam, layout=None, **obj_kwargs):
-    obj = MultitaskLinear(train, hyper_layout=layout, **obj_kwargs)
-    dyn = GradientDescent(obj, eta=lr)
-    s = dyn.init_state(np.zeros(obj.n_params))
-    for t in range(1, n_steps + 1):
-        s = dyn.step(s, lam, t)
-    return s
-
-
 def _stl_grid(train, val, test, cfg):
     """Per-task ridge sweep: shared value first, then one greedy pass.
 
@@ -263,9 +247,9 @@ def _stl_grid(train, val, test, cfg):
     def fit_score(rho_vec):
         key = rho_vec.tobytes()
         if key not in fits:
-            w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, np.zeros(0),
-                           coupling="none", coupling_segment=None,
-                           rho_segment=None, fixed_rho=rho_vec, per_task_rho=True)
+            obj = MultitaskLinear(train, coupling="none", rho_segment=None,
+                                  fixed_rho=rho_vec, per_task_rho=True)
+            w = _fit(obj, cfg.inner_steps, cfg.inner_lr)
             fits[key] = w, DatasetValidation(val).value(w)
         return fits[key]
 
@@ -325,8 +309,8 @@ def _coupled_runs(train, val, test, cfg, mode, radii=(None,)):
                     f"infeasible hypers at hyper-iteration {r.index}")
         key = lam.tobytes()
         if key not in accuracy:
-            w = _train_mtl(train, cfg.inner_steps, cfg.inner_lr, lam,
-                           layout=layout, **obj_kwargs)
+            w = _fit(MultitaskLinear(train, hyper_layout=layout, **obj_kwargs),
+                     cfg.inner_steps, cfg.inner_lr, lam)
             accuracy[key] = _accuracy_pct(test, w)
         runs.append((accuracy[key], lam, records, obj._coupling_matrix(lam)))
     return runs, n_computed
@@ -459,21 +443,15 @@ def _run_rtho_once(cfg, seed):
 
 def _random_search_baseline(cfg, seed, total_steps):
     """Equal-inner-step-budget random search over (eta, mu)."""
-    train, val, _test, layout, _dyn, e_val, _constraints = _rtho_problem(cfg, seed)
+    _, _, _, layout, dyn, e_val, _ = _rtho_problem(cfg, seed)
     steps_per_trial = max(1, cfg.inner_steps)
     n_trials = max(1, total_steps // steps_per_trial)
     space = SearchSpace(layout, {"eta": Exponential(0.1),
                                  "mu": Uniform(0.0, 1.0)})
-    schedule = MinibatchSchedule(n=train.n, batch_size=cfg.batch_size,
-                                 seed=seed)
-    obj = WeightedSoftmax(train, hyper_layout=layout, schedule=schedule,
-                          weight_segment=None)
-    dyn = Momentum(obj, eta="eta", mu="mu")
+    s0 = dyn.init_state(np.zeros(dyn.objective.n_params))
 
     def evaluate(lam):
-        s = dyn.init_state(np.zeros(obj.n_params))
-        for t in range(1, steps_per_trial + 1):
-            s = dyn.step(s, lam, t)
+        s = engines.train(dyn, s0, lam, steps_per_trial)
         return e_val.value(dyn.weights_of(s))
 
     result = random_search(space, evaluate, n_trials, seed)

@@ -1,9 +1,9 @@
-"""Dense float64 kernels and the deterministic RNG used everywhere else.
+"""Vector coercion, finiteness checks and the deterministic RNG.
 
-All arrays are 64-bit floats. Matrix-vector products go through a single
-BLAS call per operation (no parallel reduction is introduced by this
-module), so repeated evaluation of the same product is bitwise
-reproducible within a run and across runs on the same platform.
+All arrays are 64-bit floats. ``as_vector`` rejects other ranks,
+``ensure_finite`` and ``ensure_finite_scalar`` turn a NaN or Inf into a
+``NonFiniteError`` (tagged with its step, when one is given), and
+``make_rng`` derives every random stream from one root seed.
 """
 
 from __future__ import annotations
@@ -19,35 +19,6 @@ def as_vector(x, name="vector") -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name}: expected 1-D, got shape {arr.shape}")
     return arr
-
-
-def as_matrix(a, name="matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name}: expected 2-D, got shape {arr.shape}")
-    return arr
-
-
-def matvec(a, x) -> np.ndarray:
-    """Return A @ x with an explicit conformance check."""
-    a = as_matrix(a, "matvec: A")
-    x = as_vector(x, "matvec: x")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"matvec: A is {a.shape[0]}x{a.shape[1]} but x has length {x.shape[0]}"
-        )
-    return a @ x
-
-
-def vecmat(x, a) -> np.ndarray:
-    """Return the row vector x^T A, computed as matvec(A^T, x)."""
-    a = as_matrix(a, "vecmat: A")
-    x = as_vector(x, "vecmat: x")
-    if a.shape[0] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"vecmat: x has length {x.shape[0]} but A is {a.shape[0]}x{a.shape[1]}"
-        )
-    return a.T @ x
 
 
 def ensure_finite(arr, context, step=None):

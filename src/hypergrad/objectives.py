@@ -8,8 +8,14 @@ step Jacobian products out of exactly these, so the five must agree with
 finite differences of ``value`` — the test suite enforces this for every
 kind.
 
-Parameter vectors for the linear softmax models are laid out as
-``concat(W.ravel(), b)`` with W of shape (n_classes, n_features).
+The two linear softmax models share one data term (``_SoftmaxData``):
+the batch build, the cross-entropy gradient and its Gauss-Newton
+product, each example's row weighted and the batch sum scaled.
+``WeightedSoftmax`` adds only its example weights (and the 1/N scale),
+``MultitaskLinear`` only its coupling/ridge penalty. Their parameter
+vectors are laid out as ``concat(W.ravel(), b)`` with W of shape
+(n_classes, n_features). The validation error is the mean cross-entropy
+of the same model.
 """
 
 from __future__ import annotations
@@ -102,11 +108,11 @@ class _Batch:
     ``p`` holds the (read-only) probabilities, computed unless given;
     the coefficients ``g = p - onehot`` are derived from them on first
     use, with the batch's rows of the objective's read-only one-hot
-    labels. ``frac`` is the batch's share of the training set; ``grad``
-    is filled by objectives whose gradient depends on (t, w) only.
+    labels. ``grad`` is filled by objectives whose gradient depends on
+    (t, w) only.
     """
 
-    __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "frac", "grad")
+    __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "grad")
 
     def __init__(self, obj, t, w, p=None):
         self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule, t)
@@ -118,7 +124,6 @@ class _Batch:
             p = _frozen(softmax_rows(self.x @ mat.T + bias))
         self.p = p
         self._g = None
-        self.frac = len(self.idx) / obj.dataset.n
         self.grad = None
 
     @property
@@ -243,67 +248,97 @@ class QuadraticToy:
         return _NO_HYPERS
 
 
-class WeightedSoftmax:
-    """Softmax regression with one weight per training example.
+class _SoftmaxData:
+    """Cross-entropy data term of a linear softmax model, batch by batch.
 
-    J_t(w; lam) = (1/N) sum_{i in batch t} c_i * ce_i(w), where N is the
-    full training-set size (so minibatch and full-batch formulations
-    agree in expectation) and c is either the ``weight_segment`` slice of
-    the hyper vector or a fixed constant vector (all ones by default).
-    With constant weights the gradient depends on (t, w) only, so it is
-    built once per cached batch and returned read-only.
+    What both softmax objectives share: the dataset and its shapes, the
+    schedule (full batch by default), the read-only one-hot labels and
+    the per-step batch memo. The data term's gradient and Gauss-Newton
+    product weight each example's row (``_weighted``: unit weights
+    unless a subclass says otherwise) and then scale the batch sum by
+    ``_scale`` (none unless a subclass sets one).
     """
 
-    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
-                 schedule: MinibatchSchedule | None = None,
-                 weight_segment: str | None = "weights",
-                 fixed_weights=None):
+    _scale = None
+
+    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None,
+                 schedule: MinibatchSchedule | None):
         if dataset.features is None or dataset.labels is None:
-            raise ValueError("WeightedSoftmax needs features and integer labels")
+            raise ValueError(f"{type(self).__name__} needs features and "
+                             f"integer labels")
         self.dataset = dataset
         self.n_classes = int(dataset.n_classes)
         self.n_features = dataset.n_features
         self.n_params = self.n_classes * (self.n_features + 1)
         self.schedule = schedule or full_batch_schedule(dataset.n)
         self.hyper_layout = hyper_layout
-        self.weight_segment = weight_segment
-        if weight_segment is not None:
-            if hyper_layout is None or weight_segment not in hyper_layout:
-                raise ValueError(f"hyper layout lacks segment {weight_segment!r}")
-            if hyper_layout.length_of(weight_segment) != dataset.n:
-                raise DimensionMismatchError(
-                    f"segment {weight_segment!r} has length "
-                    f"{hyper_layout.length_of(weight_segment)}, need one weight "
-                    f"per example ({dataset.n})"
-                )
-            self.fixed_weights = None
-        else:
-            self.fixed_weights = _frozen(
-                np.ones(dataset.n) if fixed_weights is None
-                else np.array(fixed_weights, dtype=np.float64))
-        # all-ones weights leave each example's row as it is
-        self._unit_weights = weight_segment is None and fixed_weights is None
-        self._scale = 1.0 / dataset.n
         self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
         self._cache = _BatchCache()
 
-    def _weights(self, lam):
-        if self.weight_segment is None:
-            return self.fixed_weights
-        return self.hyper_layout.get(lam, self.weight_segment)
-
-    def _weighted(self, rows, idx, lam):
-        """Each example's row times its weight c_i."""
-        if self._unit_weights:
-            return rows
-        return rows * self._weights(lam)[idx][:, None]
+    def _unpack(self, v):
+        return unpack_linear(v, self.n_classes, self.n_features)
 
     def _batch(self, t, w):
         return self._cache.get(self, t, w)
 
-    def value(self, w, lam, t):
+    def _losses(self, w, t):
+        """(indices, per-example cross-entropies) of minibatch ``t`` at w."""
         idx, x, y = _batch_rows(self.dataset, self.schedule, t)
-        losses = _ce_losses(x, y, *unpack_linear(w, self.n_classes, self.n_features))
+        return idx, _ce_losses(x, y, *self._unpack(w))
+
+    def _weighted(self, rows, idx, lam):
+        """Each example's row times its weight (here all ones)."""
+        return rows
+
+    def _data_grad(self, b, lam):
+        """Gradient of the data term over the cached batch ``b``."""
+        return _assemble_wgrad(self._weighted(b.g, b.idx, lam), b.x,
+                               self._scale)
+
+    def _data_hvp(self, b, lam, rmat, rb):
+        """Gauss-Newton (here exact Hessian) product with r = (rmat, rb)."""
+        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
+        return _assemble_wgrad(self._weighted(v, b.idx, lam), b.x,
+                               self._scale)
+
+
+class WeightedSoftmax(_SoftmaxData):
+    """Softmax regression with one weight per training example.
+
+    J_t(w; lam) = (1/N) sum_{i in batch t} c_i * ce_i(w), where N is the
+    full training-set size (so minibatch and full-batch formulations
+    agree in expectation) and c is the ``weight_segment`` slice of the
+    hyper vector, or all ones when ``weight_segment`` is None. With unit
+    weights the gradient depends on (t, w) only, so it is built once per
+    cached batch and returned read-only.
+    """
+
+    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
+                 schedule: MinibatchSchedule | None = None,
+                 weight_segment: str | None = "weights"):
+        super().__init__(dataset, hyper_layout, schedule)
+        self.weight_segment = weight_segment
+        self._unit = None
+        if weight_segment is not None:
+            _segment(hyper_layout, weight_segment, dataset.n)  # one per example
+        else:
+            # value() dots the losses with these, exactly as it dots them
+            # with all-ones weights passed as hypers
+            self._unit = _frozen(np.ones(dataset.n))
+        self._scale = 1.0 / dataset.n
+
+    def _weights(self, lam):
+        if self.weight_segment is None:
+            return self._unit
+        return self.hyper_layout.get(lam, self.weight_segment)
+
+    def _weighted(self, rows, idx, lam):
+        if self.weight_segment is None:
+            return rows
+        return rows * self._weights(lam)[idx][:, None]
+
+    def value(self, w, lam, t):
+        idx, losses = self._losses(w, t)
         c = self._weights(lam)[idx]
         return ensure_finite_scalar(self._scale * float(c @ losses),
                                     "training objective", step=t)
@@ -312,16 +347,13 @@ class WeightedSoftmax:
         b = self._batch(t, w)
         if b.grad is not None:
             return b.grad
-        grad = _assemble_wgrad(self._weighted(b.g, b.idx, lam), b.x, self._scale)
-        if self.weight_segment is None:  # constant weights: one per (t, w)
+        grad = self._data_grad(b, lam)
+        if self.weight_segment is None:  # unit weights: one per (t, w)
             b.grad = _frozen(grad)
         return grad
 
     def hvp_w(self, w, lam, t, r):
-        b = self._batch(t, w)
-        rmat, rb = unpack_linear(r, self.n_classes, self.n_features)
-        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
-        return _assemble_wgrad(self._weighted(v, b.idx, lam), b.x, self._scale)
+        return self._data_hvp(self._batch(t, w), lam, *self._unpack(r))
 
     def cross_jvp(self, w, lam, t, q):
         if self.weight_segment is None:
@@ -344,7 +376,7 @@ class WeightedSoftmax:
         if self.weight_segment is None:
             return out
         b = self._batch(t, w)
-        amat, ab = unpack_linear(alpha, self.n_classes, self.n_features)
+        amat, ab = self._unpack(alpha)
         # alpha . grad(ce_i) for each batch example, in one pass
         per_example = ((b.x @ amat.T + ab) * b.g).sum(axis=1)
         seg = self.hyper_layout.slice_of(self.weight_segment)
@@ -358,87 +390,58 @@ class WeightedSoftmax:
         return np.sort(seg.start + self.schedule.indices(t))
 
 
-class MultitaskLinear:
+class MultitaskLinear(_SoftmaxData):
     """Softmax regression with a task-interaction penalty.
 
     The regularizer couples the per-class weight rows:
 
         reg(W) = sum_{j,k} C[j,k] ||w_j - w_k||^2 + sum_k rho_k ||w_k||^2
 
-    with C symmetric nonnegative. C is stored as a full KxK hyper block
-    but only the upper triangle is read (mirrored to the lower half), so
-    symmetry holds structurally. ``coupling`` selects how C enters:
-    "full" (K^2 hyper entries), "uniform" (a single shared entry a with
-    C = a * ones), or "none" (C = 0, plain ridge softmax). ``rho`` is a
-    scalar unless ``per_task_rho`` is set (one entry per class; used by
-    the single-task grid baseline).
+    with C symmetric nonnegative. ``coupling`` selects how C enters:
+    "full" (a KxK "coupling" hyper block of which only the upper
+    triangle is read, mirrored to the lower half, so symmetry holds
+    structurally), "uniform" (a single shared "coupling" entry a with
+    C = a * ones), or "none" (C = 0, plain ridge softmax). ``rho`` is
+    the ``rho_segment`` of the hyper vector, or the constant
+    ``fixed_rho`` when that is None; it is a scalar unless
+    ``per_task_rho`` is set (one entry per class; used by the
+    single-task grid baseline).
 
-    The data term is the batch sum of cross-entropies scaled by
-    batch/n so one full pass matches the full-batch objective.
+    The data term is the batch sum of cross-entropies, and the penalty
+    is scaled by batch/n, so one full pass matches the full-batch
+    objective.
     """
 
     def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
                  schedule: MinibatchSchedule | None = None,
-                 coupling="full", coupling_segment: str | None = "coupling",
-                 rho_segment: str | None = "rho",
-                 fixed_coupling=None, fixed_rho=0.0, per_task_rho=False):
-        if dataset.features is None or dataset.labels is None:
-            raise ValueError("MultitaskLinear needs features and integer labels")
+                 coupling="full", rho_segment: str | None = "rho",
+                 fixed_rho=0.0, per_task_rho=False):
+        super().__init__(dataset, hyper_layout, schedule)
         if coupling not in ("full", "uniform", "none"):
             raise ValueError(f"unknown coupling mode {coupling!r}")
-        self.dataset = dataset
-        self.n_classes = int(dataset.n_classes)
-        self.n_features = dataset.n_features
-        self.n_params = self.n_classes * (self.n_features + 1)
-        self.schedule = schedule or full_batch_schedule(dataset.n)
-        self.hyper_layout = hyper_layout
         self.coupling = coupling
-        self.coupling_segment = coupling_segment if coupling != "none" else None
         self.rho_segment = rho_segment
         self.per_task_rho = per_task_rho
 
         k = self.n_classes
-        if self.coupling_segment is not None:
-            want = k * k if coupling == "full" else 1
-            if hyper_layout is None or coupling_segment not in hyper_layout:
-                raise ValueError(f"hyper layout lacks segment {coupling_segment!r}")
-            if hyper_layout.length_of(coupling_segment) != want:
-                raise DimensionMismatchError(
-                    f"coupling segment must have length {want}, got "
-                    f"{hyper_layout.length_of(coupling_segment)}"
-                )
-            self.fixed_coupling = None
-        else:
-            self.fixed_coupling = _frozen(np.zeros((k, k)) if fixed_coupling is None
-                                          else np.array(fixed_coupling, dtype=np.float64))
+        self._coupling_slice = None
+        if coupling != "none":
+            self._coupling_slice = _segment(hyper_layout, "coupling",
+                                            k * k if coupling == "full" else 1)
+        self._rho_slice = None
         if rho_segment is not None:
-            want = k if per_task_rho else 1
-            if hyper_layout is None or rho_segment not in hyper_layout:
-                raise ValueError(f"hyper layout lacks segment {rho_segment!r}")
-            if hyper_layout.length_of(rho_segment) != want:
-                raise DimensionMismatchError(
-                    f"rho segment must have length {want}, got "
-                    f"{hyper_layout.length_of(rho_segment)}"
-                )
+            self._rho_slice = _segment(hyper_layout, rho_segment,
+                                       k if per_task_rho else 1)
             self.fixed_rho = None
         else:
             self.fixed_rho = _frozen(np.broadcast_to(
                 np.asarray(fixed_rho, dtype=np.float64), (k,)
             ).copy())
-        # hyper slices and the full-batch fraction, looked up once
-        self._coupling_slice = (None if self.coupling_segment is None
-                                else hyper_layout.slice_of(self.coupling_segment))
-        self._rho_slice = (None if rho_segment is None
-                           else hyper_layout.slice_of(rho_segment))
-        self._full_frac = (self.schedule.n / dataset.n if self.schedule.full_batch
-                           else None)
         # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
         self._below_diag = np.tri(k, k=-1, dtype=bool)
         self._on_or_below_diag = np.tri(k, dtype=bool)
         self._bound_key = None
         self._bound = None
-        self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
-        self._cache = _BatchCache()
 
     # -- hyper access -------------------------------------------------
 
@@ -456,14 +459,12 @@ class MultitaskLinear:
         key = lam.tobytes()
         if key != self._bound_key:
             k = self.n_classes
-            if self.coupling_segment is None:
-                c = self.fixed_coupling
-                if self.coupling != "none":
-                    c = self._symmetrize(c)
+            if self.coupling == "none":
+                c = np.zeros((k, k))
             elif self.coupling == "uniform":
-                c = np.full((k, k), self.hyper_layout.get(lam, self.coupling_segment)[0])
+                c = np.full((k, k), self.hyper_layout.get(lam, "coupling")[0])
             else:
-                raw = self.hyper_layout.get(lam, self.coupling_segment).reshape(k, k)
+                raw = self.hyper_layout.get(lam, "coupling").reshape(k, k)
                 c = self._symmetrize(raw)
             if self.rho_segment is None:
                 rho = self.fixed_rho
@@ -481,7 +482,7 @@ class MultitaskLinear:
 
     def regularizer(self, w, lam):
         """The penalty term alone, full-strength (no batch scaling)."""
-        mat, _ = unpack_linear(w, self.n_classes, self.n_features)
+        mat, _ = self._unpack(w)
         bound = self._bind(lam)
         sq = (mat * mat).sum(axis=1)
         d = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
@@ -489,42 +490,37 @@ class MultitaskLinear:
 
     # -- objective interface -------------------------------------------
 
-    def _batch(self, t, w):
-        return self._cache.get(self, t, w)
-
     def _frac(self, t):
-        if self._full_frac is not None:
-            return self._full_frac
-        return len(self.schedule.indices(t)) / self.dataset.n
+        """Minibatch ``t``'s share of the training set: the penalty's weight."""
+        sched = self.schedule
+        size = sched.n if sched.full_batch else len(sched.indices(t))
+        return size / self.dataset.n
 
     def value(self, w, lam, t):
-        _, x, y = _batch_rows(self.dataset, self.schedule, t)
-        data = float(_ce_losses(x, y, *unpack_linear(w, self.n_classes,
-                                                     self.n_features)).sum())
-        return ensure_finite_scalar(data + self._frac(t) * self.regularizer(w, lam),
-                                    "training objective", step=t)
+        _, losses = self._losses(w, t)
+        return ensure_finite_scalar(
+            float(losses.sum()) + self._frac(t) * self.regularizer(w, lam),
+            "training objective", step=t)
 
     def grad_w(self, w, lam, t):
-        b = self._batch(t, w)
-        out = _assemble_wgrad(b.g, b.x)
-        mat, _ = unpack_linear(w, self.n_classes, self.n_features)
+        out = self._data_grad(self._batch(t, w), lam)
+        mat, _ = self._unpack(w)
         bound = self._bind(lam)
         reg = _reg_grad_mat(mat, bound.lap4, bound.rho2)
-        out[: mat.size] += b.frac * reg.ravel()
+        out[: mat.size] += self._frac(t) * reg.ravel()
         return out
 
     def hvp_w(self, w, lam, t, r):
         b = self._batch(t, w)
-        rmat, rb = unpack_linear(r, self.n_classes, self.n_features)
-        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
-        out = _assemble_wgrad(v, b.x)
+        rmat, rb = self._unpack(r)
+        out = self._data_hvp(b, lam, rmat, rb)
         bound = self._bind(lam)
         reg = _reg_grad_mat(rmat, bound.lap4, bound.rho2)
-        out[: rmat.size] += b.frac * reg.ravel()
+        out[: rmat.size] += self._frac(t) * reg.ravel()
         return out
 
     def cross_jvp(self, w, lam, t, q):
-        mat, _ = unpack_linear(w, self.n_classes, self.n_features)
+        mat, _ = self._unpack(w)
         if self.hyper_layout is not None and len(q) != self.hyper_layout.size:
             raise DimensionMismatchError(
                 f"vector has length {len(q)}, layout expects {self.hyper_layout.size}"
@@ -550,8 +546,8 @@ class MultitaskLinear:
         return out
 
     def cross_vjp(self, w, lam, t, alpha):
-        mat, _ = unpack_linear(w, self.n_classes, self.n_features)
-        amat, _ = unpack_linear(alpha, self.n_classes, self.n_features)
+        mat, _ = self._unpack(w)
+        amat, _ = self._unpack(alpha)
         k = self.n_classes
         frac = self._frac(t)
         out = np.zeros_like(lam)
@@ -576,13 +572,25 @@ class MultitaskLinear:
 
     def touched_hypers(self, t):
         pieces = []
-        if self.coupling_segment is not None:
-            pieces.append(self.hyper_layout.indices(self.coupling_segment))
+        if self._coupling_slice is not None:
+            pieces.append(self.hyper_layout.indices("coupling"))
         if self.rho_segment is not None:
             pieces.append(self.hyper_layout.indices(self.rho_segment))
         if not pieces:
             return _NO_HYPERS
         return np.concatenate(pieces)
+
+
+def _segment(layout, name, want):
+    """Slice of segment ``name`` in ``layout``, which must have length ``want``."""
+    if layout is None or name not in layout:
+        raise ValueError(f"hyper layout lacks segment {name!r}")
+    if layout.length_of(name) != want:
+        raise DimensionMismatchError(
+            f"{name} segment must have length {want}, got "
+            f"{layout.length_of(name)}"
+        )
+    return layout.slice_of(name)
 
 
 # The lambda-only terms of MultitaskLinear's penalty at one lam: the
@@ -629,26 +637,21 @@ class QuadraticValidation:
 
 @dataclass
 class DatasetValidation:
-    """Average loss of the linear softmax model on a validation set.
+    """Mean cross-entropy of the linear softmax model on a validation set.
 
-    ``kind`` is "cross_entropy" (mean CE over the set) or "mse" (mean
-    squared error between scores and one-hot targets). When
-    ``subset_size`` is set, a fixed random subset drawn once from
+    When ``subset_size`` is set, a fixed random subset drawn once from
     ``subset_seed`` is used instead of the full set, mirroring
     stream-mode evaluation on a sampled validation slice; the value is
     still deterministic given the seed.
     """
 
     dataset: Dataset
-    kind: str = "cross_entropy"
     subset_size: int | None = None
     subset_seed: int = 0
 
     def __post_init__(self):
         if self.dataset.features is None or self.dataset.labels is None:
             raise ValueError("validation needs features and labels")
-        if self.kind not in ("cross_entropy", "mse"):
-            raise ValueError(f"unknown validation kind {self.kind!r}")
         self.n_classes = int(self.dataset.n_classes)
         self.n_features = self.dataset.n_features
         self.n_params = self.n_classes * (self.n_features + 1)
@@ -663,27 +666,17 @@ class DatasetValidation:
 
     def value(self, w):
         mat, bias = unpack_linear(w, self.n_classes, self.n_features)
-        if self.kind == "cross_entropy":
-            val = float(_ce_losses(self._x, self._y, mat, bias).mean())
-        else:
-            scores = self._x @ mat.T + bias
-            resid = scores - self._targets
-            val = float((resid * resid).sum() / len(self._y))
+        val = float(_ce_losses(self._x, self._y, mat, bias).mean())
         return ensure_finite_scalar(val, "validation error")
 
     def grad(self, w):
         mat, bias = unpack_linear(w, self.n_classes, self.n_features)
-        n = len(self._y)
-        if self.kind == "cross_entropy":
-            g = softmax_rows(self._x @ mat.T + bias) - self._targets
-            return _assemble_wgrad(g, self._x) / n
-        scores = self._x @ mat.T + bias
-        resid = scores - self._targets
-        return _assemble_wgrad(2.0 * resid, self._x) / n
+        g = softmax_rows(self._x @ mat.T + bias) - self._targets
+        return _assemble_wgrad(g, self._x) / len(self._y)
 
     @cached_property
     def _targets(self):
-        """One-hot labels, read-only, built on the first value/grad needing them."""
+        """One-hot labels, read-only, built on the first ``grad``."""
         return _frozen(_onehot(self._y, self.n_classes))
 
     def accuracy(self, w):

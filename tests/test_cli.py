@@ -5,7 +5,8 @@ import json
 import pytest
 
 from hypergrad.cli import build_parser, main, resolve_config
-from hypergrad.data_io import read_jsonl
+from hypergrad.data_io import read_jsonl, write_idx
+from hypergrad.numerics import make_rng
 
 
 def run_cli(argv, capsys):
@@ -65,6 +66,13 @@ inner_steps = 20
 delta = 10
 hyper_iters = 6
 hyper_lr = 0.01
+"""
+
+TINY_BENCH = """
+experiment = bench
+seed = 0
+bench_m = 1,3
+bench_steps = 5,10
 """
 
 
@@ -127,12 +135,7 @@ def test_rtho_end_to_end(tmp_path, capsys):
 
 
 def test_bench_smoke(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """
-experiment = bench
-seed = 0
-bench_m = 1,3
-bench_steps = 5,10
-""")
+    cfg = write_cfg(tmp_path, TINY_BENCH)
     code, out, err = run_cli(["bench", "--config", cfg, "--out",
                               str(tmp_path / "runs")], capsys)
     assert code == 0, err
@@ -223,6 +226,25 @@ def _write_garbage_idx(tmp_path):
             f"train_labels = {bad}\n")
 
 
+NO_SUCH_IDX = "train_images = /nonexistent\ntrain_labels = /nonexistent\n"
+
+
+def _idx_pair(tmp_path, split, n):
+    """Paths of a tiny IDX image/label pair for ``split``."""
+    rng = make_rng(0, 0x1D)
+    images, labels = tmp_path / f"{split}-images", tmp_path / f"{split}-labels"
+    write_idx(images, rng.integers(0, 256, size=(n, 2, 2)))
+    write_idx(labels, rng.integers(0, 2, size=n))
+    return images, labels
+
+
+def _test_images_without_labels(tmp_path):
+    train_images, train_labels = _idx_pair(tmp_path, "train", 60)
+    test_images, _ = _idx_pair(tmp_path, "test", 10)
+    return (TINY_CLEAN + f"train_images = {train_images}\n"
+            f"train_labels = {train_labels}\ntest_images = {test_images}\n")
+
+
 def _fail_one_check(monkeypatch):
     from hypergrad import cli
     from hypergrad.verify import CheckResult
@@ -247,7 +269,31 @@ def _reject_every_lambda(monkeypatch):
     ("clean", _write_garbage_idx, None, 4, "I/O error"),
     ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
      "infeasible hyperparameters"),
-], ids=["ok", "failed-checks", "config", "divergence", "ingest", "infeasible"])
+    # data files no run would read, and shapes no run can use, fail
+    # before the run with a config error naming the key
+    *[("clean", lambda tmp, key=key: TINY_CLEAN + f"{key} = /nonexistent\n",
+       None, 2, f"config error: {key}")
+      for key in ("val_images", "val_labels", "train_csv", "val_csv",
+                  "test_csv")],
+    *[(command, lambda tmp, text=text: text + NO_SUCH_IDX, None, 2,
+       "config error: train_images")
+      for command, text in (("mtl", TINY_MTL), ("rtho", TINY_RTHO),
+                            ("bench", TINY_BENCH))],
+    ("clean", _test_images_without_labels, None, 2,
+     "config error: test_images and test_labels"),
+    ("clean", lambda tmp: TINY_CLEAN + "n_features = 0\n", None, 2,
+     "config error: n_features"),
+    ("mtl", lambda tmp: TINY_MTL.replace("n_clusters = 2", "n_clusters = 0"),
+     None, 2, "config error: n_clusters"),
+    ("rtho", lambda tmp: TINY_RTHO + "val_subset = 0\n", None, 2,
+     "config error: val_subset"),
+    ("check", lambda tmp: "val_images = /nonexistent\n", None, 2,
+     "config error: val_images"),
+], ids=["ok", "failed-checks", "config", "divergence", "ingest", "infeasible",
+        "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
+        "mtl-train_images", "rtho-train_images", "bench-train_images",
+        "test_images-without-labels", "n_features", "n_clusters",
+        "val_subset", "check-val_images"])
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
                             patch, code, stderr_tag):
     if patch is not None:

@@ -1,11 +1,11 @@
-"""IDX / CSV ingestion, label corruption, and artifact writers."""
+"""IDX ingestion, label corruption, and artifact writers."""
 
 import numpy as np
 import pytest
 
-from hypergrad.data_io import (corrupt_labels, ingest, ingest_csv, ingest_idx,
-                               read_idx, read_jsonl, write_curves_csv,
-                               write_idx, write_jsonl)
+from hypergrad.data_io import (corrupt_labels, ingest_idx, read_idx,
+                               read_jsonl, write_curves_csv, write_idx,
+                               write_jsonl)
 from hypergrad.datasets import Dataset
 from hypergrad.errors import IngestError
 from hypergrad.numerics import make_rng
@@ -98,67 +98,6 @@ def test_ingest_idx_swapped_arguments(tmp_path):
     write_idx(tmp_path / "l.idx", np.zeros(7, dtype=np.uint8))
     with pytest.raises(IngestError, match="expected an image stack"):
         ingest_idx(tmp_path / "l.idx")
-
-
-# ---------------------------------------------------------------------------
-# CSV
-
-
-def test_csv_basic_with_header(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("label,x1,x2\n1,0.5,0.25\n0,-1.0,2.0\n")
-    ds = ingest_csv(path)
-    assert ds.n == 2 and ds.n_features == 2
-    assert np.array_equal(ds.labels, [1, 0])
-    assert np.array_equal(ds.features[0], [0.5, 0.25])
-
-
-def test_csv_without_header(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,0.5,0.25\n")
-    ds = ingest_csv(path)
-    assert ds.n == 1
-    assert ds.labels[0] == 1
-    assert np.array_equal(ds.features[0], [0.5, 0.25])
-
-
-def test_csv_float_targets_become_regression(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("0.5,1.0\n-0.25,2.0\n")
-    ds = ingest_csv(path)
-    assert ds.labels.shape == (2, 1)  # continuous targets kept as a column
-    assert ds.labels[1, 0] == -0.25
-
-
-def test_csv_ragged_rows_rejected(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,0.5,0.25\n0,1.0\n")
-    with pytest.raises(IngestError, match="ragged"):
-        ingest_csv(path)
-
-
-def test_csv_non_numeric_data_row_rejected(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,0.5\n0,oops\n")
-    with pytest.raises(IngestError, match="d.csv:2"):
-        ingest_csv(path)
-
-
-def test_csv_empty_file_rejected(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("label,x\n")
-    with pytest.raises(IngestError, match="no data rows"):
-        ingest_csv(path)
-
-
-def test_ingest_auto_dispatch(tmp_path):
-    csv_path = tmp_path / "d.csv"
-    csv_path.write_text("1,0.5\n")
-    assert ingest(csv_path).n == 1
-    write_idx(tmp_path / "i.idx", _image_stack(n=2))
-    assert ingest(tmp_path / "i.idx").n == 2
-    with pytest.raises(IngestError, match="unknown dataset format"):
-        ingest(csv_path, fmt="parquet")
 
 
 # ---------------------------------------------------------------------------

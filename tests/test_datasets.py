@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hypergrad.datasets import (Dataset, MinibatchSchedule, blob_task,
-                                clustered_task_data, full_batch_schedule,
-                                gaussian_blobs)
+                                clustered_task_data, full_batch_schedule)
 
 
 def test_dataset_basic_properties():
@@ -41,14 +40,6 @@ def test_blob_task_antipodal_separation():
     m0 = tr.features[tr.labels == 0].mean(axis=0)
     m1 = tr.features[tr.labels == 1].mean(axis=0)
     assert abs(np.linalg.norm(m0 - m1) - 4.0) < 0.4
-
-
-def test_gaussian_blobs_geometry_shared_across_splits():
-    tr = gaussian_blobs(200, 2, 2, seed=5, split="train")
-    te = gaussian_blobs(200, 2, 2, seed=5, split="test")
-    m_tr = tr.features[tr.labels == 0].mean(axis=0)
-    m_te = te.features[te.labels == 0].mean(axis=0)
-    assert np.linalg.norm(m_tr - m_te) < 0.5
 
 
 def test_clustered_task_data_shapes():

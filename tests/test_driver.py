@@ -8,8 +8,7 @@ import pytest
 from hypergrad import driver
 from hypergrad.datasets import clustered_task_data
 from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
-                              MaxHyperIters, ValidationEarlyStop, WallClock,
-                              batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
+                              MaxHyperIters, batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
 from hypergrad.engines import HypergradResult, Tape
 from hypergrad.layouts import VectorLayout
@@ -43,19 +42,6 @@ def test_max_hyper_iters_rejects_negative():
         MaxHyperIters(-1)
 
 
-def test_validation_early_stop_fires_on_plateau():
-    rule = ValidationEarlyStop(patience=2)
-
-    def fake(responses):
-        return [HyperIterRecord(index=i + 1, response=r, grad_norm=0.0,
-                                lam=np.zeros(1), seconds=0.0)
-                for i, r in enumerate(responses)]
-
-    assert not rule.triggered(fake([3.0, 2.0]))          # still warming up
-    assert not rule.triggered(fake([3.0, 2.0, 1.0]))     # just improved
-    assert rule.triggered(fake([3.0, 1.0, 2.0, 1.5]))    # two stale records
-
-
 def test_lr_decayed_rule_needs_two_consecutive_zeros():
     layout = VectorLayout([("eta", 1), ("mu", 1)])
     rule = LearningRateDecayedToZero(layout, "eta")
@@ -68,11 +54,6 @@ def test_lr_decayed_rule_needs_two_consecutive_zeros():
     assert not rule.triggered([rec(0.0), rec(0.1)])
     assert not rule.triggered([rec(0.1), rec(0.0)])
     assert rule.triggered([rec(0.1), rec(0.0), rec(0.0)])
-
-
-def test_wall_clock_rule():
-    assert WallClock(0.0).triggered([])
-    assert not WallClock(5.0).triggered([])
 
 
 # ---------------------------------------------------------------------------

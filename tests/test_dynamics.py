@@ -230,13 +230,12 @@ def test_momentum_products_reject_wrong_length_vectors():
 def touched_cases():
     train, _, _ = blob_task(2, 8, 4, 4)
     sched = MinibatchSchedule(n=8, batch_size=3, seed=2)
-    for weights in ("unit", "fixed", "hyper"):
+    for weights in ("unit", "hyper"):
         segs = [("eta", 1), ("mu", 1)] + ([("weights", 8)] if weights == "hyper" else [])
         layout = VectorLayout(segs)
         obj = WeightedSoftmax(
             train, hyper_layout=layout, schedule=sched,
-            weight_segment="weights" if weights == "hyper" else None,
-            fixed_weights=np.linspace(0.5, 1.5, 8) if weights == "fixed" else None)
+            weight_segment="weights" if weights == "hyper" else None)
         own = layout.slice_of("eta").start, layout.slice_of("mu").start
         yield f"GD-{weights}", GradientDescent(obj), own[:1]
         yield f"GD-const-eta-{weights}", GradientDescent(obj, eta=0.1), ()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from hypergrad import engines, objectives
-from hypergrad.datasets import MinibatchSchedule, blob_task
+from hypergrad.datasets import (MinibatchSchedule, blob_task,
+                                clustered_task_data)
 from hypergrad.dynamics import (GradientDescent, Momentum,
                                 materialize_step_jacobians)
 from hypergrad.engines import (StreamEmission, Tape, evaluate_response,
@@ -21,7 +22,7 @@ from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
-                                  WeightedSoftmax, val_grad_state)
+                                  WeightedSoftmax, val_grad_state, val_value)
 from hypergrad.oracle import materialized_chain
 
 
@@ -159,17 +160,6 @@ def test_reverse_adjoints_match_explicit_products():
         alpha = alpha @ a_mats[t - 1]
 
 
-def test_include_first_step_flag_drops_b1():
-    dyn, e, s0, layout = scalar_problem(s0=2.0)
-    lam = layout.pack(eta=0.3)
-    full = reverse_hg(dyn, e, s0, lam, 3)
-    trunc = reverse_hg(dyn, e, s0, lam, 3, include_first_step=False)
-    a_mats, b_mats, states = materialized_chain(dyn, s0, lam, 3)
-    alpha = e.grad(states[-1])
-    b1_term = alpha @ a_mats[2] @ a_mats[1] @ b_mats[0]
-    assert np.max(np.abs(full.gradient - trunc.gradient - b1_term)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # streaming
 
@@ -285,16 +275,6 @@ def test_stream_reset_z_changes_accumulation():
     assert not np.array_equal(keep[1].partial, reset[1].partial)
 
 
-def test_stream_stop_rule_short_circuits():
-    dyn, e, s0, layout = scalar_problem()
-    lam = layout.pack(eta=0.1)
-    emissions = list(rtho_stream(dyn, e, s0, lam, delta=2,
-                                 stop=lambda em: em.total_steps >= 4,
-                                 max_steps=100))
-    assert emissions[-1].total_steps == 4
-    assert len(emissions) == 2
-
-
 def test_evaluate_response_is_pure():
     dyn, e, s0, layout = scalar_problem(s0=2.0)
     lam = layout.pack(eta=0.3)
@@ -302,6 +282,61 @@ def test_evaluate_response_is_pure():
     b = evaluate_response(dyn, e, s0, lam, 5)
     assert a == b
     assert abs(a - 0.5 * 4.0 * (1 - 0.3) ** 10) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# one trajectory everywhere
+
+
+def trajectory_problem(kind):
+    """(make, E, s0, lam, T) with a builder of fresh, identical dynamics."""
+    rng = make_rng(9, 1)
+    if kind == "mtl-full-GD":
+        data, val, _, _ = clustered_task_data(9, 3, 2, 4, 4, 3, 1)
+        layout = VectorLayout([("eta", 1), ("coupling", 9), ("rho", 3)])
+
+        def make():
+            return GradientDescent(MultitaskLinear(
+                data, hyper_layout=layout, coupling="full", per_task_rho=True))
+        lam = layout.pack(eta=0.2, coupling=0.1 * rng.random(9),
+                          rho=rng.random(3))
+    else:
+        data, val, _ = blob_task(9, 9, 6, 1, n_classes=3, n_features=4)
+        if kind == "hyper-weights-minibatch-GDM":
+            layout = VectorLayout([("eta", 1), ("mu", 1), ("weights", 9)])
+            sched = MinibatchSchedule(n=9, batch_size=4, seed=9)
+
+            def make():
+                return Momentum(WeightedSoftmax(data, hyper_layout=layout,
+                                                schedule=sched))
+            lam = layout.pack(eta=0.3, mu=0.6, weights=rng.random(9) + 0.5)
+        else:
+            layout = VectorLayout([("eta", 1)])
+
+            def make():
+                return GradientDescent(WeightedSoftmax(
+                    data, hyper_layout=layout, weight_segment=None))
+            lam = layout.pack(eta=0.4)
+    n_params = make().objective.n_params
+    s0 = make().init_state(rng.standard_normal(n_params) * 0.1)
+    return make, DatasetValidation(val), s0, lam, 7
+
+
+@pytest.mark.parametrize("kind", ["hyper-weights-minibatch-GDM",
+                                  "unit-weights-GD", "mtl-full-GD"])
+def test_one_trajectory_everywhere(kind):
+    # every loop that trains from s_0 reaches the same s_T, bit for bit
+    make, e, s0, lam, n_steps = trajectory_problem(kind)
+    s0_bytes = s0.tobytes()
+    dyn = make()
+    s_final = engines.train(dyn, s0, lam, n_steps)
+    tape = record_trajectory(make(), s0, lam, n_steps)
+    assert s_final.tobytes() == tape.states[-1].tobytes()
+    assert s0.tobytes() == s0_bytes
+    response = evaluate_response(make(), e, s0, lam, n_steps)
+    assert response == val_value(e, s_final, dyn.state_layout)
+    assert response == forward_hg(make(), e, s0, lam, n_steps).response
+    assert response == reverse_hg(make(), e, s0, lam, n_steps).response
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypergrad.config import ExperimentConfig
 from hypergrad.experiments import (RunReport, _f1, run_bench, run_hyperclean,
                                    run_mtl, run_randsearch, run_rtho,
                                    write_report)
+from hypergrad.objectives import MultitaskLinear
 
 
 def clean_cfg(**kw):
@@ -118,13 +119,13 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
                            n_test=40, inner_steps=25, inner_lr=0.01,
                            radius=radius, hyper_iters=iters, hyper_lr=0.05)
     retrained = []
-    train_mtl = experiments._train_mtl
+    fit = experiments._fit
 
-    def counting(*args, **kwargs):
-        if kwargs.get("coupling") == "full":
-            retrained.append(args[3].tobytes())
-        return train_mtl(*args, **kwargs)
-    monkeypatch.setattr(experiments, "_train_mtl", counting)
+    def counting(obj, n_steps, lr, lam=None):
+        if getattr(obj, "coupling", None) == "full":
+            retrained.append(lam.tobytes())
+        return fit(obj, n_steps, lr, lam)
+    monkeypatch.setattr(experiments, "_fit", counting)
     report = run_mtl(cfg)
     shared = iters if parted_at is None else parted_at
     want = [{"seed": seed, "hmtl_parted_at": parted_at,
@@ -156,13 +157,13 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
                            n_test=30, inner_steps=15, inner_lr=0.01)
     train, val, test, _ = experiments._mtl_data(cfg, 0)
     fitted = []
-    train_mtl = experiments._train_mtl
+    fit = experiments._fit
 
-    def counting(*args, **kwargs):
-        fitted.append(kwargs["fixed_rho"].tobytes())
-        return train_mtl(*args, **kwargs)
+    def counting(obj, *args):
+        fitted.append(obj.fixed_rho.tobytes())
+        return fit(obj, *args)
 
-    monkeypatch.setattr(experiments, "_train_mtl", counting)
+    monkeypatch.setattr(experiments, "_fit", counting)
     acc, rho_vec = experiments._stl_grid(train, val, test, cfg)
     # 7 shared values, then 7 per task; the greedy pass revisits the
     # current best vector once per task and once at the end
@@ -170,10 +171,9 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
     assert 7 <= len(fitted) <= 7 + 3 * 7
     assert rho_vec.tobytes() in fitted
     monkeypatch.undo()
-    w = experiments._train_mtl(train, cfg.inner_steps, cfg.inner_lr,
-                               np.zeros(0), coupling="none",
-                               coupling_segment=None, rho_segment=None,
-                               fixed_rho=rho_vec, per_task_rho=True)
+    stl = MultitaskLinear(train, coupling="none", rho_segment=None,
+                          fixed_rho=rho_vec, per_task_rho=True)
+    w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr)
     assert acc == experiments._accuracy_pct(test, w)
 
 

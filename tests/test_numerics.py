@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hypergrad.errors import DimensionMismatchError, NonFiniteError
-from hypergrad.numerics import (as_matrix, as_vector, ensure_finite,
-                                ensure_finite_scalar, make_rng, matvec, vecmat)
+from hypergrad.numerics import (as_vector, ensure_finite, ensure_finite_scalar,
+                                make_rng)
 
 
 def test_as_vector_promotes_and_copies_dtype():
@@ -15,40 +15,6 @@ def test_as_vector_promotes_and_copies_dtype():
 def test_as_vector_rejects_matrix():
     with pytest.raises(DimensionMismatchError):
         as_vector(np.ones((2, 2)))
-
-
-def test_matvec_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matvec(a, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-
-def test_matvec_identity_and_zero():
-    x = np.array([5.0, -2.0, 0.0])
-    assert np.array_equal(matvec(np.eye(3), x), x)
-    assert np.array_equal(matvec(np.zeros((2, 2)), np.array([9.0, 9.0])),
-                          np.zeros(2))
-
-
-def test_vecmat_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(vecmat(np.array([1.0, 1.0]), a), np.array([4.0, 6.0]))
-
-
-def test_vecmat_is_transpose_matvec():
-    rng = make_rng(3, 1)
-    a = rng.standard_normal((4, 5))
-    x = rng.standard_normal(4)
-    assert np.array_equal(vecmat(x, a), matvec(a.T, x))
-
-
-def test_vecmat_basis_row():
-    a = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(vecmat(np.array([1.0, 0.0]), a), a[0])
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matvec(np.ones((2, 3)), np.ones(2))
 
 
 def test_ensure_finite_passes_through():

@@ -164,32 +164,27 @@ def test_weighted_softmax_fixed_weights_has_no_hypers():
 
 
 def weight_kinds_task(kind, batch_size=None, order="C"):
-    """WeightedSoftmax with unit, fixed or hyper example weights, and its lam."""
+    """WeightedSoftmax with unit or hyper example weights, and its lam."""
     train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
     if order == "F":
         train = Dataset(features=np.asfortranarray(train.features),
                         labels=train.labels, n_classes=train.n_classes)
     sched = (None if batch_size is None
              else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
-    fixed = make_rng(5, 3).random(8)
     if kind == "unit":
         return WeightedSoftmax(train, schedule=sched, weight_segment=None), np.zeros(0)
-    if kind == "fixed":
-        obj = WeightedSoftmax(train, schedule=sched, weight_segment=None,
-                              fixed_weights=fixed)
-        return obj, np.zeros(0)
     layout = VectorLayout([("weights", 8)])
     obj = WeightedSoftmax(train, hyper_layout=layout, schedule=sched)
-    return obj, layout.pack(weights=fixed if kind == "hyper" else 1.0)
+    weights = make_rng(5, 3).random(8) if kind == "hyper" else 1.0
+    return obj, layout.pack(weights=weights)
 
 
 @pytest.mark.parametrize("batch_size", [None, 3])
-@pytest.mark.parametrize("kind,as_hyper", [("unit", "hyper-ones"),
-                                           ("fixed", "hyper")])
+@pytest.mark.parametrize("kind,as_hyper", [("unit", "hyper-ones")])
 def test_constant_weight_gradient_is_cached_read_only(kind, as_hyper, batch_size):
-    # with constant weights the gradient is built once per (t, w) and
+    # with unit weights the gradient is built once per (t, w) and
     # shared; it must be read-only and bit-equal both to a freshly built
-    # objective's and to the same weights passed as hypers
+    # objective's and to all-ones weights passed as hypers
     obj, lam = weight_kinds_task(kind, batch_size)
     rng = make_rng(5, 4)
     w = rng.standard_normal(obj.n_params)
@@ -208,18 +203,8 @@ def test_constant_weight_gradient_is_cached_read_only(kind, as_hyper, batch_size
     assert obj.value(w, lam, 2) == weighted.value(w, hyper_lam, 2)
 
 
-def test_fixed_weights_are_a_private_read_only_copy():
-    train, _, _ = blob_task(5, 8, 4, 4)
-    weights = np.linspace(0.5, 1.5, 8)
-    obj = WeightedSoftmax(train, weight_segment=None, fixed_weights=weights)
-    weights[:] = 0.0  # the caller's array stays theirs
-    assert weights.flags.writeable
-    assert not obj.fixed_weights.flags.writeable
-    assert np.array_equal(obj.fixed_weights, np.linspace(0.5, 1.5, 8))
-
-
 @pytest.mark.parametrize("batch_size", [None, 3])
-@pytest.mark.parametrize("kind", ["unit", "fixed", "hyper"])
+@pytest.mark.parametrize("kind", ["unit", "hyper"])
 def test_mutating_w_in_place_rebuilds_cached_batch(kind, batch_size):
     obj, lam = weight_kinds_task(kind, batch_size)
     rng = make_rng(5, 6)
@@ -364,8 +349,8 @@ def test_mtl_grad_matches_fd():
             feats = rng.standard_normal((6, 3))
             labels = np.array([0, 1, 2, 0, 1, 2])
             train = Dataset(features=feats, labels=labels, n_classes=3)
-            obj = MultitaskLinear(train, coupling="none", coupling_segment=None,
-                                  rho_segment=None, fixed_rho=np.array([0.1, 0.2, 0.3]),
+            obj = MultitaskLinear(train, coupling="none", rho_segment=None,
+                                  fixed_rho=np.array([0.1, 0.2, 0.3]),
                                   per_task_rho=True)
             layout = VectorLayout([("unused", 1)])
             lam = np.zeros(1)
@@ -511,12 +496,3 @@ def test_dataset_validation_subset_is_fixed():
     assert e.value(w) == e.value(w)
     full = DatasetValidation(train)
     assert e.value(w) != full.value(w)
-
-
-def test_dataset_validation_mse():
-    feats = np.array([[1.0, 0.0]])
-    ds = Dataset(features=feats, labels=np.array([0]), n_classes=1)
-    e = DatasetValidation(ds, kind="mse")
-    w = pack_linear(np.array([[2.0, 0.0]]), np.array([0.0]))
-    # prediction 2.0 against one-hot target 1.0
-    assert abs(e.value(w) - 1.0) < 1e-12

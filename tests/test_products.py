@@ -18,9 +18,12 @@ from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import MultitaskLinear, WeightedSoftmax
 
-OBJECTIVES = ["weighted-hyper", "weighted-fixed", "weighted-unit",
-              *[f"mtl-{c}-{r}" for c in ("full", "uniform", "none")
-                for r in ("scalar", "per-task")]]
+# objective kind -> id of the substream its random instances come from
+STREAMS = {"weighted-hyper": 0, "weighted-unit": 2,
+           **{f"mtl-{c}-{r}": 3 + i for i, (c, r) in enumerate(
+               (c, r) for c in ("full", "uniform", "none")
+               for r in ("scalar", "per-task"))}}
+OBJECTIVES = list(STREAMS)
 DYNAMICS = ["GD", "GDM"]
 SEEDS = range(3)
 
@@ -31,7 +34,7 @@ FD_TOL = 1e-7
 
 def random_instance(objective, dynamics, seed):
     """(dyn, s, lam, t, rng) on shapes drawn from ``seed``."""
-    rng = make_rng(seed, 0x9A0D, OBJECTIVES.index(objective),
+    rng = make_rng(seed, 0x9A0D, STREAMS[objective],
                    DYNAMICS.index(dynamics))
     n = int(rng.integers(4, 13))
     k = int(rng.integers(2, 5))
@@ -53,8 +56,7 @@ def random_instance(objective, dynamics, seed):
         layout = VectorLayout(segs)
         obj = WeightedSoftmax(
             train, hyper_layout=layout, schedule=schedule,
-            weight_segment="weights" if kind == "hyper" else None,
-            fixed_weights=rng.random(n) + 0.5 if kind == "fixed" else None)
+            weight_segment="weights" if kind == "hyper" else None)
     else:
         _, coupling, rho = objective.split("-", 2)
         per_task = rho == "per-task"
@@ -66,7 +68,6 @@ def random_instance(objective, dynamics, seed):
         layout = VectorLayout(segs)
         obj = MultitaskLinear(
             train, hyper_layout=layout, schedule=schedule, coupling=coupling,
-            coupling_segment=None if coupling == "none" else "coupling",
             per_task_rho=per_task)
 
     dyn = (GradientDescent(obj) if dynamics == "GD" else Momentum(obj))
