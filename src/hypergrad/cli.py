@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the experiment runners plus ``check``,
 which executes the full oracle suite and reports one line per check.
 Exit codes: 0 success, 1 failed checks, 2 configuration error,
-3 numerical divergence, 4 I/O error, 5 infeasible hyperparameters.
+3 numerical divergence, 4 I/O error, 5 infeasible hyperparameters,
+6 internal error (operand shapes that do not conform: a fault of the
+program, not of the config, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import json
 import sys
 
 from .config import ExperimentConfig, parse_config
-from .errors import InfeasibleHypersError, IngestError, NonFiniteError
+from .errors import (DimensionMismatchError, InfeasibleHypersError,
+                     IngestError, NonFiniteError)
 from .experiments import (run_bench, run_hyperclean, run_mtl, run_randsearch,
                           run_rtho, write_report)
 from .verify import run_check_suite
@@ -132,7 +135,13 @@ def main(argv=None) -> int:
         print(f"{args.command}: {_summarize(report)}")
         print(f"wrote {out_path}")
         return 0
-    # IngestError is a ValueError: it must be caught before the generic case
+    # IngestError and DimensionMismatchError are ValueErrors: they must be
+    # caught before the generic case
+    except DimensionMismatchError as err:
+        import traceback  # local: only a failing run pays for the import
+        traceback.print_exc()
+        print(f"internal error: {err}", file=sys.stderr)
+        return 6
     except (IngestError, OSError) as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 4

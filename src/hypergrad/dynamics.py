@@ -23,6 +23,13 @@ touches no hypers.
 Optimizer hyperparameters (eta, mu) are "bound" either to a named segment
 of the hyper layout — in which case they are differentiated through — or
 to a fixed float, in which case they are constants of the map.
+
+``step`` also takes a leading population axis: a (K, d) block of states
+with a (K, m) block of hyper vectors advances K independent runs at
+once. It is written on the last axis, so a 1-D state is the size-1 case
+of the same numpy calls, and each row of the block is bit for bit the
+step of that row alone (``np.matmul`` runs one gemm per slice). The
+four products take single vectors only.
 """
 
 from __future__ import annotations
@@ -52,7 +59,12 @@ class _HyperBinding:
             self._const = float(binding)
 
     def value(self, lam):
-        return self._const if self.index is None else float(lam[self.index])
+        """The scalar at ``lam``; a (K, 1) column for a (K, m) lam block."""
+        if self.index is None:
+            return self._const
+        if lam.ndim == 1:
+            return float(lam[self.index])
+        return lam[:, self.index, None]
 
     def direction(self, q):
         """Component of a hyper-space direction along this scalar."""
@@ -156,18 +168,18 @@ class Momentum:
         return self._split(s)[1]
 
     def _split(self, s):
-        """(v, w) views of a state-sized vector."""
-        if len(s) != self._size:
+        """(v, w) views of a state-sized vector, or of each row of a block."""
+        if s.shape[-1] != self._size:
             raise DimensionMismatchError(
-                f"vector has length {len(s)}, layout expects {self._size}"
+                f"vector has length {s.shape[-1]}, layout expects {self._size}"
             )
-        return s[self._v], s[self._w]
+        return s[..., self._v], s[..., self._w]
 
     def step(self, s, lam, t):
         v, w = self._split(s)
         eta, mu = self._eta.value(lam), self._mu.value(lam)
         v_new = mu * v + self.objective.grad_w(w, lam, t)
-        out = np.concatenate([v_new, w - eta * v_new])
+        out = np.concatenate([v_new, w - eta * v_new], axis=-1)
         return ensure_finite(out, "optimization state", step=t)
 
     def jvp_state(self, s, lam, t, r):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TapeReplayError
+from .errors import DimensionMismatchError, NonFiniteError, TapeReplayError
 from .numerics import as_vector, ensure_finite
 from .objectives import (_clear_memo, _frozen, _trajectory_scope,
                          val_grad_state, val_value)
@@ -99,11 +99,41 @@ def record_trajectory(dyn, s0, lam, n_steps, t0=0):
 
 
 def train(dyn, s0, lam, n_steps):
-    """s_T: ``n_steps`` steps of the dynamics from a copy of s_0."""
-    s = as_vector(s0).copy()
-    for t in range(1, n_steps + 1):
-        s = dyn.step(s, lam, t)
-    return s
+    """s_T: ``n_steps`` steps of the dynamics from a copy of s_0.
+
+    A (K, d) block of start states with a (K, m) block of hyper vectors
+    trains K independent runs as one population, one ``step`` call per
+    step; row i of the result is bit for bit the 1-D run from
+    (s0[i], lam[i]), and a 1-D run is the same loop on one state. A 1-D
+    run that goes non-finite raises NonFiniteError. In a block only the
+    rows that go non-finite fail: they leave the block at that step and
+    come back as rows of NaN, while the others keep running (that step
+    is redone without them). Memory is that of the block: K states plus
+    the step's temporaries of the same size.
+    """
+    s = np.array(s0, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
+        raise DimensionMismatchError(
+            f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
+            f"(m,), or (K, d) and (K, m)")
+    n = len(s)
+    live = np.arange(n)  # the rows still running (a vector never drops any)
+    t = 1
+    while t <= n_steps and live.size:
+        try:
+            s = dyn.step(s, lam, t)
+            t += 1
+        except NonFiniteError as err:
+            if err.rows is None or err.rows.shape != live.shape:
+                raise
+            keep = ~err.rows
+            live, s, lam = live[keep], s[keep], lam[keep]
+    if live.size == n:
+        return s
+    out = np.full((n, s.shape[-1]), np.nan)
+    out[live] = s
+    return out
 
 
 def evaluate_response(dyn, E, s0, lam, n_steps):

@@ -13,14 +13,17 @@ class NonFiniteError(HypergradError, FloatingPointError):
     """A NaN or Inf appeared where a finite value was required.
 
     ``step`` carries the 1-based training-step index when the failure
-    occurred inside an iteration loop, else None.
+    occurred inside an iteration loop, else None. ``rows`` marks, for an
+    array with leading axes (a (K, d) block of K states), which rows
+    hold a non-finite entry; it is None for a vector.
     """
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, rows=None):
         if step is not None:
             message = f"{message} (at step {step})"
         super().__init__(message)
         self.step = step
+        self.rows = rows
 
 
 class TapeReplayError(HypergradError):

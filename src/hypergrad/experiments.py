@@ -35,7 +35,7 @@ from .datasets import (Dataset, MinibatchSchedule, blob_task,
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      lockstep_ho_loop, stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
-from .errors import InfeasibleHypersError
+from .errors import InfeasibleHypersError, IngestError, NonFiniteError
 from .layouts import VectorLayout
 from .objectives import DatasetValidation, MultitaskLinear, WeightedSoftmax
 from .outer import (BoxL1, Constraints, Exponential, MTLCone, NonNeg,
@@ -92,10 +92,15 @@ def write_report(report: RunReport, out_dir):
 
 
 def _fit(obj, n_steps, lr, lam=None):
-    """Weights after ``n_steps`` of GD at rate ``lr`` on ``obj`` from w = 0."""
+    """Weights after ``n_steps`` of GD at rate ``lr`` on ``obj`` from w = 0.
+
+    A (K, m) block of hyper vectors fits K models as one population and
+    returns their weights as rows (NaN rows for fits that diverged).
+    """
     dyn = GradientDescent(obj, eta=lr)
-    return engines.train(dyn, dyn.init_state(np.zeros(obj.n_params)),
-                         np.zeros(0) if lam is None else lam, n_steps)
+    lam = np.zeros(0) if lam is None else np.asarray(lam, dtype=np.float64)
+    return engines.train(dyn, np.zeros((*lam.shape[:-1], obj.n_params)),
+                         lam, n_steps)
 
 
 def _accuracy_pct(ds, w):
@@ -124,6 +129,17 @@ def _load_clean_data(cfg: ExperimentConfig):
                           split="validation")
         if cfg.test_images is not None:
             test = ingest_idx(cfg.test_images, cfg.test_labels, split="test")
+            if test.n_features != pool.n_features:
+                raise IngestError(
+                    f"{cfg.test_images}: images of {test.n_features} pixels, "
+                    f"training images have {pool.n_features}")
+            if test.n_classes > pool.n_classes:
+                raise IngestError(
+                    f"{cfg.test_labels}: class {test.n_classes - 1} is not "
+                    f"among the training classes 0..{pool.n_classes - 1}")
+            # a test set may lack the top training classes
+            test = Dataset(features=test.features, labels=test.labels,
+                           split="test", n_classes=pool.n_classes)
         else:
             test = pool.subset(np.arange(cfg.n_train + cfg.n_val, pool.n),
                                split="test")
@@ -237,37 +253,45 @@ def _mtl_data(cfg, seed):
 def _stl_grid(train, val, test, cfg):
     """Per-task ridge sweep: shared value first, then one greedy pass.
 
-    The greedy pass revisits the current best vector once per task and
-    once at the end; fits are memoised on the vector's bytes, so each
-    distinct vector trains once.
+    Each pass fits its candidate rho vectors as one population: the
+    shared values, then per task the current best vector with that
+    task's entry swept over the grid (the rest of the vector cannot
+    change within the pass). Fits are memoised on the vector's bytes,
+    so each distinct vector trains once, and candidates are taken in
+    grid order: a strictly lower validation error wins.
     """
     k = train.n_classes
+    obj = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", k)]),
+                          coupling="none", per_task_rho=True)
+    e_val = DatasetValidation(val)
     fits = {}
 
-    def fit_score(rho_vec):
-        key = rho_vec.tobytes()
-        if key not in fits:
-            obj = MultitaskLinear(train, coupling="none", rho_segment=None,
-                                  fixed_rho=rho_vec, per_task_rho=True)
-            w = _fit(obj, cfg.inner_steps, cfg.inner_lr)
-            fits[key] = w, DatasetValidation(val).value(w)
-        return fits[key]
+    def pass_scores(candidates):
+        """Validation errors of the candidate rows, fitting the new ones."""
+        new = {c.tobytes(): c for c in candidates if c.tobytes() not in fits}
+        if new:
+            ws = _fit(obj, cfg.inner_steps, cfg.inner_lr,
+                      np.array(list(new.values())))
+            for key, w in zip(new, ws):
+                fits[key] = w, e_val.value(w)
+        return [fits[c.tobytes()][1] for c in candidates]
 
     best_shared, best_score = None, np.inf
-    for rho in _RHO_GRID:
-        _, score = fit_score(np.full(k, rho))
+    for rho, score in zip(_RHO_GRID,
+                          pass_scores([np.full(k, rho) for rho in _RHO_GRID])):
         if score < best_score:
             best_shared, best_score = rho, score
     rho_vec = np.full(k, best_shared)
     for task in range(k):
+        candidates = []
         for rho in _RHO_GRID:
             trial = rho_vec.copy()
             trial[task] = rho
-            _, score = fit_score(trial)
+            candidates.append(trial)
+        for trial, score in zip(candidates, pass_scores(candidates)):
             if score < best_score:
                 rho_vec, best_score = trial, score
-    w, _ = fit_score(rho_vec)
-    return _accuracy_pct(test, w), rho_vec
+    return _accuracy_pct(test, fits[rho_vec.tobytes()][0]), rho_vec
 
 
 def _coupled_runs(train, val, test, cfg, mode, radii=(None,)):
@@ -330,7 +354,8 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     HMTL and HMTL-S run as two lockstep paths of one problem: they share
     every hypergradient until the HMTL-S radius binds. ``timings`` gives,
     per seed, the hyper-iteration where they parted (None if they never
-    did) and the number of hypergradients computed.
+    did), the number of hypergradients computed and the seconds of the
+    STL grid (``stl_s``).
     """
     cfg.validate()
     if cfg.n_classes < 2:
@@ -343,7 +368,9 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
         seed = cfg.seed + rep
         train, val, test, _ = _mtl_data(cfg, seed)
 
+        started = time.perf_counter()
         acc_stl, _ = _stl_grid(train, val, test, cfg)
+        stl_s = time.perf_counter() - started
         methods["stl"].append(acc_stl)
 
         [(acc_nmtl, _, recs, _)], n_uniform = _coupled_runs(
@@ -359,7 +386,8 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
             couplings[name].append(c_mat)
         per_seed.append({"seed": seed,
                          "hmtl_parted_at": _parted_at(runs[0][2], runs[1][2]),
-                         "hypergradients": n_uniform + n_full})
+                         "hypergradients": n_uniform + n_full,
+                         "stl_s": stl_s})
 
     metrics = {"seeds": [cfg.seed + r for r in range(cfg.n_seeds)]}
     for name, accs in methods.items():
@@ -441,6 +469,11 @@ def _run_rtho_once(cfg, seed):
     }
 
 
+# Floats in one population of random-search trials: more trials train
+# as several populations, so memory stays flat as the budget grows.
+_POPULATION_FLOATS = 1 << 18
+
+
 def _random_search_baseline(cfg, seed, total_steps):
     """Equal-inner-step-budget random search over (eta, mu)."""
     _, _, _, layout, dyn, e_val, _ = _rtho_problem(cfg, seed)
@@ -449,17 +482,41 @@ def _random_search_baseline(cfg, seed, total_steps):
     space = SearchSpace(layout, {"eta": Exponential(0.1),
                                  "mu": Uniform(0.0, 1.0)})
     s0 = dyn.init_state(np.zeros(dyn.objective.n_params))
+    rows = max(1, _POPULATION_FLOATS // len(s0))
 
-    def evaluate(lam):
-        s = engines.train(dyn, s0, lam, steps_per_trial)
-        return e_val.value(dyn.weights_of(s))
+    def evaluate(lams):
+        """Train the trials as populations of at most ``rows`` rows.
+
+        Each row's result does not depend on the population it is in;
+        a trial that diverged scores inf.
+        """
+        scores = []
+        for lo in range(0, len(lams), rows):
+            block = lams[lo:lo + rows]
+            s_t = engines.train(dyn, np.tile(s0, (len(block), 1)), block,
+                                steps_per_trial)
+            scores += [_score_or_inf(e_val, w) for w in dyn.weights_of(s_t)]
+        return scores
 
     result = random_search(space, evaluate, n_trials, seed)
     return result, n_trials, steps_per_trial
 
 
+def _score_or_inf(e_val, w):
+    """Validation error at ``w``; inf if training or the error went non-finite."""
+    try:
+        return e_val.value(w)
+    except NonFiniteError:
+        return np.inf
+
+
 def run_rtho(cfg: ExperimentConfig) -> RunReport:
-    """Null-teacher real-time tuning; multi-seed configs add the RS duel."""
+    """Null-teacher real-time tuning; multi-seed configs add the RS duel.
+
+    A multi-seed report's ``timings`` gives, per seed, the seconds of the
+    real-time stream (``stream_s``) and of its random-search baseline
+    (``random_search_s``).
+    """
     cfg.validate()
     if cfg.n_seeds == 1:
         run = _run_rtho_once(cfg, cfg.seed)
@@ -488,12 +545,17 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
     # head-to-head across seeds on an equal inner-step budget
     all_records = []
     duels = []
+    per_seed = []
     for rep in range(cfg.n_seeds):
         seed = cfg.seed + rep
+        started = time.perf_counter()
         run = _run_rtho_once(cfg, seed)
+        streamed = time.perf_counter()
         _tag_records(run["records"], all_records, seed=seed, method="rtho")
         rs, n_trials, steps_per_trial = _random_search_baseline(
             cfg, seed, run["total_steps"])
+        per_seed.append({"seed": seed, "stream_s": streamed - started,
+                         "random_search_s": time.perf_counter() - streamed})
         duels.append({
             "seed": seed,
             "rtho_val_error": run["best_val_error"],
@@ -513,7 +575,7 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
         )
     }
     return RunReport("rtho", config_as_dict(cfg), all_records, metrics,
-                     curves=curves)
+                     timings={"seeds": per_seed}, curves=curves)
 
 
 def run_randsearch(cfg: ExperimentConfig) -> RunReport:

@@ -71,9 +71,9 @@ class VectorLayout:
         return {name: vec[self._slices[name]] for name in self._names}
 
     def _check(self, vec):
-        if len(vec) != self.size:
+        if vec.ndim != 1 or len(vec) != self.size:
             raise DimensionMismatchError(
-                f"vector has length {len(vec)}, layout expects {self.size}"
+                f"vector has shape {vec.shape}, layout expects ({self.size},)"
             )
 
     def __repr__(self):

@@ -16,6 +16,15 @@ product, each example's row weighted and the batch sum scaled.
 vectors are laid out as ``concat(W.ravel(), b)`` with W of shape
 (n_classes, n_features). The validation error is the mean cross-entropy
 of the same model.
+
+``grad_w`` of both softmax models also takes a leading population axis:
+a (K, n_params) block of parameter vectors with a (K, m) block of hyper
+vectors gives K gradients, row i bit for bit the gradient of row i
+alone. The kernels below are written on the last axes for this, so a
+single vector runs the same arithmetic; ``unpack_linear`` and
+``_assemble_wgrad`` keep their plain 2-D views for it, the products'
+hot path. The other products, and example weights given as hypers,
+take single vectors only.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from .numerics import ensure_finite_scalar, make_rng
 
 
 def softmax_rows(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
+    z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax_rows(scores):
@@ -48,15 +57,17 @@ def _log_softmax_rows(scores):
 
 
 def unpack_linear(w, n_classes, n_features):
-    """Split a flat parameter vector into (W, b)."""
-    expected = n_classes * n_features + n_classes
-    if len(w) != expected:
+    """Split a flat parameter vector (or each row of a block) into (W, b)."""
+    n_mat = n_classes * n_features
+    if w.shape[-1] != n_mat + n_classes:
         raise DimensionMismatchError(
-            f"parameter vector has length {len(w)}, model expects {expected}"
+            f"parameter vector has length {w.shape[-1]}, model expects "
+            f"{n_mat + n_classes}"
         )
-    mat = w[: n_classes * n_features].reshape(n_classes, n_features)
-    bias = w[n_classes * n_features :]
-    return mat, bias
+    if w.ndim == 1:  # the products' hot path: plain slices are cheaper
+        return w[:n_mat].reshape(n_classes, n_features), w[n_mat:]
+    mat = w[..., :n_mat].reshape(*w.shape[:-1], n_classes, n_features)
+    return mat, w[..., n_mat:]
 
 
 def pack_linear(mat, bias):
@@ -72,12 +83,22 @@ def _ce_losses(x, y, mat, bias):
 def _assemble_wgrad(coefs, x, scale=None):
     """Sum_i outer(coefs_i, x_i) and the bias part, flattened, times ``scale``.
 
-    Both blocks are written into one vector and scaled in place.
+    Both blocks are written into one vector and scaled in place. With
+    (K, b, k) coefficients the result is one such vector per row: the
+    same matmul (one gemm per slice) and sum over the examples, with
+    the plain 2-D views kept for the products' hot path.
     """
-    k, f = coefs.shape[1], x.shape[1]
-    out = np.empty(k * f + k)
-    np.matmul(coefs.T, x, out=out[: k * f].reshape(k, f))
-    coefs.sum(axis=0, out=out[k * f :])
+    k, f = coefs.shape[-1], x.shape[-1]
+    if coefs.ndim == 2:
+        out = np.empty(k * f + k)
+        np.matmul(coefs.T, x, out=out[: k * f].reshape(k, f))
+        coefs.sum(axis=0, out=out[k * f :])
+    else:
+        lead = coefs.shape[:-2]
+        out = np.empty((*lead, k * f + k))
+        np.matmul(coefs.swapaxes(-1, -2), x,
+                  out=out[..., : k * f].reshape(*lead, k, f))
+        coefs.sum(axis=-2, out=out[..., k * f :])
     if scale is not None:
         out *= scale
     return out
@@ -121,7 +142,8 @@ class _Batch:
                        else obj._onehot[self.idx])
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
-            p = _frozen(softmax_rows(self.x @ mat.T + bias))
+            p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
+                                     + bias[..., None, :]))
         self.p = p
         self._g = None
         self.grad = None
@@ -141,7 +163,7 @@ class _BatchCache:
     cost at one matrix pass per product instead of several. Pure
     speedup: every entry is a function of the key only. A lookup
     compares t first and reads w's bytes only when some entry has the
-    same t; the oldest entry is evicted first.
+    same t and shape; the oldest entry is evicted first.
 
     Inside ``trajectory()`` the cache also keeps, for every step t, the
     probabilities built at a read-only w together with that w, so the
@@ -152,7 +174,7 @@ class _BatchCache:
     """
 
     def __init__(self, maxsize=4):
-        self._entries = []  # (t, w bytes, entry), oldest first
+        self._entries = []  # (t, w shape, w bytes, entry), oldest first
         self._maxsize = maxsize
         self._steps = None  # t -> (read-only w, p) inside trajectory()
 
@@ -171,8 +193,8 @@ class _BatchCache:
 
     def get(self, obj, t, w):
         key = None
-        for entry_t, entry_key, entry in self._entries:
-            if entry_t == t:
+        for entry_t, entry_shape, entry_key, entry in self._entries:
+            if entry_t == t and entry_shape == w.shape:
                 if key is None:
                     key = w.tobytes()
                 if entry_key == key:
@@ -189,7 +211,8 @@ class _BatchCache:
             entry = _Batch(obj, t, w)
         if len(self._entries) >= self._maxsize:
             del self._entries[0]
-        self._entries.append((t, w.tobytes() if key is None else key, entry))
+        self._entries.append((t, w.shape, w.tobytes() if key is None else key,
+                              entry))
         return entry
 
 
@@ -402,8 +425,7 @@ class MultitaskLinear(_SoftmaxData):
     triangle is read, mirrored to the lower half, so symmetry holds
     structurally), "uniform" (a single shared "coupling" entry a with
     C = a * ones), or "none" (C = 0, plain ridge softmax). ``rho`` is
-    the ``rho_segment`` of the hyper vector, or the constant
-    ``fixed_rho`` when that is None; it is a scalar unless
+    the hyper vector's "rho" segment; it is a scalar unless
     ``per_task_rho`` is set (one entry per class; used by the
     single-task grid baseline).
 
@@ -414,13 +436,11 @@ class MultitaskLinear(_SoftmaxData):
 
     def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
                  schedule: MinibatchSchedule | None = None,
-                 coupling="full", rho_segment: str | None = "rho",
-                 fixed_rho=0.0, per_task_rho=False):
+                 coupling="full", per_task_rho=False):
         super().__init__(dataset, hyper_layout, schedule)
         if coupling not in ("full", "uniform", "none"):
             raise ValueError(f"unknown coupling mode {coupling!r}")
         self.coupling = coupling
-        self.rho_segment = rho_segment
         self.per_task_rho = per_task_rho
 
         k = self.n_classes
@@ -428,15 +448,8 @@ class MultitaskLinear(_SoftmaxData):
         if coupling != "none":
             self._coupling_slice = _segment(hyper_layout, "coupling",
                                             k * k if coupling == "full" else 1)
-        self._rho_slice = None
-        if rho_segment is not None:
-            self._rho_slice = _segment(hyper_layout, rho_segment,
-                                       k if per_task_rho else 1)
-            self.fixed_rho = None
-        else:
-            self.fixed_rho = _frozen(np.broadcast_to(
-                np.asarray(fixed_rho, dtype=np.float64), (k,)
-            ).copy())
+        self._rho_slice = _segment(hyper_layout, "rho",
+                                   k if per_task_rho else 1)
         # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
         self._below_diag = np.tri(k, k=-1, dtype=bool)
         self._on_or_below_diag = np.tri(k, dtype=bool)
@@ -448,30 +461,35 @@ class MultitaskLinear(_SoftmaxData):
     def _symmetrize(self, raw):
         """Upper triangle of ``raw`` (diagonal included) mirrored below it."""
         upper = np.where(self._below_diag, 0.0, raw)
-        return upper + np.where(self._on_or_below_diag, 0.0, raw).T
+        return upper + np.where(self._on_or_below_diag, 0.0,
+                                raw).swapaxes(-1, -2)
 
     def _bind(self, lam):
         """The lambda-only terms of the penalty, built once per distinct lam.
 
-        Keyed on lam's bytes, so a lam mutated in place is rebuilt; the
-        arrays are private copies and read-only.
+        Keyed on lam's shape and bytes, so a lam mutated in place is
+        rebuilt; the arrays are private copies and read-only. A (K, m)
+        lam block binds one penalty per row.
         """
-        key = lam.tobytes()
+        key = (lam.shape, lam.tobytes())
         if key != self._bound_key:
-            k = self.n_classes
+            k, lead = self.n_classes, lam.shape[:-1]
+            layout = self.hyper_layout
+            if layout is not None and lam.shape[-1] != layout.size:
+                raise DimensionMismatchError(
+                    f"hyper vector has length {lam.shape[-1]}, layout "
+                    f"expects {layout.size}")
             if self.coupling == "none":
                 c = np.zeros((k, k))
             elif self.coupling == "uniform":
-                c = np.full((k, k), self.hyper_layout.get(lam, "coupling")[0])
+                a = lam[..., self._coupling_slice, None]
+                c = np.broadcast_to(a, (*lead, k, k)).copy()
             else:
-                raw = self.hyper_layout.get(lam, "coupling").reshape(k, k)
+                raw = lam[..., self._coupling_slice].reshape(*lead, k, k)
                 c = self._symmetrize(raw)
-            if self.rho_segment is None:
-                rho = self.fixed_rho
-            else:
-                rho = self.hyper_layout.get(lam, self.rho_segment).copy()
-                if not self.per_task_rho:
-                    rho = np.broadcast_to(rho, (k,))
+            rho = lam[..., self._rho_slice].copy()
+            if not self.per_task_rho:
+                rho = np.broadcast_to(rho, (*lead, k))
             self._bound = _BoundPenalty(_frozen(c), _frozen(rho),
                                         *map(_frozen, _penalty_factors(c, rho)))
             self._bound_key = key
@@ -507,7 +525,8 @@ class MultitaskLinear(_SoftmaxData):
         mat, _ = self._unpack(w)
         bound = self._bind(lam)
         reg = _reg_grad_mat(mat, bound.lap4, bound.rho2)
-        out[: mat.size] += self._frac(t) * reg.ravel()
+        n_mat = mat.shape[-2] * mat.shape[-1]
+        out[..., :n_mat] += self._frac(t) * reg.reshape(*out.shape[:-1], n_mat)
         return out
 
     def hvp_w(self, w, lam, t, r):
@@ -537,10 +556,9 @@ class MultitaskLinear(_SoftmaxData):
                 qeff = self._symmetrize(q[self._coupling_slice].reshape(k, k))
                 if np.any(qeff):
                     acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
-        if self._rho_slice is not None:
-            qr = q[self._rho_slice]
-            rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
-            acc += 2.0 * rho_dir[:, None] * mat
+        qr = q[self._rho_slice]
+        rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
+        acc += 2.0 * rho_dir[:, None] * mat
         out = np.zeros_like(w)
         out[: mat.size] = self._frac(t) * acc.ravel()
         return out
@@ -564,21 +582,16 @@ class MultitaskLinear(_SoftmaxData):
                 pair = diag[:, None] + diag[None, :] - m - m.T
                 vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
                 out[self._coupling_slice] = frac * vals.ravel()
-        if self._rho_slice is not None:
-            per_task = 2.0 * (amat * mat).sum(axis=1)
-            out[self._rho_slice] = frac * (per_task if self.per_task_rho
-                                           else per_task.sum())
+        per_task = 2.0 * (amat * mat).sum(axis=1)
+        out[self._rho_slice] = frac * (per_task if self.per_task_rho
+                                       else per_task.sum())
         return out
 
     def touched_hypers(self, t):
-        pieces = []
-        if self._coupling_slice is not None:
-            pieces.append(self.hyper_layout.indices("coupling"))
-        if self.rho_segment is not None:
-            pieces.append(self.hyper_layout.indices(self.rho_segment))
-        if not pieces:
-            return _NO_HYPERS
-        return np.concatenate(pieces)
+        rho = self.hyper_layout.indices("rho")
+        if self._coupling_slice is None:
+            return rho
+        return np.concatenate([self.hyper_layout.indices("coupling"), rho])
 
 
 def _segment(layout, name, want):
@@ -593,16 +606,18 @@ def _segment(layout, name, want):
     return layout.slice_of(name)
 
 
-# The lambda-only terms of MultitaskLinear's penalty at one lam: the
-# symmetric C, the per-class ridge strengths, 4 (diag(C 1) - C) and 2 rho
-# as a column.
+# The lambda-only terms of MultitaskLinear's penalty at one lam (or one
+# per row of a lam block): the symmetric C, the per-class ridge
+# strengths, 4 (diag(C 1) - C) and 2 rho as a column.
 _BoundPenalty = namedtuple("_BoundPenalty", "coupling rho lap4 rho2")
 
 
 def _penalty_factors(c, rho):
-    """(4 L, 2 rho[:, None]) for coupling ``c``, L its graph Laplacian."""
-    lap = np.diag(c.sum(axis=1)) - c
-    return 4.0 * lap, 2.0 * rho[:, None]
+    """(4 L, 2 rho[..., None]) for coupling ``c``, L its graph Laplacian."""
+    diag = np.zeros(c.shape)  # np.diag of the row sums, per matrix
+    on = np.arange(c.shape[-1])
+    diag[..., on, on] = c.sum(axis=-1)
+    return 4.0 * (diag - c), 2.0 * rho[..., None]
 
 
 def _reg_grad_mat(mat, lap4, rho2):

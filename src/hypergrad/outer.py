@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 from .numerics import as_vector, ensure_finite, make_rng
 
 # ---------------------------------------------------------------------------
@@ -276,24 +276,31 @@ def random_search(space: SearchSpace, evaluate, budget, seed) -> RandomSearchRes
     """Sample ``budget`` points i.i.d. and keep the lowest score.
 
     Each trial draws from its own seed-derived substream, so results are
-    reproducible and independent of evaluation order. Trials that blow
-    up numerically are recorded as failed with an infinite score rather
-    than aborting the search.
+    reproducible and independent of evaluation order. ``evaluate`` gets
+    all the points at once, as a (budget, m) block whose row i is trial
+    i, and returns one score per row; it may train the rows as one
+    population (see ``engines.train``). A row whose score is not finite
+    is a failed trial with an infinite score, and so is every row if
+    ``evaluate`` raises a numerical error; failed trials never become
+    ``best`` unless every trial failed.
     """
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
+    lams = np.array([space.sample(make_rng(seed, 0x525348, i))
+                     for i in range(budget)])
+    try:
+        scores = np.asarray(evaluate(lams), dtype=np.float64)
+    except (NonFiniteError, FloatingPointError, OverflowError):
+        scores = np.full(budget, np.inf)
+    if scores.shape != (budget,):
+        raise DimensionMismatchError(
+            f"evaluate returned {scores.shape} scores for {budget} trials")
     trials = []
     best = None
-    for i in range(budget):
-        rng = make_rng(seed, 0x525348, i)
-        lam = space.sample(rng)
-        try:
-            score = float(evaluate(lam))
-            failed = not np.isfinite(score)
-        except (NonFiniteError, FloatingPointError, OverflowError):
-            score = float("inf")
-            failed = True
-        trial = Trial(index=i, lam=lam, score=score, failed=failed)
+    for i, (lam, score) in enumerate(zip(lams, scores.tolist())):
+        failed = not math.isfinite(score)
+        trial = Trial(index=i, lam=lam, score=math.inf if failed else score,
+                      failed=failed)
         trials.append(trial)
         if not failed and (best is None or trial.score < best.score):
             best = trial

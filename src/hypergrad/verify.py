@@ -158,18 +158,17 @@ def _mtl_instances(seed):
     out = []
     for kind in ("GD", "GDM"):
         for n_steps in _HORIZONS:
-            # single shared coupling strength (m = 1)
+            # shared coupling strength + shared ridge (m = 2)
             train, val, _, _ = clustered_task_data(seed + 4, 3, 2, 4, 4, 6, 1)
-            layout = VectorLayout([("coupling", 1)])
+            layout = VectorLayout([("coupling", 1), ("rho", 1)])
             obj = MultitaskLinear(train, hyper_layout=layout,
-                                  coupling="uniform", rho_segment=None,
-                                  fixed_rho=0.05)
+                                  coupling="uniform")
             # the data term is a batch *sum*, so keep the step size small
             # enough that the unrolled response stays FD-friendly
             dyn = _make_dyn(kind, obj, 0.02, 0.3)
-            lam = layout.pack(coupling=0.08)
+            lam = layout.pack(coupling=0.08, rho=0.05)
             s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-mtl-m1-T{n_steps}", dyn,
+            out.append(Instance(f"{kind}-mtl-m2-T{n_steps}", dyn,
                                 DatasetValidation(val), s0, lam, n_steps))
 
             # uniform coupling + per-task ridge (m = 3)

@@ -238,6 +238,29 @@ def _idx_pair(tmp_path, split, n):
     return images, labels
 
 
+def _test_images_of_another_size(tmp_path):
+    train_images, train_labels = _idx_pair(tmp_path, "train", 60)
+    test_images, test_labels = tmp_path / "big-images", tmp_path / "big-labels"
+    rng = make_rng(0, 0x1E)
+    write_idx(test_images, rng.integers(0, 256, size=(10, 3, 3)))
+    write_idx(test_labels, rng.integers(0, 2, size=10))
+    return (TINY_CLEAN + f"train_images = {train_images}\n"
+            f"train_labels = {train_labels}\ntest_images = {test_images}\n"
+            f"test_labels = {test_labels}\n")
+
+
+def _test_labels_of(tmp_path, test_labels):
+    """Config whose IDX test set carries the labels ``test_labels``."""
+    train_images, train_labels = _idx_pair(tmp_path, "train", 60)
+    test_images, labels = tmp_path / "odd-images", tmp_path / "odd-labels"
+    rng = make_rng(0, 0x1F)
+    write_idx(test_images, rng.integers(0, 256, size=(len(test_labels), 2, 2)))
+    write_idx(labels, test_labels)
+    return (TINY_CLEAN + f"train_images = {train_images}\n"
+            f"train_labels = {train_labels}\ntest_images = {test_images}\n"
+            f"test_labels = {labels}\n")
+
+
 def _test_images_without_labels(tmp_path):
     train_images, train_labels = _idx_pair(tmp_path, "train", 60)
     test_images, _ = _idx_pair(tmp_path, "test", 10)
@@ -257,6 +280,16 @@ def _reject_every_lambda(monkeypatch):
     monkeypatch.setattr(Constraints, "contains", lambda self, lam: False)
 
 
+def _mismatch_shapes(monkeypatch):
+    from hypergrad import cli
+    from hypergrad.errors import DimensionMismatchError
+
+    def runner(cfg):
+        raise DimensionMismatchError("vector has length 3, layout expects 4")
+
+    monkeypatch.setitem(cli._RUNNERS, "clean", runner)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("command, cfg_text, patch, code, stderr_tag", [
@@ -267,8 +300,17 @@ def _reject_every_lambda(monkeypatch):
     ("mtl", lambda tmp: TINY_MTL.replace("inner_lr = 0.01", "inner_lr = 1e15"),
      None, 3, "numerical divergence"),
     ("clean", _write_garbage_idx, None, 4, "I/O error"),
+    ("clean", _test_images_of_another_size, None, 4,
+     "images of 9 pixels, training images have 4"),
+    # a test set may lack a training class but not add one
+    ("clean", lambda tmp: _test_labels_of(tmp, [0] * 10), None, 0, ""),
+    ("clean", lambda tmp: _test_labels_of(tmp, [0, 1, 2] * 3), None, 4,
+     "class 2 is not among the training classes 0..1"),
     ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
      "infeasible hyperparameters"),
+    # a shape mismatch inside a run is a fault of the program
+    ("clean", lambda tmp: TINY_CLEAN, _mismatch_shapes, 6,
+     "internal error: vector has length 3"),
     # data files no run would read, and shapes no run can use, fail
     # before the run with a config error naming the key
     *[("clean", lambda tmp, key=key: TINY_CLEAN + f"{key} = /nonexistent\n",
@@ -289,7 +331,9 @@ def _reject_every_lambda(monkeypatch):
      "config error: val_subset"),
     ("check", lambda tmp: "val_images = /nonexistent\n", None, 2,
      "config error: val_images"),
-], ids=["ok", "failed-checks", "config", "divergence", "ingest", "infeasible",
+], ids=["ok", "failed-checks", "config", "divergence", "ingest",
+        "test-image-size", "test-lacks-a-class", "test-new-class",
+        "infeasible", "internal",
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",

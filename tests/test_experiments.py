@@ -13,7 +13,8 @@ from hypergrad.config import ExperimentConfig
 from hypergrad.experiments import (RunReport, _f1, run_bench, run_hyperclean,
                                    run_mtl, run_randsearch, run_rtho,
                                    write_report)
-from hypergrad.objectives import MultitaskLinear
+from hypergrad.layouts import VectorLayout
+from hypergrad.objectives import DatasetValidation, MultitaskLinear
 
 
 def clean_cfg(**kw):
@@ -110,6 +111,12 @@ def test_mtl_report_structure():
     assert c.sum() <= 2.0 + 1e-9
 
 
+def _without_seconds(timings):
+    """Per-seed timings entries without their phase seconds."""
+    return [{key: value for key, value in entry.items()
+             if not key.endswith("_s")} for entry in timings["seeds"]]
+
+
 @pytest.mark.parametrize("radius,parted_at", [(1e9, None), (0.5, 4)])
 def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
                                                       monkeypatch, tmp_path):
@@ -131,7 +138,8 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
     want = [{"seed": seed, "hmtl_parted_at": parted_at,
              "hypergradients": iters + shared + 2 * (iters - shared)}
             for seed in (0, 1)]
-    assert report.timings == {"seeds": want}
+    assert _without_seconds(report.timings) == want
+    assert all(entry["stl_s"] >= 0.0 for entry in report.timings["seeds"])
     for seed in (0, 1):
         recs = [r for r in report.records if r.extras["seed"] == seed]
         assert [r.extras["method"] for r in recs] == (
@@ -146,7 +154,7 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
     digest = report.digest()
     payload = json.loads((write_report(report, tmp_path)
                           / "metrics.json").read_text())
-    assert payload["timings"] == {"seeds": want}
+    assert _without_seconds(payload["timings"]) == want
     report.timings = {}
     assert report.digest() == digest == payload["digest"]
 
@@ -156,25 +164,59 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
                            n_clusters=2, n_features=6, n_train=12, n_val=12,
                            n_test=30, inner_steps=15, inner_lr=0.01)
     train, val, test, _ = experiments._mtl_data(cfg, 0)
-    fitted = []
+    fitted, blocks = [], []
     fit = experiments._fit
 
-    def counting(obj, *args):
-        fitted.append(obj.fixed_rho.tobytes())
-        return fit(obj, *args)
+    def counting(obj, n_steps, lr, lam):
+        blocks.append(len(lam))
+        fitted.extend(row.tobytes() for row in lam)
+        return fit(obj, n_steps, lr, lam)
 
     monkeypatch.setattr(experiments, "_fit", counting)
     acc, rho_vec = experiments._stl_grid(train, val, test, cfg)
     # 7 shared values, then 7 per task; the greedy pass revisits the
-    # current best vector once per task and once at the end
+    # current best vector once per task, and each pass is one block
     assert len(fitted) == len(set(fitted))
     assert 7 <= len(fitted) <= 7 + 3 * 7
+    assert blocks[0] == 7 and len(blocks) == 1 + 3
     assert rho_vec.tobytes() in fitted
     monkeypatch.undo()
-    stl = MultitaskLinear(train, coupling="none", rho_segment=None,
-                          fixed_rho=rho_vec, per_task_rho=True)
-    w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr)
+    # the block fit's row is the 1-D fit at the chosen vector
+    stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
+                          coupling="none", per_task_rho=True)
+    w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
     assert acc == experiments._accuracy_pct(test, w)
+
+
+def test_stl_grid_matches_the_looped_greedy_sweep():
+    # enough steps and features that the ridge matters: the sweep picks
+    # a different rho per task here
+    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=1, n_classes=3,
+                           n_clusters=2, n_features=20, n_train=12, n_val=30,
+                           n_test=30, inner_steps=150, inner_lr=0.05)
+    train, val, test, _ = experiments._mtl_data(cfg, 1)
+
+    stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
+                          coupling="none", per_task_rho=True)
+
+    def score(rho_vec):
+        w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
+        return w, DatasetValidation(val).value(w)
+
+    best = min(experiments._RHO_GRID, key=lambda rho: score(np.full(3, rho))[1])
+    rho_vec = np.full(3, best)
+    best_score = score(rho_vec)[1]
+    for task in range(3):
+        for rho in experiments._RHO_GRID:
+            trial = rho_vec.copy()
+            trial[task] = rho
+            _, s = score(trial)
+            if s < best_score:
+                rho_vec, best_score = trial, s
+    acc, got = experiments._stl_grid(train, val, test, cfg)
+    assert len(set(rho_vec.tolist())) == 3
+    assert np.array_equal(got, rho_vec)
+    assert acc == experiments._accuracy_pct(test, score(rho_vec)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -349,11 +349,10 @@ def test_mtl_grad_matches_fd():
             feats = rng.standard_normal((6, 3))
             labels = np.array([0, 1, 2, 0, 1, 2])
             train = Dataset(features=feats, labels=labels, n_classes=3)
-            obj = MultitaskLinear(train, coupling="none", rho_segment=None,
-                                  fixed_rho=np.array([0.1, 0.2, 0.3]),
-                                  per_task_rho=True)
-            layout = VectorLayout([("unused", 1)])
-            lam = np.zeros(1)
+            layout = VectorLayout([("rho", 3)])
+            obj = MultitaskLinear(train, hyper_layout=layout,
+                                  coupling="none", per_task_rho=True)
+            lam = np.array([0.1, 0.2, 0.3])
         else:
             rng = make_rng(2, 3)
             lam = layout.pack(coupling=rng.random(layout.length_of("coupling")) * 0.3,

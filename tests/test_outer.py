@@ -217,35 +217,75 @@ def _space():
     return SearchSpace(layout, {"eta": Exponential(0.1), "mu": Uniform(0, 1)})
 
 
+# ``evaluate`` gets every trial at once, one row per trial, and returns
+# one score per row
+
+
 def test_random_search_budget_one():
     space = _space()
     calls = []
 
-    def evaluate(lam):
-        calls.append(lam.copy())
-        return float(lam[0])
+    def evaluate(lams):
+        calls.append(lams.copy())
+        return lams[:, 0]
 
     result = random_search(space, evaluate, budget=1, seed=5)
-    assert len(calls) == 1
-    assert np.array_equal(result.best.lam, calls[0])
-    assert result.best.score == calls[0][0]
+    assert len(calls) == 1 and calls[0].shape == (1, 2)
+    assert np.array_equal(result.best.lam, calls[0][0])
+    assert result.best.score == calls[0][0, 0]
     assert len(result.trials) == 1
 
 
 def test_random_search_is_deterministic():
     space = _space()
-    a = random_search(space, lambda lam: float(np.sum(lam**2)), 10, seed=9)
-    b = random_search(space, lambda lam: float(np.sum(lam**2)), 10, seed=9)
+    a = random_search(space, lambda lams: np.sum(lams**2, axis=1), 10, seed=9)
+    b = random_search(space, lambda lams: np.sum(lams**2, axis=1), 10, seed=9)
     assert np.array_equal(a.best.lam, b.best.lam)
     assert [t.score for t in a.trials] == [t.score for t in b.trials]
+
+
+def test_random_search_draws_each_trial_from_its_own_substream():
+    space = _space()
+    result = random_search(space, lambda lams: lams[:, 0], 6, seed=9)
+    for trial in result.trials:
+        want = space.sample(make_rng(9, 0x525348, trial.index))
+        assert np.array_equal(trial.lam, want)
+
+
+def test_random_search_fails_only_the_non_finite_rows():
+    space = _space()
+    result = random_search(
+        space, lambda lams: [1.0, np.nan, 0.5, np.inf, 2.0], 5, seed=1)
+    assert [t.failed for t in result.trials] == [False, True, False, True,
+                                                 False]
+    assert [t.score for t in result.trials] == [1.0, np.inf, 0.5, np.inf, 2.0]
+    assert result.best.index == 2
+
+
+def test_random_search_all_failed_keeps_the_lowest_score():
+    from hypergrad.errors import NonFiniteError
+
+    def diverge(lams):
+        raise NonFiniteError("non-finite value in optimization state", step=3)
+
+    for evaluate in (diverge, lambda lams: np.full(len(lams), np.nan)):
+        result = random_search(_space(), evaluate, 4, seed=2)
+        assert all(t.failed and t.score == np.inf for t in result.trials)
+        assert result.best is min(result.trials, key=lambda tr: tr.score)
+
+
+def test_random_search_rejects_a_score_count_mismatch():
+    from hypergrad.errors import DimensionMismatchError
+    with pytest.raises(DimensionMismatchError, match="3 trials"):
+        random_search(_space(), lambda lams: [0.0], 3, seed=0)
 
 
 def test_random_search_respects_distributions():
     space = _space()
     seen = []
-    random_search(space, lambda lam: seen.append(lam.copy()) or 0.0, 200,
-                  seed=3)
-    arr = np.array(seen)
+    random_search(space, lambda lams: seen.append(lams.copy()) or
+                  np.zeros(len(lams)), 200, seed=3)
+    [arr] = seen
     assert np.all(arr[:, 0] >= 0)           # Exponential support
     assert np.all((arr[:, 1] >= 0) & (arr[:, 1] <= 1))
     assert 0.05 < arr[:, 0].mean() < 0.2    # scale 0.1
@@ -257,7 +297,7 @@ def test_random_search_finds_quartic_minimum():
     # 0.15 of the minimizer with overwhelming probability
     layout = VectorLayout([("eta", 1)])
     space = SearchSpace(layout, {"eta": Uniform(0.0, 2.0)})
-    result = random_search(space, lambda lam: 0.5 * (1 - lam[0]) ** 4,
+    result = random_search(space, lambda lams: 0.5 * (1 - lams[:, 0]) ** 4,
                            budget=50, seed=0)
     assert abs(result.best.lam[0] - 1.0) < 0.15
 
