@@ -93,6 +93,9 @@ class ExperimentConfig:
         for name in positives:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.experiment in ("clean", "mtl") and self.n_classes < 2:
+            raise ConfigError(f"{self.experiment} needs n_classes >= 2, got "
+                              f"{self.n_classes}")
         if not 0.0 <= self.corruption <= 1.0:
             raise ConfigError(f"corruption must lie in [0, 1], "
                               f"got {self.corruption}")

@@ -70,27 +70,21 @@ def write_idx(path, array):
         fh.write(array.tobytes())
 
 
-def ingest_idx(images_path, labels_path=None, split="train"):
-    """Build a Dataset from an IDX image stack plus optional label file."""
+def ingest_idx(images_path, labels_path):
+    """Build a Dataset from an IDX image stack and its label file."""
     images = read_idx(images_path)
     if images.ndim != 3:
         raise IngestError(f"{images_path}: expected an image stack, got labels")
     features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    labels = None
-    n_classes = None
-    if labels_path is not None:
-        labels = read_idx(labels_path)
-        if labels.ndim != 1:
-            raise IngestError(f"{labels_path}: expected a label file, got images")
-        if len(labels) != len(features):
-            raise IngestError(
-                f"label count {len(labels)} does not match image count "
-                f"{len(features)}"
-            )
-        labels = labels.astype(np.int64)
-        n_classes = int(labels.max()) + 1
-    return Dataset(features=features, labels=labels, split=split,
-                   n_classes=n_classes)
+    labels = read_idx(labels_path)
+    if labels.ndim != 1:
+        raise IngestError(f"{labels_path}: expected a label file, got images")
+    if len(labels) != len(features):
+        raise IngestError(
+            f"label count {len(labels)} does not match image count "
+            f"{len(features)}"
+        )
+    return Dataset(features=features, labels=labels)
 
 
 def corrupt_labels(ds: Dataset, fraction, seed):
@@ -101,7 +95,7 @@ def corrupt_labels(ds: Dataset, fraction, seed):
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"corruption fraction {fraction} outside [0, 1]")
-    k = int(ds.n_classes or 0)
+    k = ds.n_classes
     if k < 2:
         raise ValueError("label corruption needs at least 2 classes")
     n_corrupt = int(fraction * ds.n)
@@ -115,8 +109,7 @@ def corrupt_labels(ds: Dataset, fraction, seed):
     originals = labels[picked]
     draws = draws + (draws >= originals)
     labels[picked] = draws
-    out = Dataset(features=ds.features, labels=labels, split=ds.split,
-                  n_classes=ds.n_classes)
+    out = Dataset(features=ds.features, labels=labels, n_classes=k)
     return out, picked
 
 

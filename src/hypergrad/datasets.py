@@ -13,62 +13,47 @@ from .numerics import make_rng
 
 @dataclass
 class Dataset:
-    """Feature matrix plus labels (integer class ids or a real target matrix).
+    """Feature matrix plus 1-D integer class ids in [0, n_classes)."""
 
-    ``features`` may be None for a labels-only file (IDX label ingestion);
-    ``labels`` may be None for an images-only file.
-    """
-
-    features: np.ndarray | None
-    labels: np.ndarray | None
-    split: str = "train"
+    features: np.ndarray
+    labels: np.ndarray
     n_classes: int | None = None
 
     def __post_init__(self):
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.ndim != 2:
-                raise DimensionMismatchError(
-                    f"features must be 2-D, got shape {self.features.shape}"
-                )
-        if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
-                labels = labels.astype(np.int64)
-                if self.n_classes is None:
-                    self.n_classes = int(labels.max()) + 1 if labels.size else 0
-                if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-                    raise ValueError(
-                        f"class ids must lie in [0, {self.n_classes}), "
-                        f"got range [{labels.min()}, {labels.max()}]"
-                    )
-            else:
-                labels = labels.astype(np.float64)
-            self.labels = labels
-        if self.features is not None and self.labels is not None:
-            if len(self.labels) != self.features.shape[0]:
-                raise DimensionMismatchError(
-                    f"{len(self.labels)} labels for {self.features.shape[0]} feature rows"
-                )
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise DimensionMismatchError(
+                f"features must be 2-D, got shape {self.features.shape}"
+            )
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be 1-D integer class ids, got "
+                             f"{labels.dtype} of shape {labels.shape}")
+        self.labels = labels.astype(np.int64)
+        if self.n_classes is None:
+            self.n_classes = int(labels.max()) + 1 if labels.size else 0
+        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
+            raise ValueError(
+                f"class ids must lie in [0, {self.n_classes}), "
+                f"got range [{labels.min()}, {labels.max()}]"
+            )
+        if len(self.labels) != self.features.shape[0]:
+            raise DimensionMismatchError(
+                f"{len(self.labels)} labels for {self.features.shape[0]} feature rows"
+            )
 
     @property
     def n(self) -> int:
-        if self.features is not None:
-            return self.features.shape[0]
-        return 0 if self.labels is None else len(self.labels)
+        return self.features.shape[0]
 
     @property
     def n_features(self) -> int:
-        return 0 if self.features is None else self.features.shape[1]
+        return self.features.shape[1]
 
-    def subset(self, idx, split=None) -> "Dataset":
+    def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(
-            features=None if self.features is None else self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
-            split=self.split if split is None else split,
-            n_classes=self.n_classes,
-        )
+        return Dataset(features=self.features[idx], labels=self.labels[idx],
+                       n_classes=self.n_classes)
 
 
 @lru_cache(maxsize=64)
@@ -151,19 +136,18 @@ def blob_task(seed, n_train, n_val, n_test, n_classes=2, n_features=2, separatio
     if antipodal:
         dirs[1] = -dirs[0]
     means = separation * dirs
-    train = _sample_blobs(means, n_train, seed, stream=1, split="train")
-    val = _sample_blobs(means, n_val, seed, stream=2, split="validation")
-    test = _sample_blobs(means, n_test, seed, stream=3, split="test")
+    train = _sample_blobs(means, n_train, seed, stream=1)
+    val = _sample_blobs(means, n_val, seed, stream=2)
+    test = _sample_blobs(means, n_test, seed, stream=3)
     return train, val, test
 
 
-def _sample_blobs(means, n, seed, stream, split):
+def _sample_blobs(means, n, seed, stream):
     n_classes, n_features = means.shape
     rng = make_rng(seed, 0x5A3, stream)
     labels = rng.integers(0, n_classes, size=n)
     x = means[labels] + rng.standard_normal((n, n_features))
-    return Dataset(features=x, labels=labels.astype(np.int64), split=split,
-                   n_classes=n_classes)
+    return Dataset(features=x, labels=labels, n_classes=n_classes)
 
 
 def clustered_task_data(seed, n_classes, n_clusters, n_features,
@@ -183,15 +167,15 @@ def clustered_task_data(seed, n_classes, n_clusters, n_features,
         (n_classes, n_features)
     )
 
-    def sample(per_class, stream, split):
+    def sample(per_class, stream):
         gen = make_rng(seed, 0xC1A55, stream)
         labels = np.repeat(np.arange(n_classes), per_class)
         x = protos[labels] + noise * gen.standard_normal((labels.size, n_features))
         order = gen.permutation(labels.size)
-        return Dataset(features=x[order], labels=labels[order].astype(np.int64),
-                       split=split, n_classes=n_classes)
+        return Dataset(features=x[order], labels=labels[order],
+                       n_classes=n_classes)
 
-    train = sample(n_train_per_class, 1, "train")
-    val = sample(n_val_per_class, 2, "validation")
-    test = sample(n_test_per_class, 3, "test")
+    train = sample(n_train_per_class, 1)
+    val = sample(n_val_per_class, 2)
+    test = sample(n_test_per_class, 3)
     return train, val, test, cluster_of_class

@@ -18,7 +18,8 @@ Two protocols:
   hypergradient each count all of it. ``batch_ho_loop`` is the one-path
   case.
 * stream mode — a single continuous training run with real-time partial
-  hypergradients and projected updates every ``delta`` steps.
+  hypergradients and projected updates every ``delta`` steps; state and
+  Z carry across updates, and the stop rules end the endless stream.
 
 Stopping is rule-based; rules inspect the record trace and are free of
 side effects, so they can be combined and re-evaluated safely.
@@ -34,6 +35,9 @@ import numpy as np
 from .engines import forward_hg, reverse_hg, rtho_stream
 from .errors import HypergradError
 from .outer import ProjectedAdam
+
+# records list lam itself only up to this many entries (summaries always)
+_LAM_LIMIT = 256
 
 # ---------------------------------------------------------------------------
 # Stop rules
@@ -81,7 +85,7 @@ class HyperIterRecord:
     step: int = None  # inner-step index at emission (stream mode only)
     extras: dict = field(default_factory=dict)
 
-    def to_jsonable(self, include_timing=True, lam_limit=256):
+    def to_jsonable(self, include_timing=True):
         out = {
             "index": self.index,
             "response": self.response,
@@ -90,7 +94,7 @@ class HyperIterRecord:
             "lam_min": float(self.lam.min()) if len(self.lam) else 0.0,
             "lam_max": float(self.lam.max()) if len(self.lam) else 0.0,
         }
-        if len(self.lam) <= lam_limit:
+        if len(self.lam) <= _LAM_LIMIT:
             out["lam"] = [float(v) for v in self.lam]
         if self.step is not None:
             out["step"] = self.step
@@ -112,27 +116,26 @@ def _rescope(err: HypergradError, k: int):
 
 
 def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
-                  engine="reverse", lr=0.005, beta1=0.9, beta2=0.999,
-                  eps=1e-8, record_extras=None):
+                  engine="reverse", lr=0.005, record_extras=None):
     """Retrain / hypergradient / projected-Adam loop. Returns (lam, records)."""
     [(lam, records)], _ = lockstep_ho_loop(
         dyn, E, s0, [(lam0, constraints, stop)], n_steps, engine=engine,
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, record_extras=record_extras)
+        lr=lr, record_extras=record_extras)
     return lam, records
 
 
 class _OuterPath:
     """One outer trajectory of a lockstep run."""
 
-    def __init__(self, lam0, constraints, stop, adam):
-        self.updater = ProjectedAdam(constraints, **adam)
+    def __init__(self, lam0, constraints, stop, lr):
+        self.updater = ProjectedAdam(constraints, lr=lr)
         self.lam = lam0 if constraints is None else constraints.project(lam0)
         self.stop = stop
         self.records = []
 
 
 def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
-                     beta1=0.9, beta2=0.999, eps=1e-8, record_extras=None):
+                     record_extras=None):
     """Batch loops over one problem, one hypergradient per distinct lam.
 
     ``paths`` lists one (lam0, constraints, stop) per outer path. Returns
@@ -147,8 +150,7 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    adam = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    paths = [_OuterPath(lam0, constraints, stop, adam)
+    paths = [_OuterPath(lam0, constraints, stop, lr)
              for lam0, constraints, stop in paths]
     compute = forward_hg if engine == "forward" else reverse_hg
     n_computed = 0
@@ -186,18 +188,16 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     return [(path.lam, path.records) for path in paths], n_computed
 
 
-def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop,
-                   lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8,
-                   reset_z=False, restart_state=False, record_extras=None):
-    """Real-time loop: one continuous run, one projected update per emission."""
-    updater = ProjectedAdam(constraints, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
+                   record_extras=None):
+    """Real-time loop: one projected update per emission until ``stop``."""
+    updater = ProjectedAdam(constraints, lr=lr)
     lam = lam0 if constraints is None else constraints.project(lam0)
     records = []
     if _stopped(stop, records):
         return lam, records
     started = time.perf_counter()
-    stream = rtho_stream(dyn, E, s0, lam, delta, updater=updater,
-                         reset_z=reset_z, restart_state=restart_state)
+    stream = rtho_stream(dyn, E, s0, lam, delta, updater=updater)
     try:
         for emission in stream:
             now = time.perf_counter()

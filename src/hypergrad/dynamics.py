@@ -107,6 +107,10 @@ class GradientDescent:
         eta = self._eta.value(lam)
         return r - eta * self.objective.hvp_w(s, lam, t, r)
 
+    # A_t = I - eta H_t is symmetric, so a A_t = (A_t a^T)^T: one product.
+    # A name of its own in the class body keeps the calls counted apart.
+    vjp_state = jvp_state
+
     def jvp_hyper(self, s, lam, t, q):
         eta = self._eta.value(lam)
         out = -eta * self.objective.cross_jvp(s, lam, t, q)
@@ -114,10 +118,6 @@ class GradientDescent:
         if deta != 0.0:
             out -= deta * self.objective.grad_w(s, lam, t)
         return out
-
-    def vjp_state(self, s, lam, t, alpha):
-        eta = self._eta.value(lam)
-        return alpha - eta * self.objective.hvp_w(s, lam, t, alpha)
 
     def vjp_hyper(self, s, lam, t, alpha):
         eta = self._eta.value(lam)

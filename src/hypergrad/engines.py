@@ -13,14 +13,17 @@ compute the exact d f / d lam of the unrolled iteration:
   m; memory O(Td + T*b*k): the sweep reuses each step's b x k softmax
   probabilities from the recording pass, as backpropagation through
   time reuses its activations, instead of recomputing them.
-* ``rtho_stream`` keeps the forward accumulation running during a single
-  training run and emits the partial hypergradient grad E(s_t) Z_t every
-  ``delta`` steps so an outer updater can adjust lam mid-flight.
+* ``rtho_stream`` is forward mode read every ``delta`` steps: one endless
+  training run whose partial hypergradient grad E(s_t) Z_t is emitted
+  after each ``delta``-step sweep, so an outer updater can adjust lam
+  mid-flight. Its consumer decides when to stop.
 
-Z propagation is deliberately structured as one state-JVP per column of
-Z plus unit-direction hyper-JVPs for the columns of B_t; only columns
-listed by ``dyn.touched_hypers(t)`` are filled, which keeps the per-step
-cost at O(batch) instead of O(m) when each minibatch touches few
+Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
+sweep of T steps, ``rtho_stream`` one sweep per emission. Z propagation
+is deliberately structured as one state-JVP per column of Z plus
+unit-direction hyper-JVPs for the columns of B_t; only columns listed by
+``dyn.touched_hypers(t)`` are filled, which keeps the per-step cost at
+O(batch) instead of O(m) when each minibatch touches few
 hyperparameters. What those products share within one step (the
 minibatch's softmax quantities and, for constant example weights, the
 gradient itself) is built once per (t, s) by the objective, so a step
@@ -43,8 +46,6 @@ from .objectives import (_clear_memo, _frozen, _trajectory_scope,
 class HypergradResult:
     gradient: np.ndarray
     response: float
-    mode: str
-    adjoints: list = None
     tape: "Tape" = None
 
 
@@ -84,7 +85,7 @@ class Tape:
                 )
 
 
-def record_trajectory(dyn, s0, lam, n_steps, t0=0):
+def record_trajectory(dyn, s0, lam, n_steps):
     """Run ``n_steps`` of the dynamics, keeping every state read-only.
 
     Each step starts from the recorded (read-only) state, so what the
@@ -93,7 +94,7 @@ def record_trajectory(dyn, s0, lam, n_steps, t0=0):
     s = _frozen(as_vector(s0).copy())
     states = [s]
     for k in range(1, n_steps + 1):
-        s = _frozen(dyn.step(s, lam, t0 + k))
+        s = _frozen(dyn.step(s, lam, k))
         states.append(s)
     return Tape(states=states, lam=np.asarray(lam, dtype=np.float64).copy())
 
@@ -153,23 +154,26 @@ def _propagate_z(dyn, s, z, lam, t, q_buf):
     return ensure_finite(out, "sensitivity matrix", step=t)
 
 
+def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
+    """(s, Z) after steps t+1 .. t+n_steps of the state and of Z."""
+    for k in range(t + 1, t + n_steps + 1):
+        z = _propagate_z(dyn, s, z, lam, k, q_buf)
+        s = dyn.step(s, lam, k)
+    return s, z
+
+
 def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
     """Forward-mode hypergradient of E(s_T) with respect to lam."""
     lam = as_vector(lam)
-    s = as_vector(s0).copy()
     m = len(lam)
-    z = np.zeros((dyn.n_state, m))
-    q_buf = np.zeros(m)
-    for t in range(1, n_steps + 1):
-        z = _propagate_z(dyn, s, z, lam, t, q_buf)
-        s = dyn.step(s, lam, t)
+    s, z = _sweep(dyn, as_vector(s0).copy(), np.zeros((dyn.n_state, m)), lam,
+                  0, n_steps, np.zeros(m))
     grad = val_grad_state(E, s, dyn.state_layout) @ z
-    return HypergradResult(gradient=grad, response=val_value(E, s, dyn.state_layout),
-                           mode="forward")
+    return HypergradResult(gradient=grad,
+                           response=val_value(E, s, dyn.state_layout))
 
 
-def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False,
-               keep_adjoints=False) -> HypergradResult:
+def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     """Reverse-mode hypergradient via the adjoint recursion over a tape.
 
     Memory is O(Td + T*b*k): besides the T+1 states, the objective keeps
@@ -188,80 +192,59 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False,
             tape.verify(dyn)
         s_final = tape.states[-1]
         alpha = val_grad_state(E, s_final, dyn.state_layout)
-        adjoints = {n_steps: alpha.copy()} if keep_adjoints else None
         grad = np.zeros(len(lam))
         for t in range(n_steps, 0, -1):
             s_prev = tape.states[t - 1]
             grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
-            if t > 1 or keep_adjoints:
+            if t > 1:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
-                if keep_adjoints:
-                    adjoints[t - 1] = alpha.copy()
     ensure_finite(grad, "hypergradient")
     return HypergradResult(gradient=grad,
                            response=val_value(E, s_final, dyn.state_layout),
-                           mode="reverse", adjoints=adjoints, tape=tape)
+                           tape=tape)
 
 
 @dataclass
 class StreamEmission:
     """One real-time checkpoint: partial hypergradient plus bookkeeping.
 
-    ``lam`` is the hyperparameter vector *after* the outer update (equal
-    to the pre-update vector when no updater is installed); ``state`` is
-    a snapshot of s_t at emission time.
+    ``t`` is the number of steps trained so far; ``lam`` is the
+    hyperparameter vector *after* the outer update (equal to the
+    pre-update vector when no updater is installed); ``state`` is a
+    snapshot of s_t at emission time.
     """
 
     t: int
-    total_steps: int
     partial: np.ndarray
     response: float
     lam: np.ndarray
     state: np.ndarray
 
 
-def rtho_stream(dyn, E, s0, lam, delta, updater=None, max_steps=None,
-                reset_z=False, restart_state=False):
-    """Generator of real-time partial hypergradients every ``delta`` steps.
+def rtho_stream(dyn, E, s0, lam, delta, updater=None):
+    """Endless generator of real-time partial hypergradients.
 
-    After each emission the optional ``updater`` maps (lam, partial) to
-    the next hyperparameter vector and training continues. Z is carried
-    across updates by default; ``reset_z`` zeroes it after each one.
-    ``restart_state`` additionally rewinds the state to s_0 and the
-    schedule clock to 0 after each emission, which makes a delta-step
-    stream coincide with the batch-mode hyper-iteration protocol. The
-    stream stops after ``max_steps`` steps, if given; stop rules belong
-    to the consumer (see ``driver.stream_ho_loop``).
+    One training run from s0, swept ``delta`` steps at a time; after each
+    sweep it emits grad E(s_t) Z_t. The optional ``updater`` then maps
+    (lam, partial) to the next hyperparameter vector, and training and
+    Z carry on from where they are. The stream never ends by itself:
+    its consumer stops it (see ``driver.stream_ho_loop``).
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
     lam = as_vector(lam).copy()
-    s_init = as_vector(s0).copy()
-    s = s_init.copy()
+    s = as_vector(s0).copy()
     m = len(lam)
     z = np.zeros((dyn.n_state, m))
     q_buf = np.zeros(m)
     t = 0
-    total = 0
     while True:
-        for _ in range(delta):
-            t += 1
-            total += 1
-            z = _propagate_z(dyn, s, z, lam, t, q_buf)
-            s = dyn.step(s, lam, t)
+        s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
+        t += delta
         partial = val_grad_state(E, s, dyn.state_layout) @ z
         ensure_finite(partial, "partial hypergradient", step=t)
         response = val_value(E, s, dyn.state_layout)
         if updater is not None:
             lam = as_vector(updater(lam, partial)).copy()
-        emission = StreamEmission(t=t, total_steps=total, partial=partial,
-                                  response=response, lam=lam.copy(),
-                                  state=s.copy())
-        yield emission
-        if max_steps is not None and total >= max_steps:
-            return
-        if reset_z:
-            z = np.zeros_like(z)
-        if restart_state:
-            s = s_init.copy()
-            t = 0
+        yield StreamEmission(t=t, partial=partial, response=response,
+                             lam=lam.copy(), state=s.copy())

@@ -123,12 +123,16 @@ def _f1(n_true_pos, n_pred_pos, n_actual_pos):
 
 def _load_clean_data(cfg: ExperimentConfig):
     if cfg.train_images is not None:
-        pool = ingest_idx(cfg.train_images, cfg.train_labels, split="train")
-        train = pool.subset(np.arange(cfg.n_train), split="train")
-        val = pool.subset(np.arange(cfg.n_train, cfg.n_train + cfg.n_val),
-                          split="validation")
+        pool = ingest_idx(cfg.train_images, cfg.train_labels)
+        # the test split takes the pool's rest unless it has files of its own
+        need = cfg.n_train + cfg.n_val + (cfg.test_images is None)
+        if pool.n < need:
+            raise IngestError(f"{cfg.train_images}: {pool.n} images, the "
+                              f"splits need {need}")
+        train = pool.subset(np.arange(cfg.n_train))
+        val = pool.subset(np.arange(cfg.n_train, cfg.n_train + cfg.n_val))
         if cfg.test_images is not None:
-            test = ingest_idx(cfg.test_images, cfg.test_labels, split="test")
+            test = ingest_idx(cfg.test_images, cfg.test_labels)
             if test.n_features != pool.n_features:
                 raise IngestError(
                     f"{cfg.test_images}: images of {test.n_features} pixels, "
@@ -139,10 +143,9 @@ def _load_clean_data(cfg: ExperimentConfig):
                     f"among the training classes 0..{pool.n_classes - 1}")
             # a test set may lack the top training classes
             test = Dataset(features=test.features, labels=test.labels,
-                           split="test", n_classes=pool.n_classes)
+                           n_classes=pool.n_classes)
         else:
-            test = pool.subset(np.arange(cfg.n_train + cfg.n_val, pool.n),
-                               split="test")
+            test = pool.subset(np.arange(cfg.n_train + cfg.n_val, pool.n))
         return train, val, test
     # Mirrored means keep the synthetic task linearly separable for every
     # seed; cleaning only identifies flipped labels when the classes are.
@@ -197,7 +200,7 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
     pooled = Dataset(
         features=np.vstack([corrupted_train.features[kept], val.features]),
         labels=np.concatenate([corrupted_train.labels[kept], val.labels]),
-        split="train", n_classes=corrupted_train.n_classes,
+        n_classes=corrupted_train.n_classes,
     )
     w_clean, w_baseline, w_oracle = (
         _fit(WeightedSoftmax(ds, weight_segment=None), cfg.inner_steps,
@@ -358,8 +361,6 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     STL grid (``stl_s``).
     """
     cfg.validate()
-    if cfg.n_classes < 2:
-        raise ValueError("multitask comparison needs at least 2 classes")
     methods = {"stl": [], "nmtl": [], "hmtl": [], "hmtl_s": []}
     all_records = []
     couplings = {"hmtl": [], "hmtl_s": []}

@@ -155,6 +155,10 @@ class _Batch:
         return self._g
 
 
+# size of the (t, w) memo; the oldest entry is evicted first
+_MEMO_ENTRIES = 4
+
+
 class _BatchCache:
     """Memo of per-step softmax quantities keyed by (t, parameter bytes).
 
@@ -173,9 +177,8 @@ class _BatchCache:
     neither served nor kept.
     """
 
-    def __init__(self, maxsize=4):
+    def __init__(self):
         self._entries = []  # (t, w shape, w bytes, entry), oldest first
-        self._maxsize = maxsize
         self._steps = None  # t -> (read-only w, p) inside trajectory()
 
     @contextmanager
@@ -209,7 +212,7 @@ class _BatchCache:
                 steps[t] = (w, entry.p)
         else:
             entry = _Batch(obj, t, w)
-        if len(self._entries) >= self._maxsize:
+        if len(self._entries) >= _MEMO_ENTRIES:
             del self._entries[0]
         self._entries.append((t, w.shape, w.tobytes() if key is None else key,
                               entry))
@@ -286,9 +289,6 @@ class _SoftmaxData:
 
     def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None,
                  schedule: MinibatchSchedule | None):
-        if dataset.features is None or dataset.labels is None:
-            raise ValueError(f"{type(self).__name__} needs features and "
-                             f"integer labels")
         self.dataset = dataset
         self.n_classes = int(dataset.n_classes)
         self.n_features = dataset.n_features
@@ -665,8 +665,6 @@ class DatasetValidation:
     subset_seed: int = 0
 
     def __post_init__(self):
-        if self.dataset.features is None or self.dataset.labels is None:
-            raise ValueError("validation needs features and labels")
         self.n_classes = int(self.dataset.n_classes)
         self.n_features = self.dataset.n_features
         self.n_params = self.n_classes * (self.n_features + 1)

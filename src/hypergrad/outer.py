@@ -21,15 +21,16 @@ from .errors import DimensionMismatchError, NonFiniteError
 from .numerics import as_vector, ensure_finite, make_rng
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam (moment decays and epsilon of Kingma & Ba; only lr is set per run)
+
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class AdamState:
     lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     count: int = 0
     m1: np.ndarray = None
     m2: np.ndarray = None
@@ -42,13 +43,12 @@ def adam_update(state: AdamState, lam, g):
     m1 = np.zeros_like(g) if state.m1 is None else state.m1
     m2 = np.zeros_like(g) if state.m2 is None else state.m2
     t = state.count + 1
-    m1 = state.beta1 * m1 + (1.0 - state.beta1) * g
-    m2 = state.beta2 * m2 + (1.0 - state.beta2) * g * g
-    m1_hat = m1 / (1.0 - state.beta1 ** t)
-    m2_hat = m2 / (1.0 - state.beta2 ** t)
-    new_lam = lam - state.lr * m1_hat / (np.sqrt(m2_hat) + state.eps)
-    new_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-                          eps=state.eps, count=t, m1=m1, m2=m2)
+    m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
+    m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g
+    m1_hat = m1 / (1.0 - _BETA1 ** t)
+    m2_hat = m2 / (1.0 - _BETA2 ** t)
+    new_lam = lam - state.lr * m1_hat / (np.sqrt(m2_hat) + _EPS)
+    new_state = AdamState(lr=state.lr, count=t, m1=m1, m2=m2)
     return new_state, new_lam
 
 
@@ -203,9 +203,8 @@ class Constraints:
 class ProjectedAdam:
     """Adam followed by projection; usable directly as a stream updater."""
 
-    def __init__(self, constraints: Constraints | None = None, lr=0.005,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def __init__(self, constraints: Constraints | None = None, lr=0.005):
+        self.state = AdamState(lr=lr)
         self.constraints = constraints
 
     def update(self, lam, g):

@@ -261,6 +261,14 @@ def _test_labels_of(tmp_path, test_labels):
             f"test_labels = {labels}\n")
 
 
+def _pool_of(tmp_path, n_images, n_train, n_val):
+    """Clean config splitting an IDX pool of ``n_images`` with no test files."""
+    images, labels = _idx_pair(tmp_path, "train", n_images)
+    return (TINY_CLEAN.replace("n_train = 24", f"n_train = {n_train}")
+            .replace("n_val = 24", f"n_val = {n_val}")
+            + f"train_images = {images}\ntrain_labels = {labels}\n")
+
+
 def _test_images_without_labels(tmp_path):
     train_images, train_labels = _idx_pair(tmp_path, "train", 60)
     test_images, _ = _idx_pair(tmp_path, "test", 10)
@@ -306,6 +314,12 @@ def _mismatch_shapes(monkeypatch):
     ("clean", lambda tmp: _test_labels_of(tmp, [0] * 10), None, 0, ""),
     ("clean", lambda tmp: _test_labels_of(tmp, [0, 1, 2] * 3), None, 4,
      "class 2 is not among the training classes 0..1"),
+    # the pool must hold the training and validation splits, plus a
+    # test split when no test files are given
+    ("clean", lambda tmp: _pool_of(tmp, 30, 20, 20), None, 4,
+     "30 images, the splits need 41"),
+    ("clean", lambda tmp: _pool_of(tmp, 40, 20, 20), None, 4,
+     "40 images, the splits need 41"),
     ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
      "infeasible hyperparameters"),
     # a shape mismatch inside a run is a fault of the program
@@ -327,17 +341,20 @@ def _mismatch_shapes(monkeypatch):
      "config error: n_features"),
     ("mtl", lambda tmp: TINY_MTL.replace("n_clusters = 2", "n_clusters = 0"),
      None, 2, "config error: n_clusters"),
+    *[(command, lambda tmp, text=text: text + "n_classes = 1\n", None, 2,
+       f"config error: {command} needs n_classes >= 2")
+      for command, text in (("clean", TINY_CLEAN), ("mtl", TINY_MTL))],
     ("rtho", lambda tmp: TINY_RTHO + "val_subset = 0\n", None, 2,
      "config error: val_subset"),
     ("check", lambda tmp: "val_images = /nonexistent\n", None, 2,
      "config error: val_images"),
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
-        "infeasible", "internal",
+        "pool-too-small", "pool-leaves-no-test", "infeasible", "internal",
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",
-        "val_subset", "check-val_images"])
+        "clean-n_classes", "mtl-n_classes", "val_subset", "check-val_images"])
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
                             patch, code, stderr_tag):
     if patch is not None:

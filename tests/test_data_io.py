@@ -78,13 +78,12 @@ def test_ingest_idx_scales_and_flattens(tmp_path):
     labels = make_rng(0, 2).integers(0, 10, size=10).astype(np.uint8)
     write_idx(tmp_path / "i.idx", stack)
     write_idx(tmp_path / "l.idx", labels)
-    ds = ingest_idx(tmp_path / "i.idx", tmp_path / "l.idx", split="train")
+    ds = ingest_idx(tmp_path / "i.idx", tmp_path / "l.idx")
     assert ds.features.shape == (10, 784)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     assert ds.features.dtype == np.float64
     assert np.array_equal(ds.labels, labels)
     assert ds.n_classes == labels.max() + 1
-    assert ds.split == "train"
 
 
 def test_ingest_idx_mismatched_counts(tmp_path):
@@ -97,7 +96,10 @@ def test_ingest_idx_mismatched_counts(tmp_path):
 def test_ingest_idx_swapped_arguments(tmp_path):
     write_idx(tmp_path / "l.idx", np.zeros(7, dtype=np.uint8))
     with pytest.raises(IngestError, match="expected an image stack"):
-        ingest_idx(tmp_path / "l.idx")
+        ingest_idx(tmp_path / "l.idx", tmp_path / "l.idx")
+    write_idx(tmp_path / "i.idx", _image_stack(n=7))
+    with pytest.raises(IngestError, match="expected a label file"):
+        ingest_idx(tmp_path / "i.idx", tmp_path / "i.idx")
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,7 @@ def test_ingest_idx_swapped_arguments(tmp_path):
 def _dataset(n=40, k=4, seed=3):
     rng = make_rng(seed, 9)
     return Dataset(features=rng.standard_normal((n, 2)),
-                   labels=rng.integers(0, k, size=n), split="train",
-                   n_classes=k)
+                   labels=rng.integers(0, k, size=n), n_classes=k)
 
 
 def test_corrupt_zero_fraction_is_identity():
@@ -143,10 +144,9 @@ def test_corrupt_is_deterministic_per_seed():
 def test_corrupt_validates_inputs():
     with pytest.raises(ValueError, match="fraction"):
         corrupt_labels(_dataset(), 1.5, seed=0)
-    binary_free = Dataset(features=np.zeros((4, 2)), labels=None,
-                          split="train")
+    one_class = Dataset(features=np.zeros((4, 2)), labels=np.zeros(4, int))
     with pytest.raises(ValueError, match="classes"):
-        corrupt_labels(binary_free, 0.5, seed=0)
+        corrupt_labels(one_class, 0.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ def test_dataset_basic_properties():
     assert ds.n_classes == 2
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 0.0, 1.0]),
+                                    np.array([[0], [1], [0], [1]])],
+                         ids=["float", "2-D"])
+def test_dataset_labels_must_be_1d_class_ids(labels):
+    with pytest.raises(ValueError, match="1-D integer class ids"):
+        Dataset(features=np.ones((4, 2)), labels=labels)
+
+
 def test_dataset_subset_keeps_alignment():
     ds = Dataset(features=np.arange(8.0).reshape(4, 2),
                  labels=np.array([0, 1, 2, 3]), n_classes=4)

@@ -104,7 +104,7 @@ def test_batch_loop_frees_previous_tape_before_next_compute(monkeypatch):
         tape = Tape(states=[s0.copy()], lam=lam.copy())
         previous.append(weakref.ref(tape))
         return HypergradResult(gradient=np.zeros_like(lam), response=0.0,
-                               mode="reverse", tape=tape)
+                               tape=tape)
     monkeypatch.setattr(driver, "reverse_hg", compute)
     batch_ho_loop(dyn, e, s0, layout.pack(eta=0.2), None, 2, MaxHyperIters(3))
     assert len(previous) == 3
@@ -285,7 +285,7 @@ def test_lockstep_frees_each_group_tape_before_the_next(monkeypatch):
         tape = Tape(states=[s0.copy()], lam=lam.copy())
         previous.append(weakref.ref(tape))
         return HypergradResult(gradient=np.full_like(lam, 0.1), response=0.0,
-                               mode="reverse", tape=tape)
+                               tape=tape)
     monkeypatch.setattr(driver, "reverse_hg", compute)
     paths, n_computed = lockstep_ho_loop(
         dyn, e, s0, [(layout.pack(eta=0.2), None, MaxHyperIters(3)),
@@ -300,8 +300,7 @@ def test_lockstep_shared_gradient_is_read_only(monkeypatch):
 
     def compute(dyn, e, s0, lam, n_steps):
         handed.append(np.full_like(lam, 0.1))
-        return HypergradResult(gradient=handed[-1], response=0.0,
-                               mode="reverse")
+        return HypergradResult(gradient=handed[-1], response=0.0)
 
     def extras(lam, result):
         assert result.gradient is handed[-1]
@@ -348,19 +347,6 @@ def test_stream_loop_single_update_matches_batch_first_step():
     assert np.array_equal(lam_s, lam_b)
     assert rec_s[0].response == rec_b[0].response
     assert rec_s[0].step == 6
-
-
-def test_stream_loop_restart_mode_replays_batch_protocol():
-    dyn, e, s0, layout = scalar_problem(s0=1.5)
-    cons = Constraints(layout, {"eta": Box(0.0, 2.0)})
-    lam0 = layout.pack(eta=0.2)
-    lam_b, rec_b = batch_ho_loop(dyn, e, s0, lam0, cons, 4, MaxHyperIters(12))
-    lam_s, rec_s = stream_ho_loop(dyn, e, s0, lam0, cons, 4, MaxHyperIters(12),
-                                  reset_z=True, restart_state=True)
-    assert len(rec_b) == len(rec_s) == 12
-    for rb, rs in zip(rec_b, rec_s):
-        assert np.array_equal(rb.lam, rs.lam)
-        assert rb.response == rs.response
 
 
 def test_stream_loop_lr_decay_rule_stops_stream():
