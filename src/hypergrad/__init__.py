@@ -6,7 +6,8 @@ training run, plus projected outer optimization and the desk-scale
 experiments built on top.
 """
 
-from .datasets import Dataset, MinibatchSchedule, full_batch_schedule
+from .datasets import (Dataset, MinibatchSchedule, SeedStack,
+                       full_batch_schedule)
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      stream_ho_loop)
 from .dynamics import GradientDescent, Momentum, materialize_step_jacobians
@@ -34,8 +35,8 @@ __all__ = [
     "LearningRateDecayedToZero", "MTLCone", "MaxHyperIters",
     "MinibatchSchedule", "Momentum", "MultitaskLinear", "NonFiniteError",
     "NonNeg", "ProjectedAdam", "QuadraticToy", "QuadraticValidation",
-    "SearchSpace", "Tape", "TapeReplayError", "Uniform", "UnitInterval",
-    "VectorLayout", "WeightedSoftmax",
+    "SearchSpace", "SeedStack", "Tape", "TapeReplayError", "Uniform",
+    "UnitInterval", "VectorLayout", "WeightedSoftmax",
     "adam_update", "batch_ho_loop", "chain_eval", "evaluate_response",
     "fd_hypergrad", "forward_hg", "full_batch_schedule",
     "materialize_step_jacobians", "materialized_chain",

@@ -1,4 +1,5 @@
-"""Datasets, deterministic minibatch schedules, and synthetic generators."""
+"""Datasets, seed stacks of them, deterministic minibatch schedules, and
+synthetic generators."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ class Dataset:
         if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be 1-D integer class ids, got "
                              f"{labels.dtype} of shape {labels.shape}")
-        self.labels = labels.astype(np.int64)
+        self.labels = labels.astype(np.int64, copy=False)
         if self.n_classes is None:
             self.n_classes = int(labels.max()) + 1 if labels.size else 0
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
@@ -56,9 +57,50 @@ class Dataset:
                        n_classes=self.n_classes)
 
 
-@lru_cache(maxsize=64)
+@dataclass
+class SeedStack:
+    """S equal-shape training sets on a leading seed axis.
+
+    ``features`` is (S, n, f) and ``labels`` (S, n) integer class ids in
+    [0, n_classes). ``stack[i]`` is training set i as a Dataset whose
+    arrays are views of the stack, so the stack is the one copy.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    n_classes: int
+
+    def __post_init__(self):
+        if (self.features.ndim != 3
+                or self.labels.shape != self.features.shape[:2]):
+            raise DimensionMismatchError(
+                f"a seed stack needs (S, n, f) features and (S, n) labels, "
+                f"got {self.features.shape} and {self.labels.shape}")
+        if self.labels.size and (self.labels.min() < 0
+                                 or self.labels.max() >= self.n_classes):
+            raise ValueError(f"class ids must lie in [0, {self.n_classes})")
+
+    def __len__(self):
+        return self.features.shape[0]
+
+    def __getitem__(self, i) -> Dataset:
+        return Dataset(features=self.features[i], labels=self.labels[i],
+                       n_classes=self.n_classes)
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[2]
+
+
+@lru_cache(maxsize=16)
 def _epoch_permutation(seed, epoch, n):
-    # shared by every schedule with the same key: callers get read-only views
+    # shared by every schedule with the same key: callers get read-only views.
+    # The schedules of a seed block all read the same epoch at each step,
+    # so 16 entries serve blocks of up to 16 seeds (64 held 1 MB at n = 2000)
     perm = make_rng(seed, 0x5C4ED, epoch).permutation(n)
     perm.flags.writeable = False
     return perm

@@ -20,6 +20,9 @@ Two protocols:
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps; state and
   Z carry across updates, and the stop rules end the endless stream.
+  ``stream_ho_loop`` also runs S independent streams as one block (a
+  seed stack); each keeps its own Adam state, stop rules and records,
+  and leaves the block when its rules fire.
 
 Stopping is rule-based; rules inspect the record trace and are free of
 side effects, so they can be combined and re-evaluated safely.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engines import forward_hg, reverse_hg, rtho_stream
-from .errors import HypergradError
+from .errors import HypergradError, rescoped
 from .outer import ProjectedAdam
 
 # records list lam itself only up to this many entries (summaries always)
@@ -105,12 +108,6 @@ class HyperIterRecord:
         return out
 
 
-def _rescope(err: HypergradError, k: int):
-    scoped = type(err)(f"hyper-iteration {k}: {err}")
-    scoped.__cause__ = err
-    return scoped
-
-
 # ---------------------------------------------------------------------------
 # Loops
 
@@ -168,7 +165,7 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             try:
                 result = compute(dyn, E, s0, group[0].lam, n_steps)
             except HypergradError as err:
-                raise _rescope(err, k) from err
+                raise rescoped(err, f"hyper-iteration {k}") from err
             n_computed += 1
             gradient = result.gradient
             gradient.flags.writeable = False
@@ -190,32 +187,50 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
                    record_extras=None):
-    """Real-time loop: one projected update per emission until ``stop``."""
-    updater = ProjectedAdam(constraints, lr=lr)
-    lam = lam0 if constraints is None else constraints.project(lam0)
-    records = []
-    if _stopped(stop, records):
-        return lam, records
-    started = time.perf_counter()
-    stream = rtho_stream(dyn, E, s0, lam, delta, updater=updater)
-    try:
-        for emission in stream:
-            now = time.perf_counter()
-            record = HyperIterRecord(
-                index=len(records) + 1, response=emission.response,
-                grad_norm=float(np.linalg.norm(emission.partial)),
-                lam=emission.lam.copy(), seconds=now - started,
-                step=emission.t,
-            )
-            started = now
-            if record_extras is not None:
-                record.extras = record_extras(emission.lam, emission)
-            records.append(record)
-            lam = emission.lam
-            if _stopped(stop, records):
-                break
-    except HypergradError as err:
-        raise _rescope(err, len(records) + 1) from err
-    finally:
-        stream.close()
-    return lam, records
+    """Real-time loop: one projected update per emission until ``stop``.
+
+    Returns (lam, records). A (S, d) block s0 with a (S, m) block lam0
+    and one validation error per row in ``E`` runs S streams as one
+    block (see ``engines.rtho_stream``) and returns one (lam, records)
+    per row. Each row has its own Adam state and records; the
+    constraints and stop rules (free of side effects) are shared, and a
+    row leaves the block when its rules fire. A record's ``seconds`` is
+    the time since the previous emission: for a block, the sweep of
+    every row still in it. ``record_extras(lam, emission)`` sees each
+    row's own emission.
+    """
+    block = np.ndim(s0) == 2
+    paths = [_OuterPath(lam, constraints, stop, lr)
+             for lam in (lam0 if block else [lam0])]
+    if not _stopped(stop, []):
+        lam = np.array([path.lam for path in paths]) if block else paths[0].lam
+        updaters = [path.updater for path in paths]
+        stream = rtho_stream(dyn, E, s0, lam, delta,
+                             updater=updaters if block else updaters[0])
+        n_emitted = 0
+        started = time.perf_counter()
+        try:
+            for emitted in stream:
+                now = time.perf_counter()
+                seconds, started = now - started, now
+                n_emitted += 1
+                for emission in emitted if block else [emitted]:
+                    path = paths[emission.row if block else 0]
+                    record = HyperIterRecord(
+                        index=len(path.records) + 1,
+                        response=emission.response,
+                        grad_norm=float(np.linalg.norm(emission.partial)),
+                        lam=emission.lam.copy(), seconds=seconds,
+                        step=emission.t,
+                    )
+                    if record_extras is not None:
+                        record.extras = record_extras(emission.lam, emission)
+                    path.records.append(record)
+                    path.lam = emission.lam
+                    emission.leave = _stopped(path.stop, path.records)
+        except HypergradError as err:
+            raise rescoped(err, f"hyper-iteration {n_emitted + 1}") from err
+        finally:
+            stream.close()
+    out = [(path.lam, path.records) for path in paths]
+    return out if block else out[0]

@@ -24,12 +24,17 @@ Optimizer hyperparameters (eta, mu) are "bound" either to a named segment
 of the hyper layout — in which case they are differentiated through — or
 to a fixed float, in which case they are constants of the map.
 
-``step`` also takes a leading population axis: a (K, d) block of states
-with a (K, m) block of hyper vectors advances K independent runs at
-once. It is written on the last axis, so a 1-D state is the size-1 case
-of the same numpy calls, and each row of the block is bit for bit the
-step of that row alone (``np.matmul`` runs one gemm per slice). The
-four products take single vectors only.
+``step``, ``jvp_state`` and ``jvp_hyper`` also take a leading
+population axis: a (K, d) block of states with a (K, m) block of hyper
+vectors advances K independent runs at once, and a (K, d) block of
+tangents (one column of each run's Z) gives each run's product. They
+are written on the last axis, so a 1-D state is the size-1 case of the
+same numpy calls, and each row of the block is bit for bit the result
+of that row alone (``np.matmul`` runs one gemm per slice). A hyper
+direction ``q`` stays one (m,) vector for every row. The objective
+decides what a row trains on: the same data for a population, or set i
+of a seed stack for row i (see ``objectives.WeightedSoftmax``). The
+vector-Jacobian products take single vectors only.
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ class Momentum:
         rv, rw = self._split(r)
         eta, mu = self._eta.value(lam), self._mu.value(lam)
         dv = mu * rv + self.objective.hvp_w(w, lam, t, rw)
-        return np.concatenate([dv, rw - eta * dv])
+        return np.concatenate([dv, rw - eta * dv], axis=-1)
 
     def jvp_hyper(self, s, lam, t, q):
         v, w = self._split(s)
@@ -201,7 +206,7 @@ class Momentum:
         if deta != 0.0:
             v_new = mu * v + self.objective.grad_w(w, lam, t)
             dw -= deta * v_new
-        return np.concatenate([dv, dw])
+        return np.concatenate([dv, dw], axis=-1)
 
     def vjp_state(self, s, lam, t, alpha):
         _, w = self._split(s)

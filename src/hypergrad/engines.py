@@ -16,7 +16,9 @@ compute the exact d f / d lam of the unrolled iteration:
 * ``rtho_stream`` is forward mode read every ``delta`` steps: one endless
   training run whose partial hypergradient grad E(s_t) Z_t is emitted
   after each ``delta``-step sweep, so an outer updater can adjust lam
-  mid-flight. Its consumer decides when to stop.
+  mid-flight. Its consumer decides when to stop. S independent streams
+  (one per training set of a seed stack) run as one (S, d) block with
+  an (S, d, m) Z.
 
 Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
 sweep of T steps, ``rtho_stream`` one sweep per emission. Z propagation
@@ -32,6 +34,7 @@ costs its m state-JVPs, its touched hyper columns and one ``step``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +113,8 @@ def train(dyn, s0, lam, n_steps):
     rows that go non-finite fail: they leave the block at that step and
     come back as rows of NaN, while the others keep running (that step
     is redone without them). Memory is that of the block: K states plus
-    the step's temporaries of the same size.
+    the step's temporaries of the same size; the objective's (t, w) memo
+    is emptied after each step, since no later step reads it.
     """
     s = np.array(s0, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -124,6 +128,7 @@ def train(dyn, s0, lam, n_steps):
     while t <= n_steps and live.size:
         try:
             s = dyn.step(s, lam, t)
+            _clear_memo(dyn.objective)  # no later step reads this one's batch
             t += 1
         except NonFiniteError as err:
             if err.rows is None or err.rows.shape != live.shape:
@@ -143,15 +148,22 @@ def evaluate_response(dyn, E, s0, lam, n_steps):
 
 
 def _propagate_z(dyn, s, z, lam, t, q_buf):
-    """Z <- A_t Z + B_t with products evaluated at the pre-step state."""
+    """Z <- A_t Z + B_t with products evaluated at the pre-step state.
+
+    Z is (d, m), or (S, d, m) for a (S, d) block of states: column j is
+    then a (S, d) block of tangents, one product call for all S rows.
+    """
     out = np.empty_like(z)
-    for j in range(z.shape[1]):
-        out[:, j] = dyn.jvp_state(s, lam, t, z[:, j])
+    for j in range(z.shape[-1]):
+        out[..., j] = dyn.jvp_state(s, lam, t, z[..., j])
     for j in dyn.touched_hypers(t):
         q_buf[j] = 1.0
-        out[:, j] += dyn.jvp_hyper(s, lam, t, q_buf)
+        out[..., j] += dyn.jvp_hyper(s, lam, t, q_buf)
         q_buf[j] = 0.0
-    return ensure_finite(out, "sensitivity matrix", step=t)
+    # a failure marks the failed rows of a block; one run's Z has none
+    ensure_finite(out if out.ndim == 3 else out.ravel(), "sensitivity matrix",
+                  step=t)
+    return out
 
 
 def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
@@ -211,7 +223,9 @@ class StreamEmission:
     ``t`` is the number of steps trained so far; ``lam`` is the
     hyperparameter vector *after* the outer update (equal to the
     pre-update vector when no updater is installed); ``state`` is a
-    snapshot of s_t at emission time.
+    snapshot of s_t at emission time. ``row`` is the stream's row in a
+    block (None for a vector stream). The consumer sets ``leave`` to
+    take the row out of the stream before its next sweep.
     """
 
     t: int
@@ -219,32 +233,84 @@ class StreamEmission:
     response: float
     lam: np.ndarray
     state: np.ndarray
+    row: int | None = None
+    leave: bool = False
 
 
 def rtho_stream(dyn, E, s0, lam, delta, updater=None):
-    """Endless generator of real-time partial hypergradients.
+    """Real-time partial hypergradients, until the consumer stops them.
 
     One training run from s0, swept ``delta`` steps at a time; after each
     sweep it emits grad E(s_t) Z_t. The optional ``updater`` then maps
     (lam, partial) to the next hyperparameter vector, and training and
-    Z carry on from where they are. The stream never ends by itself:
-    its consumer stops it (see ``driver.stream_ho_loop``).
+    Z carry on from where they are. The stream ends only when its
+    emission is marked ``leave`` (or when the consumer closes it; see
+    ``driver.stream_ho_loop``).
+
+    A (S, d) block s0 with a (S, m) block lam runs S streams as one
+    block, one sweep for all of them: ``dyn.objective`` holds a seed
+    stack of S training sets (see ``objectives.WeightedSoftmax``), and
+    ``E`` and ``updater`` (if given) are sequences of one validation
+    error and one updater per row. Each sweep yields a list of one
+    emission per row still in the block. Row i's partial is read from
+    its own C-contiguous (d, m) slice of Z, so it is bit for bit that of
+    row i streamed alone. A row marked ``leave`` drops out of the block,
+    and the stream ends when no row is left. A non-finite value in any
+    row fails the block: the NonFiniteError's ``rows`` then marks the
+    rows that failed among all S.
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
-    lam = as_vector(lam).copy()
-    s = as_vector(s0).copy()
-    m = len(lam)
-    z = np.zeros((dyn.n_state, m))
-    q_buf = np.zeros(m)
+    lam = np.array(lam, dtype=np.float64)
+    s = np.array(s0, dtype=np.float64)
+    z = np.zeros((*s.shape, lam.shape[-1]))
+    q_buf = np.zeros(lam.shape[-1])
+    layout = dyn.state_layout
     t = 0
-    while True:
-        s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
-        t += delta
-        partial = val_grad_state(E, s, dyn.state_layout) @ z
-        ensure_finite(partial, "partial hypergradient", step=t)
-        response = val_value(E, s, dyn.state_layout)
-        if updater is not None:
-            lam = as_vector(updater(lam, partial)).copy()
-        yield StreamEmission(t=t, partial=partial, response=response,
-                             lam=lam.copy(), state=s.copy())
+    if s.ndim == 1:
+        while True:
+            s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
+            t += delta
+            partial = val_grad_state(E, s, layout) @ z
+            ensure_finite(partial, "partial hypergradient", step=t)
+            response = val_value(E, s, layout)
+            if updater is not None:
+                lam = as_vector(updater(lam, partial)).copy()
+            emission = StreamEmission(t=t, partial=partial, response=response,
+                                      lam=lam.copy(), state=s.copy())
+            yield emission
+            if emission.leave:
+                return
+    if s.shape[:-1] != lam.shape[:-1] or len(E) != len(s):
+        raise DimensionMismatchError(
+            f"a block of {len(s)} states takes {len(s)} hyper vectors and "
+            f"validation errors, got {lam.shape} and {len(E)}")
+    live = np.arange(len(s))  # the rows still in the block
+    while live.size:
+        try:
+            s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
+            t += delta
+            partial = np.array([val_grad_state(E[row], s[i], layout) @ z[i]
+                                for i, row in enumerate(live)])
+            ensure_finite(partial, "partial hypergradient", step=t)
+        except NonFiniteError as err:
+            if err.rows is not None and err.rows.shape == live.shape:
+                rows = np.zeros(len(E), dtype=bool)
+                rows[live[err.rows]] = True
+                err.rows = rows  # among all S rows, not the live ones
+            raise
+        emissions = []
+        for i, row in enumerate(live):
+            if updater is not None:
+                lam[i] = updater[row](lam[i], partial[i])
+            emissions.append(StreamEmission(
+                t=t, partial=partial[i],
+                response=val_value(E[row], s[i], layout), lam=lam[i].copy(),
+                state=s[i].copy(), row=int(row)))
+        yield emissions
+        keep = np.array([not em.leave for em in emissions])
+        if not keep.all():
+            live, s, z, lam = live[keep], s[keep], z[keep], lam[keep]
+            dyn = copy.copy(dyn)
+            dyn.objective = dyn.objective.take(keep)
+

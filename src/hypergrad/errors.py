@@ -40,3 +40,16 @@ class ConfigError(HypergradError, ValueError):
 
 class IngestError(HypergradError, ValueError):
     """Malformed input data file."""
+
+
+def rescoped(err: HypergradError, scope: str) -> HypergradError:
+    """``err`` rebuilt with ``scope`` before its message.
+
+    A NonFiniteError keeps its ``step`` and ``rows``, so a failure in a
+    block still says which rows failed. The original is the cause.
+    """
+    out = type(err)(f"{scope}: {err}")
+    if isinstance(err, NonFiniteError):
+        out.step, out.rows = err.step, err.rows
+    out.__cause__ = err
+    return out

@@ -30,12 +30,13 @@ import numpy as np
 from . import engines
 from .config import ExperimentConfig, config_as_dict, config_to_text
 from .data_io import corrupt_labels, ingest_idx, write_curves_csv, write_jsonl
-from .datasets import (Dataset, MinibatchSchedule, blob_task,
+from .datasets import (Dataset, MinibatchSchedule, SeedStack, blob_task,
                        clustered_task_data, full_batch_schedule)
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      lockstep_ho_loop, stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
-from .errors import InfeasibleHypersError, IngestError, NonFiniteError
+from .errors import (InfeasibleHypersError, IngestError, NonFiniteError,
+                     rescoped)
 from .layouts import VectorLayout
 from .objectives import DatasetValidation, MultitaskLinear, WeightedSoftmax
 from .outer import (BoxL1, Constraints, Exponential, MTLCone, NonNeg,
@@ -129,6 +130,9 @@ def _load_clean_data(cfg: ExperimentConfig):
         if pool.n < need:
             raise IngestError(f"{cfg.train_images}: {pool.n} images, the "
                               f"splits need {need}")
+        if pool.labels.min() == pool.labels.max():
+            raise IngestError(f"{cfg.train_labels}: every label is class "
+                              f"{pool.labels[0]}; cleaning needs two classes")
         train = pool.subset(np.arange(cfg.n_train))
         val = pool.subset(np.arange(cfg.n_train, cfg.n_train + cfg.n_val))
         if cfg.test_images is not None:
@@ -424,50 +428,84 @@ def _tag_records(records, sink, **tags):
 # Real-time tuning and the random-search head-to-head
 
 
-def _rtho_problem(cfg, seed):
-    train, val, test = blob_task(seed, cfg.n_train, cfg.n_val, cfg.n_test,
-                                 n_classes=cfg.n_classes,
-                                 n_features=cfg.n_features)
+def _rtho_task(cfg, seeds):
+    """(hyper layout, training sets, validation errors) at ``seeds``.
+
+    The training sets of all seeds are one ``SeedStack``; each seed's
+    validation error is its own. Only the training and validation
+    splits are drawn (the test split would go unread).
+    """
+    shape = (len(seeds), cfg.n_train)
+    features = np.empty((*shape, cfg.n_features))
+    labels = np.empty(shape, dtype=np.int64)
+    e_vals = []
+    for i, seed in enumerate(seeds):
+        train, val, _ = blob_task(seed, cfg.n_train, cfg.n_val, 0,
+                                  n_classes=cfg.n_classes,
+                                  n_features=cfg.n_features)
+        features[i], labels[i] = train.features, train.labels
+        e_vals.append(DatasetValidation(val, subset_size=cfg.val_subset,
+                                        subset_seed=seed))
     layout = VectorLayout([("eta", 1), ("mu", 1)])
-    schedule = MinibatchSchedule(n=train.n, batch_size=cfg.batch_size,
-                                 seed=seed)
-    obj = WeightedSoftmax(train, hyper_layout=layout, schedule=schedule,
-                          weight_segment=None)
-    dyn = Momentum(obj, eta="eta", mu="mu")
-    e_val = DatasetValidation(val, subset_size=cfg.val_subset,
-                              subset_seed=seed)
-    constraints = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
-    return train, val, test, layout, dyn, e_val, constraints
+    return layout, SeedStack(features, labels, cfg.n_classes), e_vals
 
 
-def _run_rtho_once(cfg, seed):
-    train, val, test, layout, dyn, e_val, constraints = _rtho_problem(cfg, seed)
-    s0 = dyn.init_state(np.zeros(dyn.objective.n_params))
-    lam0 = layout.pack(eta=0.0, mu=0.0)  # null teacher: hypers start dead
-    e_train = DatasetValidation(train)
+def _rtho_dynamics(cfg, layout, train, seeds):
+    """Momentum on the unit-weight softmax over ``train``.
+
+    ``train`` is one Dataset (of ``seeds[0]``) or a SeedStack with one
+    training set per seed; each seed's minibatches come from its own
+    schedule.
+    """
+    schedules = [MinibatchSchedule(n=cfg.n_train, batch_size=cfg.batch_size,
+                                   seed=seed) for seed in seeds]
+    obj = WeightedSoftmax(
+        train, hyper_layout=layout, weight_segment=None,
+        schedule=schedules if isinstance(train, SeedStack) else schedules[0])
+    return Momentum(obj, eta="eta", mu="mu")
+
+
+def _rtho_streams(cfg, seeds, task):
+    """The real-time streams of ``seeds`` as one block; a summary per seed."""
+    layout, stack, e_vals = task
+    dyn = _rtho_dynamics(cfg, layout, stack, seeds)
+    e_trains = [DatasetValidation(stack[i]) for i in range(len(seeds))]
+    s0 = np.tile(dyn.init_state(np.zeros(dyn.objective.n_params)),
+                 (len(seeds), 1))
+    # null teacher: hypers start dead
+    lam0 = np.tile(layout.pack(eta=0.0, mu=0.0), (len(seeds), 1))
 
     def stream_extras(lam, emission):
         w = dyn.weights_of(emission.state)
         return {"eta": float(layout.get(lam, "eta")[0]),
                 "mu": float(layout.get(lam, "mu")[0]),
-                "val_accuracy": 100.0 * e_val.accuracy(w),
-                "train_accuracy": 100.0 * e_train.accuracy(w)}
+                "val_accuracy": 100.0 * e_vals[emission.row].accuracy(w),
+                "train_accuracy": 100.0 * e_trains[emission.row].accuracy(w)}
 
     stop = [MaxHyperIters(cfg.hyper_iters),
             LearningRateDecayedToZero(layout, "eta")]
-    lam, records = stream_ho_loop(
-        dyn, e_val, s0, lam0, constraints, cfg.delta, stop,
-        lr=cfg.hyper_lr, record_extras=stream_extras,
-    )
-    best_val = min(r.response for r in records)
-    final = records[-1]
-    return {
-        "lam": lam, "records": records, "best_val_error": best_val,
-        "final_val_error": final.response,
-        "final_val_accuracy": final.extras["val_accuracy"],
-        "final_eta": final.extras["eta"], "final_mu": final.extras["mu"],
-        "total_steps": final.step, "test": test, "val": val, "train": train,
-    }
+    constraints = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
+    try:
+        runs = stream_ho_loop(dyn, e_vals, s0, lam0, constraints, cfg.delta,
+                              stop, lr=cfg.hyper_lr,
+                              record_extras=stream_extras)
+    except NonFiniteError as err:
+        if err.rows is None:
+            raise
+        failed = ", ".join(str(seeds[i]) for i in np.flatnonzero(err.rows))
+        raise rescoped(err, f"seed {failed}") from err
+    summaries = []
+    for _, records in runs:
+        final = records[-1]
+        summaries.append({
+            "records": records,
+            "best_val_error": min(r.response for r in records),
+            "final_val_error": final.response,
+            "final_val_accuracy": final.extras["val_accuracy"],
+            "final_eta": final.extras["eta"], "final_mu": final.extras["mu"],
+            "total_steps": final.step,
+        })
+    return summaries
 
 
 # Floats in one population of random-search trials: more trials train
@@ -475,9 +513,13 @@ def _run_rtho_once(cfg, seed):
 _POPULATION_FLOATS = 1 << 18
 
 
-def _random_search_baseline(cfg, seed, total_steps):
-    """Equal-inner-step-budget random search over (eta, mu)."""
-    _, _, _, layout, dyn, e_val, _ = _rtho_problem(cfg, seed)
+def _random_search_baseline(cfg, seed, total_steps, task):
+    """Equal-inner-step-budget random search over (eta, mu).
+
+    ``task`` is (layout, training set, validation error) of ``seed``.
+    """
+    layout, train, e_val = task
+    dyn = _rtho_dynamics(cfg, layout, train, [seed])
     steps_per_trial = max(1, cfg.inner_steps)
     n_trials = max(1, total_steps // steps_per_trial)
     space = SearchSpace(layout, {"eta": Exponential(0.1),
@@ -514,13 +556,19 @@ def _score_or_inf(e_val, w):
 def run_rtho(cfg: ExperimentConfig) -> RunReport:
     """Null-teacher real-time tuning; multi-seed configs add the RS duel.
 
-    A multi-seed report's ``timings`` gives, per seed, the seconds of the
-    real-time stream (``stream_s``) and of its random-search baseline
-    (``random_search_s``).
+    The streams of all seeds run as one block. A multi-seed report's
+    ``timings`` gives the seconds of that block (``stream_s``) and, per
+    seed, of its random-search baseline (``random_search_s``), which
+    trains on the seed's own training set from the block's stack.
     """
     cfg.validate()
+    seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
+    layout, stack, e_vals = task = _rtho_task(cfg, seeds)
+    started = time.perf_counter()
+    runs = _rtho_streams(cfg, seeds, task)
+    stream_s = time.perf_counter() - started
     if cfg.n_seeds == 1:
-        run = _run_rtho_once(cfg, cfg.seed)
+        [run] = runs
         records = run["records"]
         metrics = {
             "seed": cfg.seed,
@@ -547,16 +595,13 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
     all_records = []
     duels = []
     per_seed = []
-    for rep in range(cfg.n_seeds):
-        seed = cfg.seed + rep
-        started = time.perf_counter()
-        run = _run_rtho_once(cfg, seed)
-        streamed = time.perf_counter()
+    for i, (seed, run) in enumerate(zip(seeds, runs)):
         _tag_records(run["records"], all_records, seed=seed, method="rtho")
+        searched = time.perf_counter()
         rs, n_trials, steps_per_trial = _random_search_baseline(
-            cfg, seed, run["total_steps"])
-        per_seed.append({"seed": seed, "stream_s": streamed - started,
-                         "random_search_s": time.perf_counter() - streamed})
+            cfg, seed, run["total_steps"], (layout, stack[i], e_vals[i]))
+        per_seed.append({"seed": seed,
+                         "random_search_s": time.perf_counter() - searched})
         duels.append({
             "seed": seed,
             "rtho_val_error": run["best_val_error"],
@@ -576,14 +621,16 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
         )
     }
     return RunReport("rtho", config_as_dict(cfg), all_records, metrics,
-                     timings={"seeds": per_seed}, curves=curves)
+                     timings={"stream_s": stream_s, "seeds": per_seed},
+                     curves=curves)
 
 
 def run_randsearch(cfg: ExperimentConfig) -> RunReport:
     """Standalone random-search baseline on the streaming task."""
     cfg.validate()
+    layout, stack, [e_val] = _rtho_task(cfg, [cfg.seed])
     result, n_trials, steps_per_trial = _random_search_baseline(
-        cfg, cfg.seed, cfg.budget * cfg.inner_steps)
+        cfg, cfg.seed, cfg.budget * cfg.inner_steps, (layout, stack[0], e_val))
     metrics = {
         "seed": cfg.seed,
         "trials": n_trials,

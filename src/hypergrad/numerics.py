@@ -24,12 +24,14 @@ def as_vector(x, name="vector") -> np.ndarray:
 def ensure_finite(arr, context, step=None):
     """Raise NonFiniteError if any entry of ``arr`` is NaN or Inf.
 
-    For an array with leading axes the error's ``rows`` is a boolean
-    mask of the rows (along the last axis) that hold such an entry.
+    For an array of more than one axis the error's ``rows`` is a boolean
+    mask over the leading axis: which rows (the (d,) states of a (K, d)
+    block, the (d, m) slices of a (S, d, m) one) hold such an entry.
     """
     finite = np.isfinite(arr)
     if not finite.all():
-        rows = ~finite.all(axis=-1) if finite.ndim > 1 else None
+        rows = (~finite.all(axis=tuple(range(1, finite.ndim)))
+                if finite.ndim > 1 else None)
         raise NonFiniteError(f"non-finite value in {context}", step=step,
                              rows=rows)
     return arr

@@ -23,12 +23,17 @@ vectors gives K gradients, row i bit for bit the gradient of row i
 alone. The kernels below are written on the last axes for this, so a
 single vector runs the same arithmetic; ``unpack_linear`` and
 ``_assemble_wgrad`` keep their plain 2-D views for it, the products'
-hot path. The other products, and example weights given as hypers,
-take single vectors only.
+hot path. A unit-weight ``WeightedSoftmax`` can also hold a seed stack
+(``datasets.SeedStack``): S training sets, each with its own minibatch
+schedule, where row i of a (S, n_params) block trains on set i; its
+``grad_w`` and ``hvp_w`` take such blocks, each row bit for bit what
+set i alone gives. The other products, and example weights given as
+hypers, take single vectors only.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -36,7 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .datasets import Dataset, MinibatchSchedule, full_batch_schedule
+from .datasets import (Dataset, MinibatchSchedule, SeedStack,
+                       full_batch_schedule)
 from .errors import DimensionMismatchError
 from .layouts import VectorLayout
 from .numerics import ensure_finite_scalar, make_rng
@@ -107,7 +113,7 @@ def _assemble_wgrad(coefs, x, scale=None):
 def _gauss_newton_dirs(p, u):
     """Rows (diag(p_i) - p_i p_i^T) u_i for each example."""
     pu = p * u
-    return pu - p * pu.sum(axis=1, keepdims=True)
+    return pu - p * pu.sum(axis=-1, keepdims=True)
 
 
 def _batch_rows(dataset, schedule, t):
@@ -127,19 +133,34 @@ class _Batch:
     """Softmax quantities of one step at one w.
 
     ``p`` holds the (read-only) probabilities, computed unless given;
-    the coefficients ``g = p - onehot`` are derived from them on first
-    use, with the batch's rows of the objective's read-only one-hot
-    labels. ``grad`` is filled by objectives whose gradient depends on
-    (t, w) only.
+    the read-only coefficients ``g = p - onehot`` are derived from them
+    on first use, with the batch's rows of the objective's read-only
+    one-hot labels. ``grad`` is filled by objectives whose gradient
+    depends on (t, w) only. Over a seed stack, ``idx`` is (S, b), row i
+    of ``x``, ``onehot``, ``p`` and ``g`` is set i's minibatch, and the
+    one-hot is built from the batch's labels (the stack keeps none).
     """
 
     __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "grad")
 
     def __init__(self, obj, t, w, p=None):
-        self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule, t)
-        # a full batch read in place takes the whole one-hot as it is
-        self.onehot = (obj._onehot if self.y is obj.dataset.labels
-                       else obj._onehot[self.idx])
+        rows = obj._rows
+        if rows is None:
+            self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule,
+                                                   t)
+            # a full batch read in place takes the whole one-hot as it is
+            self.onehot = (obj._onehot if self.y is obj.dataset.labels
+                           else obj._onehot[self.idx])
+        else:  # row i: set rows[i]'s own minibatch
+            if w.shape[:-1] != rows.shape:
+                raise DimensionMismatchError(
+                    f"a stack of {len(rows)} training sets takes "
+                    f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
+            self.idx = np.stack([sched.indices(t) for sched in obj.schedule])
+            at = (rows[:, None], self.idx)
+            self.x, self.y = obj.dataset.features[at], obj.dataset.labels[at]
+            # a bool one-hot: p - onehot has the bits of p - 1.0 and 0.0
+            self.onehot = self.y[..., None] == np.arange(obj.n_classes)
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
             p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
@@ -150,8 +171,8 @@ class _Batch:
 
     @property
     def g(self):
-        if self._g is None:
-            self._g = self.p - self.onehot  # per-example dloss/dlogits
+        if self._g is None:  # per-example dloss/dlogits
+            self._g = _frozen(self.p - self.onehot)
         return self._g
 
 
@@ -286,6 +307,7 @@ class _SoftmaxData:
     """
 
     _scale = None
+    _rows = None  # seed stacks: the set each row of a block trains on
 
     def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None,
                  schedule: MinibatchSchedule | None):
@@ -295,7 +317,9 @@ class _SoftmaxData:
         self.n_params = self.n_classes * (self.n_features + 1)
         self.schedule = schedule or full_batch_schedule(dataset.n)
         self.hyper_layout = hyper_layout
-        self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
+        # a seed stack builds each batch's one-hot from its labels instead
+        self._onehot = (None if isinstance(dataset, SeedStack) else
+                        _frozen(_onehot(dataset.labels, self.n_classes)))
         self._cache = _BatchCache()
 
     def _unpack(self, v):
@@ -306,6 +330,9 @@ class _SoftmaxData:
 
     def _losses(self, w, t):
         """(indices, per-example cross-entropies) of minibatch ``t`` at w."""
+        if self._rows is not None:
+            raise DimensionMismatchError(
+                "a seed stack has no value: take its training sets one by one")
         idx, x, y = _batch_rows(self.dataset, self.schedule, t)
         return idx, _ce_losses(x, y, *self._unpack(w))
 
@@ -319,8 +346,13 @@ class _SoftmaxData:
                                self._scale)
 
     def _data_hvp(self, b, lam, rmat, rb):
-        """Gauss-Newton (here exact Hessian) product with r = (rmat, rb)."""
-        v = _gauss_newton_dirs(b.p, b.x @ rmat.T + rb)
+        """Gauss-Newton (here exact Hessian) product with r = (rmat, rb).
+
+        Written as the batch build is, so a (S, ...) block of directions
+        over a seed stack gives one product per row.
+        """
+        v = _gauss_newton_dirs(b.p, b.x @ rmat.swapaxes(-1, -2)
+                               + rb[..., None, :])
         return _assemble_wgrad(self._weighted(v, b.idx, lam), b.x,
                                self._scale)
 
@@ -334,21 +366,52 @@ class WeightedSoftmax(_SoftmaxData):
     hyper vector, or all ones when ``weight_segment`` is None. With unit
     weights the gradient depends on (t, w) only, so it is built once per
     cached batch and returned read-only.
+
+    With unit weights ``dataset`` may be a ``SeedStack`` of S training
+    sets and ``schedule`` one minibatch schedule per set: the objective
+    then takes (S, n_params) blocks in ``grad_w`` and ``hvp_w`` (not
+    ``value``), row i training on set i with schedule i, and ``take``
+    keeps some of the rows.
     """
 
-    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
+    def __init__(self, dataset: Dataset | SeedStack,
+                 hyper_layout: VectorLayout | None = None,
                  schedule: MinibatchSchedule | None = None,
                  weight_segment: str | None = "weights"):
         super().__init__(dataset, hyper_layout, schedule)
         self.weight_segment = weight_segment
         self._unit = None
-        if weight_segment is not None:
+        if isinstance(dataset, SeedStack):
+            self.schedule = tuple(schedule or ())
+            shapes = {(sched.n, sched.batch_size) for sched in self.schedule}
+            if (weight_segment is not None
+                    or len(self.schedule) != len(dataset)
+                    or len(shapes) != 1 or shapes.pop()[0] != dataset.n):
+                raise ValueError(
+                    f"a seed stack of {len(dataset)} training sets takes unit "
+                    f"weights and one schedule per set, all over its "
+                    f"{dataset.n} examples with one batch size")
+            self._rows = np.arange(len(dataset))
+        elif weight_segment is not None:
             _segment(hyper_layout, weight_segment, dataset.n)  # one per example
         else:
             # value() dots the losses with these, exactly as it dots them
             # with all-ones weights passed as hypers
             self._unit = _frozen(np.ones(dataset.n))
         self._scale = 1.0 / dataset.n
+
+    def take(self, keep):
+        """This objective over the rows ``keep`` (a boolean mask) of its stack.
+
+        The training sets stay where they are; the rows kept keep their
+        schedules, and the copy starts an empty batch memo.
+        """
+        sub = copy.copy(self)
+        sub._rows = self._rows[keep]
+        sub.schedule = tuple(sched for sched, kept
+                             in zip(self.schedule, keep) if kept)
+        sub._cache = _BatchCache()
+        return sub
 
     def _weights(self, lam):
         if self.weight_segment is None:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hypergrad.cli import build_parser, main, resolve_config
@@ -269,6 +270,14 @@ def _pool_of(tmp_path, n_images, n_train, n_val):
             + f"train_images = {images}\ntrain_labels = {labels}\n")
 
 
+def _single_class_pool(tmp_path, label):
+    """Clean config on an IDX pool whose labels are all ``label``."""
+    images, labels = tmp_path / "one-images", tmp_path / "one-labels"
+    write_idx(images, make_rng(0, 0x20).integers(0, 256, size=(60, 2, 2)))
+    write_idx(labels, np.full(60, label))
+    return TINY_CLEAN + f"train_images = {images}\ntrain_labels = {labels}\n"
+
+
 def _test_images_without_labels(tmp_path):
     train_images, train_labels = _idx_pair(tmp_path, "train", 60)
     test_images, _ = _idx_pair(tmp_path, "test", 10)
@@ -320,6 +329,9 @@ def _mismatch_shapes(monkeypatch):
      "30 images, the splits need 41"),
     ("clean", lambda tmp: _pool_of(tmp, 40, 20, 20), None, 4,
      "40 images, the splits need 41"),
+    # one class leaves nothing to clean: the data file is at fault
+    *[("clean", lambda tmp, label=label: _single_class_pool(tmp, label), None,
+       4, f"every label is class {label}") for label in (0, 1)],
     ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
      "infeasible hyperparameters"),
     # a shape mismatch inside a run is a fault of the program
@@ -350,7 +362,8 @@ def _mismatch_shapes(monkeypatch):
      "config error: val_images"),
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
-        "pool-too-small", "pool-leaves-no-test", "infeasible", "internal",
+        "pool-too-small", "pool-leaves-no-test", "single-class-0",
+        "single-class-1", "infeasible", "internal",
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",

@@ -11,6 +11,7 @@ from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
 from hypergrad.engines import HypergradResult, Tape
+from hypergrad.errors import DimensionMismatchError, NonFiniteError, rescoped
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation)
@@ -177,6 +178,33 @@ def test_batch_loop_error_is_scoped_to_iteration():
     with pytest.raises(NonFiniteError, match="hyper-iteration 1"):
         batch_ho_loop(dyn, e, s0, layout.pack(eta=3.0), None, 800,
                       MaxHyperIters(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("loop, step", [("batch", 512), ("stream", 504)])
+def test_scoped_error_keeps_its_step_and_rows(loop, step):
+    dyn, e, s0, layout = scalar_problem(s0=1e154)
+    lam0 = layout.pack(eta=3.0)
+    with pytest.raises(NonFiniteError, match="hyper-iteration 1") as err:
+        if loop == "batch":
+            batch_ho_loop(dyn, e, s0, lam0, None, 800, MaxHyperIters(5))
+        else:
+            stream_ho_loop(dyn, e, s0, lam0, None, 800, MaxHyperIters(5))
+    # s_t = (1 - 3)^t 1e154 overflows at t = 512, and the stream's
+    # Z_t = -t (-2)^(t-1) 1e154 a little earlier; a vector marks no rows
+    assert err.value.step == step and err.value.rows is None
+    assert str(err.value).count(f"(at step {step})") == 1
+    assert isinstance(err.value.__cause__, NonFiniteError)
+
+
+def test_rescoped_keeps_the_rows_of_a_block():
+    rows = np.array([False, True])
+    err = rescoped(NonFiniteError("bad", step=4, rows=rows), "seed 7")
+    assert str(err) == "seed 7: bad (at step 4)"
+    assert err.step == 4 and err.rows is rows
+    other = rescoped(DimensionMismatchError("wrong"), "hyper-iteration 2")
+    assert type(other) is DimensionMismatchError
+    assert str(other) == "hyper-iteration 2: wrong"
 
 
 def test_batch_loop_records_are_contiguous():

@@ -9,7 +9,8 @@ against each other through the transpose-duality identity
 import numpy as np
 import pytest
 
-from hypergrad.datasets import Dataset, MinibatchSchedule, blob_task
+from hypergrad.datasets import (Dataset, MinibatchSchedule, SeedStack,
+                                blob_task, full_batch_schedule)
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
@@ -264,6 +265,39 @@ def test_grad_coefs_equal_label_subtract(model, batch_size, order):
     for t in (1, 2, 3):
         b = obj._batch(t, w)
         assert b.g.tobytes() == label_subtract_coefs(b.p, b.y).tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [None, 3])
+@pytest.mark.parametrize("model", ["weighted", "mtl", "stack"])
+def test_cached_batch_arrays_are_read_only(model, batch_size):
+    # p, g and the unit-weight gradient serve every product at (t, w)
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    sched = (full_batch_schedule(8) if batch_size is None
+             else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
+    w = make_rng(5, 9).standard_normal(3 * 5)
+    lam = np.zeros(0)
+    if model == "weighted":
+        obj = WeightedSoftmax(train, schedule=sched, weight_segment=None)
+    elif model == "stack":
+        stack = SeedStack(np.stack([train.features] * 2),
+                          np.stack([train.labels] * 2), 3)
+        obj = WeightedSoftmax(stack, schedule=[sched] * 2,
+                              weight_segment=None)
+        w = np.stack([w, -w])
+    else:
+        layout = VectorLayout([("coupling", 9), ("rho", 3)])
+        obj = MultitaskLinear(train, schedule=sched, per_task_rho=True,
+                              hyper_layout=layout)
+        lam = np.full(layout.size, 0.1)
+    grad = obj.grad_w(w, lam, 2)
+    b = obj._batch(2, w)
+    cached = [b.p, b.g] + ([b.grad] if model != "mtl" else [])
+    if model != "mtl":
+        assert grad is b.grad
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., 0] = 1.0
 
 
 @pytest.mark.parametrize("subset", [None, 5])

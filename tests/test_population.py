@@ -6,21 +6,33 @@ separate 1-D runs give. The block relies on ``np.matmul`` running one
 gemm per slice, so a numpy or BLAS change that breaks that dispatch
 fails here instead of silently moving a digest. Shapes and K come from
 a seeded numpy generator.
+
+The same holds for a seed stack: S training sets with their own
+schedules, where row i of a (S, d) block trains on set i. Its ``step``,
+``jvp_state`` and ``jvp_hyper``, and the real-time stream and loop run
+on it, must give row for row what each seed gives alone.
 """
+
+import gc
+import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from hypergrad import experiments
 from hypergrad.config import ExperimentConfig
-from hypergrad.datasets import (Dataset, MinibatchSchedule,
+from hypergrad.datasets import (Dataset, MinibatchSchedule, SeedStack,
                                 full_batch_schedule)
+from hypergrad.driver import MaxHyperIters, stream_ho_loop
 from hypergrad.dynamics import GradientDescent, Momentum
-from hypergrad.engines import train
+from hypergrad.engines import rtho_stream, train
 from hypergrad.errors import DimensionMismatchError, NonFiniteError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
-from hypergrad.objectives import MultitaskLinear, WeightedSoftmax
+from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
+                                  WeightedSoftmax)
+from hypergrad.outer import Constraints, NonNeg, ProjectedAdam, UnitInterval
 
 SEEDS = range(30)
 
@@ -214,9 +226,16 @@ class _SometimesHuge:
         return np.where(rng.random(size) < 1 / 3, 1e308, eta)
 
 
+def _search_task(cfg):
+    """(task, dynamics) the random search of ``cfg.seed`` runs on."""
+    layout, stack, [e_val] = experiments._rtho_task(cfg, [cfg.seed])
+    return ((layout, stack[0], e_val),
+            experiments._rtho_dynamics(cfg, layout, stack[0], [cfg.seed]))
+
+
 def _looped_scores(cfg, trials):
     """What each trial scores trained alone, inf where it diverges."""
-    _, _, _, _, dyn, e_val, _ = experiments._rtho_problem(cfg, cfg.seed)
+    (_, _, e_val), dyn = _search_task(cfg)
     s0 = dyn.init_state(np.zeros(dyn.objective.n_params))
     scores = []
     for trial in trials:
@@ -240,7 +259,7 @@ def test_random_search_block_matches_the_looped_reference(seed, rows,
     if rows is not None:
         # populations of at most ``rows`` trials: the 9 trials as 9 x 1
         # or 4 + 4 + 1
-        dyn = experiments._rtho_problem(cfg, seed)[4]
+        dyn = _search_task(cfg)[1]
         state = dyn.init_state(np.zeros(dyn.objective.n_params))
         monkeypatch.setattr(experiments, "_POPULATION_FLOATS",
                             rows * len(state))
@@ -252,7 +271,7 @@ def test_random_search_block_matches_the_looped_reference(seed, rows,
 
     monkeypatch.setattr(experiments.engines, "train", counting)
     result, n_trials, _ = experiments._random_search_baseline(
-        cfg, seed, cfg.budget * cfg.inner_steps)
+        cfg, seed, cfg.budget * cfg.inner_steps, _search_task(cfg)[0])
     assert sum(sizes) == n_trials and max(sizes) == (rows or n_trials)
     want = _looped_scores(cfg, result.trials)
     assert 0 < want.count(np.inf) < n_trials  # some diverge, not all
@@ -277,7 +296,8 @@ def test_random_search_all_divergent_keeps_the_first_trial(monkeypatch):
 
     monkeypatch.setattr(experiments, "Exponential", Huge)
     cfg = _tiny_search(budget=4)
-    result, _, _ = experiments._random_search_baseline(cfg, 0, 60)
+    result, _, _ = experiments._random_search_baseline(cfg, 0, 60,
+                                                       _search_task(cfg)[0])
     assert all(t.failed and t.score == np.inf for t in result.trials)
     assert result.best is min(result.trials, key=lambda tr: tr.score)
     assert experiments.run_randsearch(cfg).metrics["failed_trials"] == 4
@@ -293,12 +313,312 @@ def test_phase_seconds_do_not_enter_the_digest():
                            batch_size=10, inner_steps=20, delta=10,
                            hyper_iters=4, hyper_lr=0.01)
     report = experiments.run_rtho(cfg)
+    # the seeds stream as one block: one stream_s for all of them
     seeds = report.timings["seeds"]
     assert [entry["seed"] for entry in seeds] == [0, 1]
-    assert all(entry["stream_s"] > 0 and entry["random_search_s"] > 0
-               for entry in seeds)
+    assert report.timings["stream_s"] > 0
+    assert all(entry["random_search_s"] > 0 for entry in seeds)
     digest = report.digest()
-    report.timings = {"seeds": [{**entry, "stream_s": 1e9,
-                                 "random_search_s": -1.0, "stl_s": 2.0}
-                                for entry in seeds]}
+    report.timings = {"stream_s": 1e9,
+                      "seeds": [{**entry, "random_search_s": -1.0,
+                                 "stl_s": 2.0} for entry in seeds]}
     assert report.digest() == digest
+
+
+# ---------------------------------------------------------------------------
+# seed stacks: S training sets, row i of a block training on set i
+
+
+STACK_CASES = [("GDM", "minibatch"), ("GDM", "full"), ("GD", "minibatch"),
+               ("GD", "full")]
+
+
+class Stack:
+    """A seed stack drawn from ``seed``, and each of its seeds alone.
+
+    ``block`` is the dynamics over the stack; ``alone(i)`` builds fresh
+    dynamics over set i only (with no memo shared with anything), with
+    the same schedule. ``s`` and ``lam`` are (S, d) and (S, m) blocks,
+    one λ per seed; ``E`` holds one validation error per seed.
+    """
+
+    def __init__(self, dynamics, batch, seed):
+        rng = make_rng(seed, 0x5EED, dynamics == "GD", batch == "full")
+        self.S = n_sets = int(rng.integers(1, 7))
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(k, 25))
+        p = int(rng.integers(1, 9))
+        labels = rng.integers(0, k, size=(n_sets, n))
+        labels[:, :k] = np.arange(k)  # every class present in every set
+        self.stack = SeedStack(rng.standard_normal((n_sets, n, p)), labels, k)
+        size = None if batch == "full" else int(rng.integers(1, n + 1))
+        self.schedules = [MinibatchSchedule(n=n, batch_size=size,
+                                            seed=100 * seed + i)
+                          for i in range(n_sets)]
+        segs = [("eta", 1)] + ([("mu", 1)] if dynamics == "GDM" else [])
+        self.layout = VectorLayout(segs)
+        self._make = GradientDescent if dynamics == "GD" else Momentum
+        self.block = self._make(WeightedSoftmax(
+            self.stack, hyper_layout=self.layout, schedule=self.schedules,
+            weight_segment=None))
+        lam = rng.random((n_sets, self.layout.size))
+        lam[:, 0] = 0.05 + 0.3 * lam[:, 0]  # eta
+        if dynamics == "GDM":
+            lam[:, 1] *= 0.9  # mu
+        self.lam = lam
+        self.s = 0.5 * rng.standard_normal((n_sets, self.block.n_state))
+        self.t = int(rng.integers(1, 3 * self.schedules[0].batches_per_epoch
+                                  + 2))
+        self.m = self.layout.size
+        self.z = rng.standard_normal((n_sets, self.block.n_state, self.m))
+        self.E = [DatasetValidation(Dataset(
+            features=rng.standard_normal((7, p)),
+            labels=rng.integers(0, k, size=7), n_classes=k))
+            for _ in range(n_sets)]
+
+    def alone(self, i):
+        return self._make(WeightedSoftmax(
+            self.stack[i], hyper_layout=self.layout,
+            schedule=self.schedules[i], weight_segment=None))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dynamics, batch", STACK_CASES)
+def test_stacked_step_equals_each_seed_alone(dynamics, batch, seed):
+    st = Stack(dynamics, batch, seed)
+    block = st.block.step(st.s, st.lam, st.t)
+    assert block.shape == st.s.shape
+    for i in range(st.S):
+        assert np.array_equal(block[i],
+                              st.alone(i).step(st.s[i], st.lam[i], st.t))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dynamics, batch", STACK_CASES)
+def test_stacked_jvp_state_equals_each_seed_alone(dynamics, batch, seed):
+    # a column of a C-contiguous (S, d, m) Z, as the stream hands it over,
+    # against the same column of each seed's own (d, m) slice
+    st = Stack(dynamics, batch, seed)
+    alone = [st.alone(i) for i in range(st.S)]
+    for j in range(st.m):
+        block = st.block.jvp_state(st.s, st.lam, st.t, st.z[..., j])
+        for i in range(st.S):
+            want = alone[i].jvp_state(st.s[i], st.lam[i], st.t,
+                                      st.z[i][:, j])
+            assert np.array_equal(block[i], want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dynamics, batch", STACK_CASES)
+def test_stacked_jvp_hyper_equals_each_seed_alone(dynamics, batch, seed):
+    st = Stack(dynamics, batch, seed)
+    alone = [st.alone(i) for i in range(st.S)]
+    for q in np.eye(st.m):
+        block = st.block.jvp_hyper(st.s, st.lam, st.t, q)
+        for i in range(st.S):
+            assert np.array_equal(
+                block[i], alone[i].jvp_hyper(st.s[i], st.lam[i], st.t, q))
+
+
+def _emissions_equal(a, b):
+    return (a.t == b.t and a.response == b.response
+            and np.array_equal(a.partial, b.partial)
+            and np.array_equal(a.lam, b.lam)
+            and np.array_equal(a.state, b.state))
+
+
+def _updaters(st):
+    box = Constraints(st.layout, {"eta": NonNeg()} if st.m == 1 else
+                      {"eta": NonNeg(), "mu": UnitInterval()})
+    return [ProjectedAdam(box, lr=0.01) for _ in range(st.S)]
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("dynamics, batch", STACK_CASES)
+def test_stacked_stream_equals_each_seed_alone(dynamics, batch, seed):
+    st = Stack(dynamics, batch, seed)
+    delta, n_emit = 1 + seed % 4, 4
+    stream = rtho_stream(st.block, st.E, st.s, st.lam, delta,
+                         updater=_updaters(st))
+    sweeps = list(islice(stream, n_emit))
+    assert all([em.row for em in sweep] == list(range(st.S))
+               for sweep in sweeps)
+    for i, updater in enumerate(_updaters(st)):
+        alone = list(islice(rtho_stream(st.alone(i), st.E[i], st.s[i],
+                                        st.lam[i], delta, updater=updater),
+                            n_emit))
+        assert all(_emissions_equal(sweep[i], em)
+                   for sweep, em in zip(sweeps, alone))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_a_row_that_leaves_stops_alone(seed):
+    # row 0 leaves after its second emission: the other rows go on as
+    # they would alone, and the stream ends once every row has left
+    st = Stack("GDM", "minibatch", seed)
+    stream = rtho_stream(st.block, st.E, st.s, st.lam, 3,
+                         updater=_updaters(st))
+    sweeps = []
+    for sweep in stream:
+        sweeps.append(sweep)
+        for em in sweep:
+            em.leave = len(sweeps) == 2 if em.row == 0 else len(sweeps) == 5
+    rest = [st.S - 1] * 3 if st.S > 1 else []  # a lone row 0 ends it
+    assert [len(sweep) for sweep in sweeps] == [st.S, st.S] + rest
+    for i, updater in enumerate(_updaters(st)):
+        alone = list(islice(rtho_stream(st.alone(i), st.E[i], st.s[i],
+                                        st.lam[i], 3, updater=updater), 5))
+        mine = [em for sweep in sweeps for em in sweep if em.row == i]
+        assert len(mine) == (2 if i == 0 else 5)
+        assert all(_emissions_equal(a, b) for a, b in zip(mine, alone))
+
+
+class _RowStops:
+    """Stop rule: row ``row`` stops after ``n`` records (read from extras)."""
+
+    def __init__(self, row, n):
+        self.row, self.n = row, n
+
+    def triggered(self, records):
+        return (len(records) >= self.n
+                and records[-1].extras["row"] == self.row)
+
+
+def _record_bits(records):
+    return [(r.index, r.step, r.response, r.grad_norm, r.lam.tobytes())
+            for r in records]
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_a_seed_stopping_early_leaves_the_others_unchanged(seed):
+    st = Stack("GDM", "minibatch", seed)
+    box = Constraints(st.layout, {"eta": NonNeg(), "mu": UnitInterval()})
+    quits = st.S - 1  # the last row stops after two records
+    stop = [MaxHyperIters(6), _RowStops(quits, 2)]
+    runs = stream_ho_loop(st.block, st.E, st.s, st.lam, box, 2, stop,
+                          lr=0.01,
+                          record_extras=lambda lam, em: {"row": em.row})
+    assert len(runs) == st.S
+    for i, (lam, records) in enumerate(runs):
+        want_lam, want = stream_ho_loop(st.alone(i), st.E[i], st.s[i],
+                                        st.lam[i], box, 2,
+                                        MaxHyperIters(2 if i == quits else 6),
+                                        lr=0.01)
+        assert _record_bits(records) == _record_bits(want)
+        assert np.array_equal(lam, want_lam)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_a_diverging_seed_fails_the_block(seed):
+    st = Stack("GDM", "minibatch", seed)
+    bad = seed % st.S
+    lam = st.lam.copy()
+    lam[bad, 1] = 1e300  # its velocity overflows within a few steps
+    with pytest.raises(NonFiniteError, match="hyper-iteration 1") as err:
+        stream_ho_loop(st.block, st.E, st.s, lam, None, 20,
+                       MaxHyperIters(3))
+    assert err.value.step is not None
+    assert err.value.rows.tolist() == [i == bad for i in range(st.S)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("seed", [s for s in SEEDS
+                                  if Stack("GDM", "minibatch", s).S > 1][:5])
+def test_failed_rows_are_marked_among_all_rows(seed):
+    # row 0 leaves after the first sweep; then the last row overflows
+    # (its velocity at step 2): the error marks it among all S rows
+    st = Stack("GDM", "minibatch", seed)
+    lam = st.lam.copy()
+    lam[-1, 1] = 1e300
+    stream = rtho_stream(st.block, st.E, st.s, lam, 1)
+    for em in next(stream):
+        em.leave = em.row == 0
+    with pytest.raises(NonFiniteError) as err:
+        next(stream)
+    assert err.value.step == 2
+    assert err.value.rows.tolist() == [i == st.S - 1 for i in range(st.S)]
+
+
+def test_a_stack_takes_blocks_of_its_own_rows():
+    st = Stack("GDM", "minibatch", 3)
+    with pytest.raises(DimensionMismatchError):
+        st.block.step(st.s[0], st.lam[0], 1)
+    with pytest.raises(DimensionMismatchError):
+        st.block.step(np.vstack([st.s, st.s]), np.vstack([st.lam, st.lam]), 1)
+    with pytest.raises(DimensionMismatchError, match="no value"):
+        st.block.objective.value(st.block.weights_of(st.s), st.lam, 1)
+    with pytest.raises(ValueError, match="one schedule per set"):
+        WeightedSoftmax(st.stack, hyper_layout=st.layout,
+                        schedule=st.schedules[:-1] + [full_batch_schedule(1)],
+                        weight_segment=None)
+
+
+def test_seed_datasets_are_views_of_the_stack():
+    cfg = _tiny_search()
+    _, stack, _ = experiments._rtho_task(cfg, [0, 1, 2])
+    for i in range(3):
+        train = stack[i]
+        assert np.shares_memory(train.features, stack.features)
+        assert np.shares_memory(train.labels, stack.labels)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+def test_the_stack_is_freed_with_the_run(n_seeds, monkeypatch):
+    # the report holds no reference to the training data, so the stack
+    # is gone before the report is written
+    task, seen = experiments._rtho_task, []
+
+    def watched(cfg, seeds):
+        out = task(cfg, seeds)
+        seen.append(weakref.ref(out[1].features))
+        return out
+
+    monkeypatch.setattr(experiments, "_rtho_task", watched)
+    report = experiments.run_rtho(_rtho_cfg(n_seeds=n_seeds))
+    gc.collect()
+    assert len(seen) == 1 and seen[0]() is None
+    assert report.records
+
+
+def _rtho_cfg(**kw):
+    base = dict(experiment="rtho", seed=0, n_seeds=3, n_classes=3,
+                n_features=6, n_train=60, n_val=30, n_test=30, batch_size=10,
+                inner_steps=20, delta=10, hyper_iters=4, hyper_lr=0.01)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_diverging_seed_fails_the_run_and_is_named(monkeypatch):
+    # seed 1's features are huge: its Z overflows at the second step
+    task = experiments._rtho_task
+
+    def huge_seed_1(cfg, seeds):
+        layout, stack, e_vals = task(cfg, seeds)
+        stack.features[1] *= 1e200
+        return layout, stack, e_vals
+
+    monkeypatch.setattr(experiments, "_rtho_task", huge_seed_1)
+    with pytest.raises(NonFiniteError,
+                       match="seed 1: hyper-iteration 1") as err:
+        experiments.run_rtho(_rtho_cfg())
+    assert err.value.rows.tolist() == [False, True, False]
+    assert err.value.step == 2
+
+
+def test_single_seed_run_is_the_one_row_block():
+    # n_seeds = 1 streams a block of one row: its records are those of
+    # the vector stream on the same seed
+    cfg = _rtho_cfg(n_seeds=1, seed=4)
+    report = experiments.run_rtho(cfg)
+    layout, stack, [e_val] = experiments._rtho_task(cfg, [4])
+    dyn = experiments._rtho_dynamics(cfg, layout, stack[0], [4])
+    box = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
+    _, want = stream_ho_loop(dyn, e_val, dyn.init_state(
+        np.zeros(dyn.objective.n_params)), layout.pack(eta=0.0, mu=0.0), box,
+        cfg.delta, MaxHyperIters(cfg.hyper_iters), lr=cfg.hyper_lr)
+    assert _record_bits(report.records) == _record_bits(want)

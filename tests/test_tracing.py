@@ -10,6 +10,7 @@ benchmark run.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,4 +41,40 @@ def test_every_traced_name_resolves(perfbench):
 
 def test_tracer_self_test_passes(perfbench):
     _, gates = perfbench
+    assert gates.self_test() == []
+
+
+def test_a_seed_block_stream_counts_one_call_per_column(perfbench):
+    # a block call counts once whatever its rows: two seeds streamed as
+    # one block make T * m state-JVP calls, as one seed alone does, and
+    # the self-test's closed forms still hold
+    layertrace, gates = perfbench
+    from hypergrad import (Dataset, DatasetValidation, MaxHyperIters,
+                           MinibatchSchedule, Momentum, SeedStack,
+                           VectorLayout, WeightedSoftmax, driver)
+
+    rng = np.random.default_rng(3)
+    stack = SeedStack(rng.standard_normal((2, 6, 4)),
+                      np.tile([0, 1, 2], (2, 2)), 3)
+    layout = VectorLayout([("eta", 1), ("mu", 1)])
+    dyn = Momentum(WeightedSoftmax(
+        stack, hyper_layout=layout, weight_segment=None,
+        schedule=[MinibatchSchedule(n=6, batch_size=2, seed=s)
+                  for s in (1, 2)]))
+    val = [DatasetValidation(Dataset(rng.standard_normal((5, 4)),
+                                     np.array([0, 1, 2, 0, 1])))
+           for _ in range(2)]
+    s0 = np.zeros((2, dyn.n_state))
+    lam0 = np.array([[0.2, 0.5], [0.1, 0.3]])
+    delta, emissions = 3, 4
+    with layertrace.Tracer() as tracer:
+        runs = driver.stream_ho_loop(dyn, val, s0, lam0, None, delta,
+                                     MaxHyperIters(emissions))
+    counts = tracer.metrics()
+    T, m = delta * emissions, len(layout.names)
+    assert [len(records) for _, records in runs] == [emissions] * 2
+    assert counts["dynamics.jvp_state.calls"] == T * m
+    assert counts["dynamics.jvp_hyper.calls"] == T * m  # eta and mu
+    assert counts["dynamics.step.calls"] == T
+    assert counts["engines.rtho_stream.calls"] == emissions
     assert gates.self_test() == []
