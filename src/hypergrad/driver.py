@@ -11,12 +11,16 @@ Two protocols:
   ``lockstep_ho_loop`` moves several outer paths over one problem
   forward together. Each path has its own constraints, Adam state, stop
   rules and records; in each hyper-iteration the paths whose lam are
-  bit-equal share one hypergradient, handed read-only to each path's
-  update and released before the next group's is computed, so one tape
-  is alive at a time. A record's ``seconds`` is the time of the
-  hypergradient it used plus its own update: paths sharing a
-  hypergradient each count all of it. ``batch_ho_loop`` is the one-path
-  case.
+  bit-equal (and, over a seed stack, whose training set is the same)
+  share one hypergradient, handed read-only to each path's update. A
+  problem without a stack computes its groups one after another, each
+  released before the next is computed; over a seed stack every group
+  of the hyper-iteration is one row of a single block call (see
+  ``engines.reverse_hg``), released before the next hyper-iteration.
+  Either way one tape is alive at a time. A record's ``seconds`` is the
+  time of the hypergradient call it used plus its own update: paths
+  sharing a call each count all of it, and a block call counts the
+  whole block. ``batch_ho_loop`` is the one-path case.
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps; state and
   Z carry across updates, and the stop rules end the endless stream.
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import forward_hg, reverse_hg, rtho_stream
-from .errors import HypergradError, rescoped
+from .engines import forward_hg, over_rows, reverse_hg, rtho_stream
+from .errors import HypergradError, NonFiniteError, rescoped, rows_among
 from .outer import ProjectedAdam
 
 # records list lam itself only up to this many entries (summaries always)
@@ -122,12 +126,13 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
 
 
 class _OuterPath:
-    """One outer trajectory of a lockstep run."""
+    """One outer trajectory of a lockstep run (on stack row ``row``)."""
 
-    def __init__(self, lam0, constraints, stop, lr):
+    def __init__(self, lam0, constraints, stop, lr, row=None):
         self.updater = ProjectedAdam(constraints, lr=lr)
         self.lam = lam0 if constraints is None else constraints.project(lam0)
         self.stop = stop
+        self.row = row
         self.records = []
 
 
@@ -138,51 +143,75 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     ``paths`` lists one (lam0, constraints, stop) per outer path. Returns
     one (lam, records) per path, in order, and the number of
     hypergradients computed.
+
+    Over a seed stack (``dyn.objective`` holds S training sets, ``s0``
+    is a (S, d) block and ``E`` one validation error per set) each path
+    is (lam0, constraints, stop, row) and trains on set ``row``; every
+    distinct (row, lam) of a hyper-iteration is one row of one block
+    call, and the count returned is a list of the hypergradients
+    computed per set. A non-finite value then fails the run with the
+    error's ``rows`` marking the failed sets among the S.
     """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
-    m = max((len(lam0) for lam0, _, _ in paths), default=0)
+    m = max((len(path[0]) for path in paths), default=0)
     if engine == "forward" and m > 10 * dyn.n_state:
         raise ValueError(
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    paths = [_OuterPath(lam0, constraints, stop, lr)
-             for lam0, constraints, stop in paths]
+    block = np.ndim(s0) == 2
+    paths = [_OuterPath(lam0, constraints, stop, lr, *row)
+             for lam0, constraints, stop, *row in paths]
     compute = forward_hg if engine == "forward" else reverse_hg
-    n_computed = 0
+    n_computed = [0] * (len(s0) if block else 1)
     while True:
         groups = {}
         for path in paths:
             if not _stopped(path.stop, path.records):
-                groups.setdefault(path.lam.tobytes(), []).append(path)
+                key = (path.row, path.lam.tobytes())
+                groups.setdefault(key, []).append(path)
         if not groups:
             break
-        for group in groups.values():
-            k = len(group[0].records) + 1
+        groups = list(groups.values())
+        for call in [groups] if block else [[group] for group in groups]:
+            k = len(call[0][0].records) + 1
             started = time.perf_counter()
             result = None  # free the previous tape before recording the next
             try:
-                result = compute(dyn, E, s0, group[0].lam, n_steps)
+                if block:
+                    rows = np.array([group[0].row for group in call])
+                    result = compute(over_rows(dyn, rows), [E[r] for r in rows],
+                                     s0[rows],
+                                     np.array([group[0].lam for group in call]),
+                                     n_steps)
+                else:
+                    result = compute(dyn, E, s0, call[0][0].lam, n_steps)
             except HypergradError as err:
+                if block and isinstance(err, NonFiniteError):
+                    rows_among(err, rows, len(s0))
                 raise rescoped(err, f"hyper-iteration {k}") from err
-            n_computed += 1
-            gradient = result.gradient
-            gradient.flags.writeable = False
-            grad_norm = float(np.linalg.norm(gradient))
+            gradients = result.gradient
+            gradients.flags.writeable = False
             shared = time.perf_counter() - started
-            for path in group:
-                own = time.perf_counter()
-                path.lam = path.updater(path.lam, gradient)
-                record = HyperIterRecord(
-                    index=len(path.records) + 1, response=result.response,
-                    grad_norm=grad_norm, lam=path.lam.copy(),
-                    seconds=shared + time.perf_counter() - own,
-                )
-                if record_extras is not None:
-                    record.extras = record_extras(path.lam, result)
-                path.records.append(record)
-    return [(path.lam, path.records) for path in paths], n_computed
+            for i, group in enumerate(call):
+                gradient = gradients[i] if block else gradients
+                response = result.response[i] if block else result.response
+                grad_norm = float(np.linalg.norm(gradient))
+                n_computed[group[0].row if block else 0] += 1
+                for path in group:
+                    own = time.perf_counter()
+                    path.lam = path.updater(path.lam, gradient)
+                    record = HyperIterRecord(
+                        index=len(path.records) + 1, response=response,
+                        grad_norm=grad_norm, lam=path.lam.copy(),
+                        seconds=shared + time.perf_counter() - own,
+                    )
+                    if record_extras is not None:
+                        record.extras = record_extras(path.lam, result)
+                    path.records.append(record)
+    return [(path.lam, path.records) for path in paths], (
+        n_computed if block else n_computed[0])
 
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,

@@ -24,17 +24,18 @@ Optimizer hyperparameters (eta, mu) are "bound" either to a named segment
 of the hyper layout — in which case they are differentiated through — or
 to a fixed float, in which case they are constants of the map.
 
-``step``, ``jvp_state`` and ``jvp_hyper`` also take a leading
-population axis: a (K, d) block of states with a (K, m) block of hyper
-vectors advances K independent runs at once, and a (K, d) block of
-tangents (one column of each run's Z) gives each run's product. They
-are written on the last axis, so a 1-D state is the size-1 case of the
-same numpy calls, and each row of the block is bit for bit the result
-of that row alone (``np.matmul`` runs one gemm per slice). A hyper
+Every operation also takes a leading population axis: a (K, d) block
+of states with a (K, m) block of hyper vectors advances K independent
+runs at once, a (K, d) block of tangents (one column of each run's Z)
+gives each run's ``jvp_state``, and a (K, d) block of cotangents (one
+adjoint per run) gives each run's ``vjp_state`` and, as a (K, m) block,
+its ``vjp_hyper``. They are written on the last axis, so a 1-D state is
+the size-1 case of the same numpy calls, and each row of the block is
+bit for bit the result of that row alone (``np.matmul`` runs one gemm
+per slice, and ``numerics.row_dot`` one BLAS dot per row). A hyper
 direction ``q`` stays one (m,) vector for every row. The objective
-decides what a row trains on: the same data for a population, or set i
-of a seed stack for row i (see ``objectives.WeightedSoftmax``). The
-vector-Jacobian products take single vectors only.
+decides what a row trains on: the same data for a population, or set
+``rows[i]`` of a seed stack for row i (see ``objectives._SoftmaxData``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .layouts import VectorLayout
-from .numerics import ensure_finite
+from .numerics import ensure_finite, row_dot
 
 
 class _HyperBinding:
@@ -128,7 +129,8 @@ class GradientDescent:
         eta = self._eta.value(lam)
         out = -eta * self.objective.cross_vjp(s, lam, t, alpha)
         if self._eta.index is not None:
-            out[self._eta.index] -= float(alpha @ self.objective.grad_w(s, lam, t))
+            out[..., self._eta.index] -= row_dot(
+                alpha, self.objective.grad_w(s, lam, t))
         return out
 
     def touched_hypers(self, t):
@@ -213,7 +215,8 @@ class Momentum:
         av, aw = self._split(alpha)
         eta, mu = self._eta.value(lam), self._mu.value(lam)
         beta = av - eta * aw
-        return np.concatenate([mu * beta, aw + self.objective.hvp_w(w, lam, t, beta)])
+        return np.concatenate(
+            [mu * beta, aw + self.objective.hvp_w(w, lam, t, beta)], axis=-1)
 
     def vjp_hyper(self, s, lam, t, alpha):
         v, w = self._split(s)
@@ -222,10 +225,10 @@ class Momentum:
         beta = av - eta * aw
         out = self.objective.cross_vjp(w, lam, t, beta)
         if self._mu.index is not None:
-            out[self._mu.index] += float(beta @ v)
+            out[..., self._mu.index] += row_dot(beta, v)
         if self._eta.index is not None:
             v_new = mu * v + self.objective.grad_w(w, lam, t)
-            out[self._eta.index] -= float(aw @ v_new)
+            out[..., self._eta.index] -= row_dot(aw, v_new)
         return out
 
     def touched_hypers(self, t):

@@ -20,6 +20,13 @@ compute the exact d f / d lam of the unrolled iteration:
   (one per training set of a seed stack) run as one (S, d) block with
   an (S, d, m) Z.
 
+Both batch engines also take K independent problems as one block: a
+(K, d) s0 with a (K, m) lam and one validation error per row (row i
+training on set ``rows[i]`` of a seed stack, see ``over_rows``). The
+sweep then makes its product calls once for all K rows (a tape of
+(K, d) states, or a (K, d, m) Z), and row i of the result is bit for
+bit the vector result of row i alone.
+
 Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
 sweep of T steps, ``rtho_stream`` one sweep per emission. Z propagation
 is deliberately structured as one state-JVP per column of Z plus
@@ -39,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, TapeReplayError
+from .errors import (DimensionMismatchError, NonFiniteError, TapeReplayError,
+                     rows_among)
 from .numerics import as_vector, ensure_finite
 from .objectives import (_clear_memo, _frozen, _trajectory_scope,
                          val_grad_state, val_value)
@@ -47,9 +55,78 @@ from .objectives import (_clear_memo, _frozen, _trajectory_scope,
 
 @dataclass
 class HypergradResult:
+    """The hypergradient and response E(s_T); for a block, the (K, m)
+    gradient rows and a list of K responses."""
+
     gradient: np.ndarray
-    response: float
+    response: float | list
     tape: "Tape" = None
+
+
+def _as_block(s, lam, E=None):
+    """(s, lam) as float arrays, checked to be (d,) and (m,), or (K, d)
+    and (K, m); a block's ``E`` (if given) holds one validation error
+    per row."""
+    s = np.asarray(s, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
+        raise DimensionMismatchError(
+            f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
+            f"(m,), or (K, d) and (K, m)")
+    if s.ndim == 2 and E is not None and (
+            not isinstance(E, (list, tuple)) or len(E) != len(s)):
+        raise DimensionMismatchError(
+            f"a block of {len(s)} states takes {len(s)} validation errors")
+    return s, lam
+
+
+def over_rows(dyn, rows):
+    """``dyn`` with row i of its blocks on row ``rows[i]`` of its stack.
+
+    ``rows`` is a boolean mask or an index array (which may repeat a
+    row) over the rows the objective's seed stack serves now (see
+    ``objectives._SoftmaxData.take``). Dynamics whose objective holds
+    no stack train every row on the same data and come back as they
+    are.
+    """
+    if getattr(dyn.objective, "_rows", None) is None:
+        return dyn
+    sub = copy.copy(dyn)
+    sub.objective = dyn.objective.take(rows)
+    return sub
+
+
+def _val_grads(E, s, layout):
+    """grad E(s) over the state; for a block, row i's with ``E[i]``."""
+    if s.ndim == 1:
+        return val_grad_state(E, s, layout)
+    return np.stack([val_grad_state(e, row, layout) for e, row in zip(E, s)])
+
+
+def _partials(E, s, z, layout):
+    """grad E(s) Z; for a block, row i's with ``E[i]`` and its own
+    C-contiguous (d, m) slice of an (K, d, m) Z."""
+    g = _val_grads(E, s, layout)
+    if s.ndim == 1:
+        return g @ z
+    return np.array([gi @ zi for gi, zi in zip(g, z)])
+
+
+def _val_values(E, s, layout):
+    """E(s); for a block, the list of each row's with ``E[i]``.
+
+    A non-finite value of a block fails with its row marked.
+    """
+    if s.ndim == 1:
+        return val_value(E, s, layout)
+    values = []
+    for i, (e, row) in enumerate(zip(E, s)):
+        try:
+            values.append(val_value(e, row, layout))
+        except NonFiniteError as err:
+            err.rows = np.arange(len(s)) == i
+            raise
+    return values
 
 
 @dataclass
@@ -93,13 +170,16 @@ def record_trajectory(dyn, s0, lam, n_steps):
 
     Each step starts from the recorded (read-only) state, so what the
     objective builds at a step is tied to the tape entry it came from.
+    A (K, d) block s0 with a (K, m) block lam records one tape of
+    (K, d) states.
     """
-    s = _frozen(as_vector(s0).copy())
+    s, lam = _as_block(s0, lam)
+    s = _frozen(s.copy())
     states = [s]
     for k in range(1, n_steps + 1):
         s = _frozen(dyn.step(s, lam, k))
         states.append(s)
-    return Tape(states=states, lam=np.asarray(lam, dtype=np.float64).copy())
+    return Tape(states=states, lam=lam.copy())
 
 
 def train(dyn, s0, lam, n_steps):
@@ -116,12 +196,8 @@ def train(dyn, s0, lam, n_steps):
     the step's temporaries of the same size; the objective's (t, w) memo
     is emptied after each step, since no later step reads it.
     """
-    s = np.array(s0, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
-        raise DimensionMismatchError(
-            f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
-            f"(m,), or (K, d) and (K, m)")
+    s, lam = _as_block(s0, lam)
+    s = s.copy()
     n = len(s)
     live = np.arange(n)  # the rows still running (a vector never drops any)
     t = 1
@@ -135,6 +211,7 @@ def train(dyn, s0, lam, n_steps):
                 raise
             keep = ~err.rows
             live, s, lam = live[keep], s[keep], lam[keep]
+            dyn = over_rows(dyn, keep)
     if live.size == n:
         return s
     out = np.full((n, s.shape[-1]), np.nan)
@@ -175,14 +252,16 @@ def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
 
 
 def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
-    """Forward-mode hypergradient of E(s_T) with respect to lam."""
-    lam = as_vector(lam)
-    m = len(lam)
-    s, z = _sweep(dyn, as_vector(s0).copy(), np.zeros((dyn.n_state, m)), lam,
-                  0, n_steps, np.zeros(m))
-    grad = val_grad_state(E, s, dyn.state_layout) @ z
-    return HypergradResult(gradient=grad,
-                           response=val_value(E, s, dyn.state_layout))
+    """Forward-mode hypergradient of E(s_T) with respect to lam.
+
+    A block sweeps an (K, d, m) Z, as ``rtho_stream`` does.
+    """
+    s, lam = _as_block(s0, lam, E)
+    m = lam.shape[-1]
+    s, z = _sweep(dyn, s.copy(), np.zeros((*s.shape[:-1], dyn.n_state, m)),
+                  lam, 0, n_steps, np.zeros(m))
+    return HypergradResult(gradient=_partials(E, s, z, dyn.state_layout),
+                           response=_val_values(E, s, dyn.state_layout))
 
 
 def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
@@ -196,15 +275,20 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     from a writable copy, which they never serve.
 
     The gradient is the closed form sum_{t=1}^{T} alpha_t B_t.
+
+    A block makes T ``vjp_hyper`` and T - 1 ``vjp_state`` calls for all
+    its rows, with a (K, d) adjoint; its tape and kept probabilities are
+    K times those of one row. A non-finite value fails the block, the
+    NonFiniteError's ``rows`` marking the rows that failed.
     """
-    lam = as_vector(lam)
+    s0, lam = _as_block(s0, lam, E)
     with _trajectory_scope(dyn.objective):
         tape = record_trajectory(dyn, s0, lam, n_steps)
         if verify_tape:
             tape.verify(dyn)
         s_final = tape.states[-1]
-        alpha = val_grad_state(E, s_final, dyn.state_layout)
-        grad = np.zeros(len(lam))
+        alpha = _val_grads(E, s_final, dyn.state_layout)
+        grad = np.zeros(lam.shape)
         for t in range(n_steps, 0, -1):
             s_prev = tape.states[t - 1]
             grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
@@ -212,7 +296,7 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
     ensure_finite(grad, "hypergradient")
     return HypergradResult(gradient=grad,
-                           response=val_value(E, s_final, dyn.state_layout),
+                           response=_val_values(E, s_final, dyn.state_layout),
                            tape=tape)
 
 
@@ -271,7 +355,7 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
         while True:
             s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
             t += delta
-            partial = val_grad_state(E, s, layout) @ z
+            partial = _partials(E, s, z, layout)
             ensure_finite(partial, "partial hypergradient", step=t)
             response = val_value(E, s, layout)
             if updater is not None:
@@ -290,15 +374,10 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
         try:
             s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
             t += delta
-            partial = np.array([val_grad_state(E[row], s[i], layout) @ z[i]
-                                for i, row in enumerate(live)])
+            partial = _partials([E[row] for row in live], s, z, layout)
             ensure_finite(partial, "partial hypergradient", step=t)
         except NonFiniteError as err:
-            if err.rows is not None and err.rows.shape == live.shape:
-                rows = np.zeros(len(E), dtype=bool)
-                rows[live[err.rows]] = True
-                err.rows = rows  # among all S rows, not the live ones
-            raise
+            raise rows_among(err, live, len(E))  # among all S rows
         emissions = []
         for i, row in enumerate(live):
             if updater is not None:
@@ -311,6 +390,5 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
         keep = np.array([not em.leave for em in emissions])
         if not keep.all():
             live, s, z, lam = live[keep], s[keep], z[keep], lam[keep]
-            dyn = copy.copy(dyn)
-            dyn.objective = dyn.objective.take(keep)
+            dyn = over_rows(dyn, keep)
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class HypergradError(Exception):
     """Base class for all package errors."""
@@ -53,3 +55,18 @@ def rescoped(err: HypergradError, scope: str) -> HypergradError:
         out.step, out.rows = err.step, err.rows
     out.__cause__ = err
     return out
+
+
+def rows_among(err: NonFiniteError, rows, n) -> NonFiniteError:
+    """``err`` with its ``rows`` mask moved from a block onto ``n`` rows.
+
+    Row i of the block is row ``rows[i]`` of the n; a row of the n is
+    marked when any block row on it failed. ``err`` is changed in place
+    and returned; without a mask of the block's rows it is left alone.
+    """
+    rows = np.asarray(rows)
+    if err.rows is not None and err.rows.shape == rows.shape:
+        mask = np.zeros(n, dtype=bool)
+        mask[rows[err.rows]] = True
+        err.rows = mask
+    return err

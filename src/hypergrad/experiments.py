@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,8 +37,9 @@ from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      lockstep_ho_loop, stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
 from .errors import (InfeasibleHypersError, IngestError, NonFiniteError,
-                     rescoped)
+                     rescoped, rows_among)
 from .layouts import VectorLayout
+from .numerics import ensure_finite
 from .objectives import DatasetValidation, MultitaskLinear, WeightedSoftmax
 from .outer import (BoxL1, Constraints, Exponential, MTLCone, NonNeg,
                     SearchSpace, Uniform, UnitInterval, random_search)
@@ -242,10 +244,15 @@ _RHO_GRID = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
 _RHO_INIT = 0.1
 
 
-def _mtl_data(cfg, seed):
-    per_tr = max(1, cfg.n_train // cfg.n_classes)
-    per_val = max(1, cfg.n_val // cfg.n_classes)
-    per_te = max(1, cfg.n_test // cfg.n_classes)
+def _mtl_data(cfg, seed, splits=("train", "val", "test")):
+    """(train, val, test, cluster_of_class) of ``seed``'s task.
+
+    A split left out of ``splits`` comes back empty. Each split draws
+    from its own stream, so leaving one out changes none of the others.
+    """
+    sizes = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}
+    per_class = [max(1, sizes[name] // cfg.n_classes) if name in splits else 0
+                 for name in ("train", "val", "test")]
     # Keep prototype pairs ~1.5 apart in feature space no matter the
     # dimension (the spread is per-coordinate), and keep the clusters
     # moderately separated.  With a handful of examples per class the
@@ -253,62 +260,92 @@ def _mtl_data(cfg, seed):
     # shrinkage has real headroom over plain per-task ridge.
     spread = 1.5 / np.sqrt(2.0 * cfg.n_features)
     return clustered_task_data(seed, cfg.n_classes, cfg.n_clusters,
-                               cfg.n_features, per_tr, per_val, per_te,
+                               cfg.n_features, *per_class,
                                cluster_separation=2.0, class_spread=spread)
 
 
-def _stl_grid(train, val, test, cfg):
-    """Per-task ridge sweep: shared value first, then one greedy pass.
+def _mtl_task(cfg, seeds):
+    """(training sets, validation errors) at ``seeds``.
 
-    Each pass fits its candidate rho vectors as one population: the
-    shared values, then per task the current best vector with that
-    task's entry swept over the grid (the rest of the vector cannot
-    change within the pass). Fits are memoised on the vector's bytes,
-    so each distinct vector trains once, and candidates are taken in
-    grid order: a strictly lower validation error wins.
+    The training sets of all seeds are one ``SeedStack``; each seed's
+    validation error is its own. Only the training and validation
+    splits are drawn: a seed's test split is drawn when it is scored.
     """
-    k = train.n_classes
-    obj = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", k)]),
+    trains, e_vals = [], []
+    for seed in seeds:
+        train, val, _, _ = _mtl_data(cfg, seed, ("train", "val"))
+        trains.append(train)
+        e_vals.append(DatasetValidation(val))
+    stack = SeedStack(np.stack([train.features for train in trains]),
+                      np.stack([train.labels for train in trains]),
+                      cfg.n_classes)
+    return stack, e_vals
+
+
+def _stl_grid(stack, e_vals, cfg):
+    """Per-task ridge sweep on every set: shared value first, then a
+    greedy pass per task.
+
+    Each pass fits the candidate rho vectors of every set as one
+    population, each row on its own set: the shared values, then per
+    task each set's current best vector with that task's entry swept
+    over the grid (the rest of the vector cannot change within the
+    pass). Fits are memoised per set on the vector's bytes, so each
+    distinct vector trains once per set, and candidates are taken in
+    grid order: a strictly lower validation error wins. Returns one
+    (weights, rho vector) per set.
+    """
+    n_sets, k = len(stack), stack.n_classes
+    obj = MultitaskLinear(stack, hyper_layout=VectorLayout([("rho", k)]),
                           coupling="none", per_task_rho=True)
-    e_val = DatasetValidation(val)
-    fits = {}
+    fits = [{} for _ in range(n_sets)]  # one memo per set
+    best = [(None, np.inf)] * n_sets  # (rho vector, validation error)
 
-    def pass_scores(candidates):
-        """Validation errors of the candidate rows, fitting the new ones."""
-        new = {c.tobytes(): c for c in candidates if c.tobytes() not in fits}
+    def greedy_pass(candidates):
+        """Fit each set's new candidate rows, then take each set's best."""
+        new = [(i, vec) for i, cands in enumerate(candidates)
+               for vec in {c.tobytes(): c for c in cands
+                           if c.tobytes() not in fits[i]}.values()]
         if new:
-            ws = _fit(obj, cfg.inner_steps, cfg.inner_lr,
-                      np.array(list(new.values())))
-            for key, w in zip(new, ws):
-                fits[key] = w, e_val.value(w)
-        return [fits[c.tobytes()][1] for c in candidates]
+            rows = np.array([i for i, _ in new])
+            ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr,
+                      np.array([vec for _, vec in new]))
+            for (i, vec), w in zip(new, ws):
+                try:
+                    fits[i][vec.tobytes()] = w, e_vals[i].value(w)
+                except NonFiniteError as err:  # the fit diverged
+                    err.rows = np.arange(n_sets) == i
+                    raise
+        for i, cands in enumerate(candidates):
+            for vec in cands:
+                score = fits[i][vec.tobytes()][1]
+                if score < best[i][1]:
+                    best[i] = vec, score
 
-    best_shared, best_score = None, np.inf
-    for rho, score in zip(_RHO_GRID,
-                          pass_scores([np.full(k, rho) for rho in _RHO_GRID])):
-        if score < best_score:
-            best_shared, best_score = rho, score
-    rho_vec = np.full(k, best_shared)
+    greedy_pass([[np.full(k, rho) for rho in _RHO_GRID]] * n_sets)
     for task in range(k):
         candidates = []
-        for rho in _RHO_GRID:
-            trial = rho_vec.copy()
-            trial[task] = rho
-            candidates.append(trial)
-        for trial, score in zip(candidates, pass_scores(candidates)):
-            if score < best_score:
-                rho_vec, best_score = trial, score
-    return _accuracy_pct(test, fits[rho_vec.tobytes()][0]), rho_vec
+        for vec, _ in best:
+            swept = np.tile(vec, (len(_RHO_GRID), 1))
+            swept[:, task] = _RHO_GRID
+            candidates.append(list(swept))
+        greedy_pass(candidates)
+    return [(fits[i][vec.tobytes()][0], vec) for i, (vec, _) in enumerate(best)]
 
 
-def _coupled_runs(train, val, test, cfg, mode, radii=(None,)):
-    """Hyper-optimize a coupled model once per coupling radius, in lockstep.
+def _coupled_runs(stack, e_vals, cfg, mode, radii=(None,)):
+    """Hyper-optimize a coupled model on every set, once per coupling
+    radius, in lockstep.
 
-    The radii share one problem, so while their lam agree they share
-    each hypergradient. Returns one (test accuracy, final lam, records,
-    coupling) per radius and the number of hypergradients computed.
+    Every (set, radius) is one path of one lockstep problem over the
+    stack: each hyper-iteration computes all their hypergradients as one
+    block, and the radii of a set share each hypergradient while their
+    lam agree. The final retrains, one per distinct (set, final lam),
+    run as one population. Returns, per set, one (weights, final lam,
+    records, coupling) per radius, and the number of hypergradients
+    computed per set.
     """
-    k = train.n_classes
+    k, n_sets = stack.n_classes, len(stack)
     if mode == "uniform":
         layout = VectorLayout([("coupling", 1), ("rho", 1)])
         lam0 = layout.pack(coupling=0.0, rho=_RHO_INIT)
@@ -317,33 +354,39 @@ def _coupled_runs(train, val, test, cfg, mode, radii=(None,)):
         layout = VectorLayout([("coupling", k * k), ("rho", k)])
         lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, _RHO_INIT))
         obj_kwargs = dict(coupling="full", per_task_rho=True)
-    obj = MultitaskLinear(train, hyper_layout=layout, **obj_kwargs)
+    obj = MultitaskLinear(stack, hyper_layout=layout, **obj_kwargs)
     dyn = GradientDescent(obj, eta=cfg.inner_lr)
     constraints = [
         Constraints(layout, {"coupling": NonNeg() if mode == "uniform"
                              else MTLCone(r), "rho": NonNeg()})
         for r in radii
     ]
-    e_val = DatasetValidation(val)
-    s0 = dyn.init_state(np.zeros(obj.n_params))
+    starts = [(row, cons) for row in range(n_sets) for cons in constraints]
     paths, n_computed = lockstep_ho_loop(
-        dyn, e_val, s0,
-        [(lam0, c, MaxHyperIters(cfg.hyper_iters)) for c in constraints],
+        dyn, e_vals, np.zeros((n_sets, obj.n_params)),
+        [(lam0, cons, MaxHyperIters(cfg.hyper_iters), row)
+         for row, cons in starts],
         cfg.inner_steps, engine=cfg.engine, lr=cfg.hyper_lr,
     )
-    accuracy = {}  # one retrain per distinct final lam
-    runs = []
-    for cons, (lam, records) in zip(constraints, paths):
+    finals = {}  # one retrain per distinct (set, final lam)
+    for (row, cons), (lam, records) in zip(starts, paths):
         for r in records:
             if not cons.contains(r.lam):
                 raise InfeasibleHypersError(
                     f"infeasible hypers at hyper-iteration {r.index}")
-        key = lam.tobytes()
-        if key not in accuracy:
-            w = _fit(MultitaskLinear(train, hyper_layout=layout, **obj_kwargs),
-                     cfg.inner_steps, cfg.inner_lr, lam)
-            accuracy[key] = _accuracy_pct(test, w)
-        runs.append((accuracy[key], lam, records, obj._coupling_matrix(lam)))
+        finals.setdefault((row, lam.tobytes()), (row, lam))
+    rows = np.array([row for row, _ in finals.values()])
+    ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr,
+              np.array([lam for _, lam in finals.values()]))
+    try:
+        ensure_finite(ws, "retrained weights")
+    except NonFiniteError as err:
+        raise rows_among(err, rows, n_sets)
+    weights = dict(zip(finals, ws))
+    runs = [[] for _ in range(n_sets)]
+    for (row, _), (lam, records) in zip(starts, paths):
+        runs[row].append((weights[row, lam.tobytes()], lam, records,
+                          obj._coupling_matrix(lam)))
     return runs, n_computed
 
 
@@ -355,46 +398,68 @@ def _parted_at(records_a, records_b):
     return None
 
 
+@contextmanager
+def _seeds_named(seeds):
+    """Rescope a NonFiniteError that marks rows with the seeds of those rows."""
+    try:
+        yield
+    except NonFiniteError as err:
+        if err.rows is None:
+            raise
+        failed = ", ".join(str(seeds[i]) for i in np.flatnonzero(err.rows))
+        raise rescoped(err, f"seed {failed}") from err
+
+
 def run_mtl(cfg: ExperimentConfig) -> RunReport:
     """STL / NMTL / HMTL / HMTL-S comparison over seeded splits.
 
-    HMTL and HMTL-S run as two lockstep paths of one problem: they share
-    every hypergradient until the HMTL-S radius binds. ``timings`` gives,
-    per seed, the hyper-iteration where they parted (None if they never
-    did), the number of hypergradients computed and the seconds of the
-    STL grid (``stl_s``).
+    Every method runs all seeds as one block over a stack of the seeds'
+    training sets, each seed bit for bit what it gives alone: NMTL as
+    one lockstep problem, HMTL and HMTL-S as another (two paths per
+    seed, sharing every hypergradient until the HMTL-S radius binds),
+    and the STL grid's passes as populations. A seed's test split is
+    drawn only when its accuracies are scored. ``timings`` gives the
+    seconds of each block (``uniform_s`` for NMTL, ``full_s`` for HMTL
+    and HMTL-S, ``stl_s`` for the grid) and, per seed, the
+    hyper-iteration where HMTL and HMTL-S parted (None if they never
+    did) and the number of hypergradients computed.
     """
     cfg.validate()
+    seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
+    stack, e_vals = _mtl_task(cfg, seeds)
+    timings = {}
+    with _seeds_named(seeds):
+        started = time.perf_counter()
+        nmtl, n_uniform = _coupled_runs(stack, e_vals, cfg, "uniform")
+        timings["uniform_s"] = time.perf_counter() - started
+        started = time.perf_counter()
+        full, n_full = _coupled_runs(stack, e_vals, cfg, "full",
+                                     radii=(None, cfg.radius))
+        timings["full_s"] = time.perf_counter() - started
+        started = time.perf_counter()
+        stl = _stl_grid(stack, e_vals, cfg)
+        timings["stl_s"] = time.perf_counter() - started
+
     methods = {"stl": [], "nmtl": [], "hmtl": [], "hmtl_s": []}
     all_records = []
     couplings = {"hmtl": [], "hmtl_s": []}
     per_seed = []
-    for rep in range(cfg.n_seeds):
-        seed = cfg.seed + rep
-        train, val, test, _ = _mtl_data(cfg, seed)
-
-        started = time.perf_counter()
-        acc_stl, _ = _stl_grid(train, val, test, cfg)
-        stl_s = time.perf_counter() - started
-        methods["stl"].append(acc_stl)
-
-        [(acc_nmtl, _, recs, _)], n_uniform = _coupled_runs(
-            train, val, test, cfg, "uniform")
-        methods["nmtl"].append(acc_nmtl)
+    for i, seed in enumerate(seeds):
+        _, _, test, _ = _mtl_data(cfg, seed, ("test",))
+        methods["stl"].append(_accuracy_pct(test, stl[i][0]))
+        [(w, _, recs, _)] = nmtl[i]
+        methods["nmtl"].append(_accuracy_pct(test, w))
         _tag_records(recs, all_records, seed=seed, method="nmtl")
-
-        runs, n_full = _coupled_runs(train, val, test, cfg, "full",
-                                     radii=(None, cfg.radius))
-        for name, (acc, _, recs, c_mat) in zip(("hmtl", "hmtl_s"), runs):
-            methods[name].append(acc)
+        for name, (w, _, recs, c_mat) in zip(("hmtl", "hmtl_s"), full[i]):
+            methods[name].append(_accuracy_pct(test, w))
             _tag_records(recs, all_records, seed=seed, method=name)
             couplings[name].append(c_mat)
         per_seed.append({"seed": seed,
-                         "hmtl_parted_at": _parted_at(runs[0][2], runs[1][2]),
-                         "hypergradients": n_uniform + n_full,
-                         "stl_s": stl_s})
+                         "hmtl_parted_at": _parted_at(full[i][0][2],
+                                                      full[i][1][2]),
+                         "hypergradients": n_uniform[i] + n_full[i]})
 
-    metrics = {"seeds": [cfg.seed + r for r in range(cfg.n_seeds)]}
+    metrics = {"seeds": seeds}
     for name, accs in methods.items():
         metrics[name] = {"mean": float(np.mean(accs)),
                          "std": float(np.std(accs)),
@@ -409,13 +474,13 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     curves = {
         "accuracy": (
             ["seed", "stl", "nmtl", "hmtl", "hmtl_s"],
-            [[cfg.seed + r] + [methods[m][r] for m in
-                               ("stl", "nmtl", "hmtl", "hmtl_s")]
-             for r in range(cfg.n_seeds)],
+            [[seed] + [methods[m][r] for m in
+                       ("stl", "nmtl", "hmtl", "hmtl_s")]
+             for r, seed in enumerate(seeds)],
         )
     }
     return RunReport("mtl", config_as_dict(cfg), all_records, metrics,
-                     timings={"seeds": per_seed}, curves=curves)
+                     timings={**timings, "seeds": per_seed}, curves=curves)
 
 
 def _tag_records(records, sink, **tags):
@@ -485,15 +550,10 @@ def _rtho_streams(cfg, seeds, task):
     stop = [MaxHyperIters(cfg.hyper_iters),
             LearningRateDecayedToZero(layout, "eta")]
     constraints = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
-    try:
+    with _seeds_named(seeds):
         runs = stream_ho_loop(dyn, e_vals, s0, lam0, constraints, cfg.delta,
                               stop, lr=cfg.hyper_lr,
                               record_extras=stream_extras)
-    except NonFiniteError as err:
-        if err.rows is None:
-            raise
-        failed = ", ".join(str(seeds[i]) for i in np.flatnonzero(err.rows))
-        raise rescoped(err, f"seed {failed}") from err
     summaries = []
     for _, records in runs:
         final = records[-1]

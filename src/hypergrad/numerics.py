@@ -1,9 +1,11 @@
 """Vector coercion, finiteness checks and the deterministic RNG.
 
 All arrays are 64-bit floats. ``as_vector`` rejects other ranks,
-``ensure_finite`` and ``ensure_finite_scalar`` turn a NaN or Inf into a
-``NonFiniteError`` (tagged with its step, when one is given), and
-``make_rng`` derives every random stream from one root seed.
+``row_dot`` takes the dot product of two vectors or of each pair of
+rows of two blocks, ``ensure_finite`` and ``ensure_finite_scalar`` turn
+a NaN or Inf into a ``NonFiniteError`` (tagged with its step, when one
+is given), and ``make_rng`` derives every random stream from one root
+seed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,19 @@ def as_vector(x, name="vector") -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name}: expected 1-D, got shape {arr.shape}")
     return arr
+
+
+def row_dot(a, b):
+    """``a @ b`` as a float for vectors; one such dot per row for blocks.
+
+    Each row of a (K, d) block pair is bit for bit its vector dot:
+    ``np.matmul`` runs the same BLAS dot on every (1, d) @ (d, 1) slice,
+    which a row-wise ``(a * b).sum(axis=-1)`` (pairwise summation) does
+    not reproduce.
+    """
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def ensure_finite(arr, context, step=None):

@@ -17,18 +17,19 @@ vectors are laid out as ``concat(W.ravel(), b)`` with W of shape
 (n_classes, n_features). The validation error is the mean cross-entropy
 of the same model.
 
-``grad_w`` of both softmax models also takes a leading population axis:
-a (K, n_params) block of parameter vectors with a (K, m) block of hyper
-vectors gives K gradients, row i bit for bit the gradient of row i
-alone. The kernels below are written on the last axes for this, so a
-single vector runs the same arithmetic; ``unpack_linear`` and
-``_assemble_wgrad`` keep their plain 2-D views for it, the products'
-hot path. A unit-weight ``WeightedSoftmax`` can also hold a seed stack
-(``datasets.SeedStack``): S training sets, each with its own minibatch
-schedule, where row i of a (S, n_params) block trains on set i; its
-``grad_w`` and ``hvp_w`` take such blocks, each row bit for bit what
-set i alone gives. The other products, and example weights given as
-hypers, take single vectors only.
+The products of both softmax models also take a leading population
+axis: a (K, n_params) block of parameter vectors with a (K, m) block of
+hyper vectors gives K results, row i bit for bit the result of row i
+alone (a direction ``q`` of ``cross_jvp`` stays one (m,) vector). The
+kernels below are written on the last axes for this, so a single vector
+runs the same arithmetic; ``unpack_linear`` and ``_assemble_wgrad`` keep
+their plain 2-D views for it, the products' hot path. Either model can
+also hold a seed stack (``datasets.SeedStack``, for ``WeightedSoftmax``
+with unit weights only): S training sets, each with its own minibatch
+schedule, where row i of a (S, n_params) block trains on set i, each
+row bit for bit what set i alone gives. ``take`` maps the rows of a
+block onto the sets (a set may serve several rows). Example weights
+given as hypers take single vectors only, and a stack has no ``value``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .datasets import (Dataset, MinibatchSchedule, SeedStack,
                        full_batch_schedule)
 from .errors import DimensionMismatchError
 from .layouts import VectorLayout
-from .numerics import ensure_finite_scalar, make_rng
+from .numerics import ensure_finite_scalar, make_rng, row_dot
 
 # ---------------------------------------------------------------------------
 # Shared softmax cross-entropy kernels
@@ -136,9 +137,9 @@ class _Batch:
     the read-only coefficients ``g = p - onehot`` are derived from them
     on first use, with the batch's rows of the objective's read-only
     one-hot labels. ``grad`` is filled by objectives whose gradient
-    depends on (t, w) only. Over a seed stack, ``idx`` is (S, b), row i
-    of ``x``, ``onehot``, ``p`` and ``g`` is set i's minibatch, and the
-    one-hot is built from the batch's labels (the stack keeps none).
+    depends on (t, w) only. Over a seed stack, ``idx`` is (K, b) and
+    row i of ``x``, ``onehot``, ``p`` and ``g`` is the minibatch of set
+    ``rows[i]`` (see ``_SoftmaxData._stack_batch``).
     """
 
     __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "grad")
@@ -151,16 +152,12 @@ class _Batch:
             # a full batch read in place takes the whole one-hot as it is
             self.onehot = (obj._onehot if self.y is obj.dataset.labels
                            else obj._onehot[self.idx])
-        else:  # row i: set rows[i]'s own minibatch
+        else:
             if w.shape[:-1] != rows.shape:
                 raise DimensionMismatchError(
-                    f"a stack of {len(rows)} training sets takes "
+                    f"a stack of {len(rows)} rows takes "
                     f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
-            self.idx = np.stack([sched.indices(t) for sched in obj.schedule])
-            at = (rows[:, None], self.idx)
-            self.x, self.y = obj.dataset.features[at], obj.dataset.labels[at]
-            # a bool one-hot: p - onehot has the bits of p - 1.0 and 0.0
-            self.onehot = self.y[..., None] == np.arange(obj.n_classes)
+            self.idx, self.x, self.y, self.onehot = obj._stack_batch(t)
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
             p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
@@ -304,23 +301,85 @@ class _SoftmaxData:
     product weight each example's row (``_weighted``: unit weights
     unless a subclass says otherwise) and then scale the batch sum by
     ``_scale`` (none unless a subclass sets one).
+
+    ``dataset`` may be a ``SeedStack`` of S training sets, with one
+    schedule per set (all full batch by default; all of one shape):
+    the products then take (K, n_params) blocks whose row i trains on
+    set ``rows[i]`` with that set's schedule. At first the rows are the
+    sets in order (K = S); ``take`` picks other rows.
     """
 
     _scale = None
     _rows = None  # seed stacks: the set each row of a block trains on
 
-    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None,
+    def __init__(self, dataset: Dataset | SeedStack,
+                 hyper_layout: VectorLayout | None,
                  schedule: MinibatchSchedule | None):
         self.dataset = dataset
         self.n_classes = int(dataset.n_classes)
         self.n_features = dataset.n_features
         self.n_params = self.n_classes * (self.n_features + 1)
-        self.schedule = schedule or full_batch_schedule(dataset.n)
         self.hyper_layout = hyper_layout
-        # a seed stack builds each batch's one-hot from its labels instead
-        self._onehot = (None if isinstance(dataset, SeedStack) else
-                        _frozen(_onehot(dataset.labels, self.n_classes)))
+        if isinstance(dataset, SeedStack):
+            self.schedule = (tuple(schedule) if schedule is not None else
+                             (full_batch_schedule(dataset.n),) * len(dataset))
+            shapes = {(sched.n, sched.batch_size) for sched in self.schedule}
+            if (len(self.schedule) != len(dataset) or len(shapes) != 1
+                    or shapes.pop()[0] != dataset.n):
+                raise ValueError(
+                    f"a seed stack of {len(dataset)} training sets takes one "
+                    f"schedule per set, all over its {dataset.n} examples "
+                    f"with one batch size")
+            self._rows = np.arange(len(dataset))
+            self._onehot = None  # each batch builds its one-hot instead
+        else:
+            self.schedule = schedule or full_batch_schedule(dataset.n)
+            self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
+        self._full = None  # a stack's full batch, built on first use
         self._cache = _BatchCache()
+
+    def take(self, rows):
+        """This objective with its block rows mapped to the sets ``rows``.
+
+        ``rows`` indexes the current rows: a boolean mask keeps some of
+        them, an index array may also repeat them, so that several rows
+        train on one set. The training sets stay where they are; each
+        row keeps its set's schedule, and the copy starts an empty batch
+        memo.
+        """
+        pick = np.arange(len(self._rows))[rows]
+        sub = copy.copy(self)
+        sub._rows = self._rows[pick]
+        sub.schedule = tuple(self.schedule[i] for i in pick)
+        sub._full = None
+        sub._cache = _BatchCache()
+        return sub
+
+    def _stack_batch(self, t):
+        """(idx, x, y, one-hot) of minibatch ``t``, row i from set rows[i].
+
+        A full batch is built once per objective: the stack's own arrays
+        when the rows are its sets in order (read in place), else one
+        read-only gathered copy. A minibatch gathers its rows at every
+        build. The one-hot is bool: p - onehot has the bits of p - 1.0
+        and p - 0.0, and the stack keeps none of its own.
+        """
+        if self._full is not None:
+            return self._full
+        rows, data = self._rows, self.dataset
+        idx = np.stack([sched.indices(t) for sched in self.schedule])
+        if not self.schedule[0].full_batch:  # the schedules share one shape
+            at = (rows[:, None], idx)
+            x, y = data.features[at], data.labels[at]
+            return idx, x, y, y[..., None] == np.arange(self.n_classes)
+        if (np.array_equal(rows, np.arange(len(data)))
+                and data.features.flags.c_contiguous):
+            x, y = data.features, data.labels
+        else:
+            x, y = _frozen(data.features[rows]), _frozen(data.labels[rows])
+        self._full = (_frozen(idx), x, y,
+                      _frozen(y[..., None] == np.arange(self.n_classes)))
+        return self._full
 
     def _unpack(self, v):
         return unpack_linear(v, self.n_classes, self.n_features)
@@ -367,11 +426,8 @@ class WeightedSoftmax(_SoftmaxData):
     weights the gradient depends on (t, w) only, so it is built once per
     cached batch and returned read-only.
 
-    With unit weights ``dataset`` may be a ``SeedStack`` of S training
-    sets and ``schedule`` one minibatch schedule per set: the objective
-    then takes (S, n_params) blocks in ``grad_w`` and ``hvp_w`` (not
-    ``value``), row i training on set i with schedule i, and ``take``
-    keeps some of the rows.
+    With unit weights ``dataset`` may be a ``SeedStack`` (see
+    ``_SoftmaxData``).
     """
 
     def __init__(self, dataset: Dataset | SeedStack,
@@ -381,17 +437,10 @@ class WeightedSoftmax(_SoftmaxData):
         super().__init__(dataset, hyper_layout, schedule)
         self.weight_segment = weight_segment
         self._unit = None
-        if isinstance(dataset, SeedStack):
-            self.schedule = tuple(schedule or ())
-            shapes = {(sched.n, sched.batch_size) for sched in self.schedule}
-            if (weight_segment is not None
-                    or len(self.schedule) != len(dataset)
-                    or len(shapes) != 1 or shapes.pop()[0] != dataset.n):
-                raise ValueError(
-                    f"a seed stack of {len(dataset)} training sets takes unit "
-                    f"weights and one schedule per set, all over its "
-                    f"{dataset.n} examples with one batch size")
-            self._rows = np.arange(len(dataset))
+        if self._rows is not None:
+            if weight_segment is not None:
+                raise ValueError(f"a seed stack of {len(dataset)} training "
+                                 f"sets takes unit weights")
         elif weight_segment is not None:
             _segment(hyper_layout, weight_segment, dataset.n)  # one per example
         else:
@@ -399,19 +448,6 @@ class WeightedSoftmax(_SoftmaxData):
             # with all-ones weights passed as hypers
             self._unit = _frozen(np.ones(dataset.n))
         self._scale = 1.0 / dataset.n
-
-    def take(self, keep):
-        """This objective over the rows ``keep`` (a boolean mask) of its stack.
-
-        The training sets stay where they are; the rows kept keep their
-        schedules, and the copy starts an empty batch memo.
-        """
-        sub = copy.copy(self)
-        sub._rows = self._rows[keep]
-        sub.schedule = tuple(sched for sched, kept
-                             in zip(self.schedule, keep) if kept)
-        sub._cache = _BatchCache()
-        return sub
 
     def _weights(self, lam):
         if self.weight_segment is None:
@@ -494,10 +530,11 @@ class MultitaskLinear(_SoftmaxData):
 
     The data term is the batch sum of cross-entropies, and the penalty
     is scaled by batch/n, so one full pass matches the full-batch
-    objective.
+    objective. ``dataset`` may be a ``SeedStack`` (see ``_SoftmaxData``).
     """
 
-    def __init__(self, dataset: Dataset, hyper_layout: VectorLayout | None = None,
+    def __init__(self, dataset: Dataset | SeedStack,
+                 hyper_layout: VectorLayout | None = None,
                  schedule: MinibatchSchedule | None = None,
                  coupling="full", per_task_rho=False):
         super().__init__(dataset, hyper_layout, schedule)
@@ -573,7 +610,8 @@ class MultitaskLinear(_SoftmaxData):
 
     def _frac(self, t):
         """Minibatch ``t``'s share of the training set: the penalty's weight."""
-        sched = self.schedule
+        # the schedules of a stack's rows share one shape
+        sched = self.schedule if self._rows is None else self.schedule[0]
         size = sched.n if sched.full_batch else len(sched.indices(t))
         return size / self.dataset.n
 
@@ -598,7 +636,8 @@ class MultitaskLinear(_SoftmaxData):
         out = self._data_hvp(b, lam, rmat, rb)
         bound = self._bind(lam)
         reg = _reg_grad_mat(rmat, bound.lap4, bound.rho2)
-        out[: rmat.size] += self._frac(t) * reg.ravel()
+        n_mat = rmat.shape[-2] * rmat.shape[-1]
+        out[..., :n_mat] += self._frac(t) * reg.reshape(*out.shape[:-1], n_mat)
         return out
 
     def cross_jvp(self, w, lam, t, q):
@@ -623,31 +662,38 @@ class MultitaskLinear(_SoftmaxData):
         rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
         acc += 2.0 * rho_dir[:, None] * mat
         out = np.zeros_like(w)
-        out[: mat.size] = self._frac(t) * acc.ravel()
+        n_mat = k * self.n_features
+        out[..., :n_mat] = self._frac(t) * acc.reshape(*w.shape[:-1], n_mat)
         return out
 
     def cross_vjp(self, w, lam, t, alpha):
         mat, _ = self._unpack(w)
         amat, _ = self._unpack(alpha)
-        k = self.n_classes
+        k, lead = self.n_classes, amat.shape[:-2]
         frac = self._frac(t)
         out = np.zeros_like(lam)
+        prod = amat * mat
         if self._coupling_slice is not None:
             if self.coupling == "uniform":
-                val = 4.0 * (k * (amat * mat).sum()
-                             - amat.sum(axis=0) @ mat.sum(axis=0))
-                out[self._coupling_slice] = frac * val
+                # the flat sum of a (k, f) slice, and a BLAS dot, per row
+                val = 4.0 * (k * prod.reshape(*lead, -1).sum(axis=-1)
+                             - row_dot(amat.sum(axis=-2), mat.sum(axis=-2)))
+                out[..., self._coupling_slice] = frac * np.reshape(
+                    val, (*lead, 1))
             else:
                 # d<alpha, grad_W reg>/dC[j,k] for stored upper entries:
                 # 4 (a_j - a_k).(w_j - w_k)
-                m = amat @ mat.T
-                diag = m.diagonal()
-                pair = diag[:, None] + diag[None, :] - m - m.T
+                m = amat @ mat.swapaxes(-1, -2)
+                diag = np.diagonal(m, axis1=-2, axis2=-1)
+                pair = (diag[..., :, None] + diag[..., None, :] - m
+                        - m.swapaxes(-1, -2))
                 vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
-                out[self._coupling_slice] = frac * vals.ravel()
-        per_task = 2.0 * (amat * mat).sum(axis=1)
-        out[self._rho_slice] = frac * (per_task if self.per_task_rho
-                                       else per_task.sum())
+                out[..., self._coupling_slice] = frac * vals.reshape(
+                    *lead, k * k)
+        per_task = 2.0 * prod.sum(axis=-1)
+        out[..., self._rho_slice] = frac * (
+            per_task if self.per_task_rho
+            else per_task.sum(axis=-1, keepdims=True))
         return out
 
     def touched_hypers(self, t):

@@ -125,12 +125,14 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
                            n_clusters=2, n_features=8, n_train=16, n_val=16,
                            n_test=40, inner_steps=25, inner_lr=0.01,
                            radius=radius, hyper_iters=iters, hyper_lr=0.05)
-    retrained = []
+    retrained, retrains = [], []
     fit = experiments._fit
 
     def counting(obj, n_steps, lr, lam=None):
         if getattr(obj, "coupling", None) == "full":
-            retrained.append(lam.tobytes())
+            retrains.append(len(lam))
+            retrained.extend((int(row), vec.tobytes())
+                             for row, vec in zip(obj._rows, lam))
         return fit(obj, n_steps, lr, lam)
     monkeypatch.setattr(experiments, "_fit", counting)
     report = run_mtl(cfg)
@@ -139,7 +141,9 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
              "hypergradients": iters + shared + 2 * (iters - shared)}
             for seed in (0, 1)]
     assert _without_seconds(report.timings) == want
-    assert all(entry["stl_s"] >= 0.0 for entry in report.timings["seeds"])
+    # one block per method: its seconds, not one entry per seed
+    assert all(report.timings[key] >= 0.0
+               for key in ("stl_s", "uniform_s", "full_s"))
     for seed in (0, 1):
         recs = [r for r in report.records if r.extras["seed"] == seed]
         assert [r.extras["method"] for r in recs] == (
@@ -148,9 +152,10 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
         differ = [a.index for a, b in zip(hmtl, hmtl_s)
                   if a.lam.tobytes() != b.lam.tobytes()]
         assert (differ[0] if differ else None) == parted_at
-    # one retrain per distinct final lam
+    # one retrain per distinct (seed, final lam), all in one population
     assert len(retrained) == len(set(retrained)) == (2 if parted_at is None
                                                      else 4)
+    assert retrains == [len(retrained)]
     digest = report.digest()
     payload = json.loads((write_report(report, tmp_path)
                           / "metrics.json").read_text())
@@ -160,63 +165,72 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
 
 
 def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
-    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=1, n_classes=3,
+    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=3,
                            n_clusters=2, n_features=6, n_train=12, n_val=12,
                            n_test=30, inner_steps=15, inner_lr=0.01)
-    train, val, test, _ = experiments._mtl_data(cfg, 0)
+    stack, e_vals = experiments._mtl_task(cfg, [0, 1])
     fitted, blocks = [], []
     fit = experiments._fit
 
     def counting(obj, n_steps, lr, lam):
         blocks.append(len(lam))
-        fitted.extend(row.tobytes() for row in lam)
+        fitted.extend((int(row), vec.tobytes())
+                      for row, vec in zip(obj._rows, lam))
         return fit(obj, n_steps, lr, lam)
 
     monkeypatch.setattr(experiments, "_fit", counting)
-    acc, rho_vec = experiments._stl_grid(train, val, test, cfg)
-    # 7 shared values, then 7 per task; the greedy pass revisits the
-    # current best vector once per task, and each pass is one block
+    grid = experiments._stl_grid(stack, e_vals, cfg)
+    # per seed 7 shared values, then 7 per task; the greedy pass
+    # revisits the current best vector once per task, and each pass is
+    # one block over both seeds
     assert len(fitted) == len(set(fitted))
-    assert 7 <= len(fitted) <= 7 + 3 * 7
-    assert blocks[0] == 7 and len(blocks) == 1 + 3
-    assert rho_vec.tobytes() in fitted
+    for seed in (0, 1):
+        mine = [vec for row, vec in fitted if row == seed]
+        assert 7 <= len(mine) <= 7 + 3 * 7
+        assert grid[seed][1].tobytes() in mine
+    assert blocks[0] == 2 * 7 and len(blocks) == 1 + 3
     monkeypatch.undo()
-    # the block fit's row is the 1-D fit at the chosen vector
-    stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
-                          coupling="none", per_task_rho=True)
-    w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
-    assert acc == experiments._accuracy_pct(test, w)
+    # each seed's weights are the 1-D fit at its chosen vector
+    for seed, (w, rho_vec) in enumerate(grid):
+        stl = MultitaskLinear(stack[seed],
+                              hyper_layout=VectorLayout([("rho", 3)]),
+                              coupling="none", per_task_rho=True)
+        assert np.array_equal(w, experiments._fit(stl, cfg.inner_steps,
+                                                  cfg.inner_lr, rho_vec))
 
 
 def test_stl_grid_matches_the_looped_greedy_sweep():
     # enough steps and features that the ridge matters: the sweep picks
-    # a different rho per task here
-    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=1, n_classes=3,
+    # a different rho per task for seed 1, whose passes share their
+    # blocks with seed 0's
+    cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=3,
                            n_clusters=2, n_features=20, n_train=12, n_val=30,
                            n_test=30, inner_steps=150, inner_lr=0.05)
-    train, val, test, _ = experiments._mtl_data(cfg, 1)
+    grid = experiments._stl_grid(*experiments._mtl_task(cfg, [0, 1]), cfg)
+    for seed, (got_w, got) in enumerate(grid):
+        train, val, _, _ = experiments._mtl_data(cfg, seed)
+        stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
+                              coupling="none", per_task_rho=True)
 
-    stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
-                          coupling="none", per_task_rho=True)
+        def score(rho_vec):
+            w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
+            return w, DatasetValidation(val).value(w)
 
-    def score(rho_vec):
-        w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
-        return w, DatasetValidation(val).value(w)
-
-    best = min(experiments._RHO_GRID, key=lambda rho: score(np.full(3, rho))[1])
-    rho_vec = np.full(3, best)
-    best_score = score(rho_vec)[1]
-    for task in range(3):
-        for rho in experiments._RHO_GRID:
-            trial = rho_vec.copy()
-            trial[task] = rho
-            _, s = score(trial)
-            if s < best_score:
-                rho_vec, best_score = trial, s
-    acc, got = experiments._stl_grid(train, val, test, cfg)
-    assert len(set(rho_vec.tolist())) == 3
-    assert np.array_equal(got, rho_vec)
-    assert acc == experiments._accuracy_pct(test, score(rho_vec)[0])
+        best = min(experiments._RHO_GRID,
+                   key=lambda rho: score(np.full(3, rho))[1])
+        rho_vec = np.full(3, best)
+        best_score = score(rho_vec)[1]
+        for task in range(3):
+            for rho in experiments._RHO_GRID:
+                trial = rho_vec.copy()
+                trial[task] = rho
+                _, s = score(trial)
+                if s < best_score:
+                    rho_vec, best_score = trial, s
+        if seed == 1:
+            assert len(set(rho_vec.tolist())) == 3
+        assert np.array_equal(got, rho_vec)
+        assert np.array_equal(got_w, score(rho_vec)[0])
 
 
 # ---------------------------------------------------------------------------

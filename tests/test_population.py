@@ -10,9 +10,13 @@ a seeded numpy generator.
 The same holds for a seed stack: S training sets with their own
 schedules, where row i of a (S, d) block trains on set i. Its ``step``,
 ``jvp_state`` and ``jvp_hyper``, and the real-time stream and loop run
-on it, must give row for row what each seed gives alone.
+on it, must give row for row what each seed gives alone. So must the
+block ``vjp_state``, ``vjp_hyper``, ``reverse_hg`` and ``forward_hg`` on
+a ``MultitaskLinear`` stack whose rows may repeat a set, and a
+multi-seed ``run_mtl`` against its one-seed runs.
 """
 
+import dataclasses
 import gc
 import weakref
 from itertools import islice
@@ -20,13 +24,13 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from hypergrad import experiments
+from hypergrad import cli, experiments
 from hypergrad.config import ExperimentConfig
 from hypergrad.datasets import (Dataset, MinibatchSchedule, SeedStack,
                                 full_batch_schedule)
 from hypergrad.driver import MaxHyperIters, stream_ho_loop
 from hypergrad.dynamics import GradientDescent, Momentum
-from hypergrad.engines import rtho_stream, train
+from hypergrad.engines import forward_hg, reverse_hg, rtho_stream, train
 from hypergrad.errors import DimensionMismatchError, NonFiniteError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
@@ -622,3 +626,308 @@ def test_single_seed_run_is_the_one_row_block():
         np.zeros(dyn.objective.n_params)), layout.pack(eta=0.0, mu=0.0), box,
         cfg.delta, MaxHyperIters(cfg.hyper_iters), lr=cfg.hyper_lr)
     assert _record_bits(report.records) == _record_bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the reverse engine on a seed stack: MultitaskLinear rows, set rows[i]
+
+
+MTL_CASES = [(dynamics, coupling, per_task, eta)
+             for dynamics in ("GD", "GDM")
+             for coupling in ("none", "uniform", "full")
+             for per_task in (False, True)
+             for eta in ("const", "hyper")]
+
+
+class MtlStack:
+    """A ``MultitaskLinear`` seed stack with K rows on its S sets.
+
+    ``rows`` (K of them, drawn from ``seed``) may repeat a set, as the
+    parted HMTL and HMTL-S paths of one seed do. ``block`` is the
+    dynamics over those rows; ``alone(i)`` builds fresh dynamics over
+    set ``rows[i]`` only, with its schedule. ``s``, ``lam`` and ``alpha``
+    are (K, d), (K, m) and (K, d) blocks; ``E`` holds one validation
+    error per row (that of the row's set).
+    """
+
+    def __init__(self, dynamics, coupling, per_task, eta, seed):
+        rng = make_rng(seed, 0x3A7, MTL_CASES.index(
+            (dynamics, coupling, per_task, eta)))
+        n_sets = int(rng.integers(1, 4))
+        self.K = int(rng.integers(1, 7))
+        self.rows = rng.integers(0, n_sets, size=self.K)
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(k, 16))
+        p = int(rng.integers(1, 7))
+        labels = rng.integers(0, k, size=(n_sets, n))
+        labels[:, :k] = np.arange(k)  # every class present in every set
+        self.stack = SeedStack(rng.standard_normal((n_sets, n, p)), labels, k)
+        size = None if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+        self.schedules = [MinibatchSchedule(n=n, batch_size=size,
+                                            seed=100 * seed + i)
+                          for i in range(n_sets)]
+        segs = []
+        if eta == "hyper":
+            segs = [("eta", 1)] + ([("mu", 1)] if dynamics == "GDM" else [])
+        if coupling != "none":
+            segs.append(("coupling", k * k if coupling == "full" else 1))
+        segs.append(("rho", k if per_task else 1))
+        self.layout = VectorLayout(segs)
+        self._kwargs = dict(hyper_layout=self.layout, coupling=coupling,
+                            per_task_rho=per_task)
+        if eta == "hyper":
+            self._make = GradientDescent if dynamics == "GD" else Momentum
+        elif dynamics == "GD":
+            self._make = lambda obj: GradientDescent(obj, eta=0.1)
+        else:
+            self._make = lambda obj: Momentum(obj, eta=0.1, mu=0.6)
+        self.block = self._make(MultitaskLinear(
+            self.stack, schedule=self.schedules, **self._kwargs).take(
+                self.rows))
+        self.m = self.layout.size
+        lam = 0.3 * rng.random((self.K, self.m))
+        if eta == "hyper":
+            lam[:, 0] = 0.05 + 0.3 * lam[:, 0]
+        self.lam = lam
+        d = self.block.n_state
+        self.s = 0.5 * rng.standard_normal((self.K, d))
+        self.alpha = rng.standard_normal((self.K, d))
+        self.t = int(rng.integers(1, 3 * self.schedules[0].batches_per_epoch
+                                  + 2))
+        e_sets = [DatasetValidation(Dataset(
+            features=rng.standard_normal((7, p)),
+            labels=rng.integers(0, k, size=7), n_classes=k))
+            for _ in range(n_sets)]
+        self.E = [e_sets[r] for r in self.rows]
+
+    def alone(self, i):
+        r = self.rows[i]
+        return self._make(MultitaskLinear(
+            self.stack[r], schedule=self.schedules[r], **self._kwargs))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("dynamics, coupling, per_task, eta", MTL_CASES)
+def test_block_vjp_state_equals_each_row_alone(dynamics, coupling, per_task,
+                                               eta, seed):
+    st = MtlStack(dynamics, coupling, per_task, eta, seed)
+    block = st.block.vjp_state(st.s, st.lam, st.t, st.alpha)
+    assert block.shape == st.s.shape
+    for i in range(st.K):
+        assert np.array_equal(block[i], st.alone(i).vjp_state(
+            st.s[i], st.lam[i], st.t, st.alpha[i]))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("dynamics, coupling, per_task, eta", MTL_CASES)
+def test_block_vjp_hyper_equals_each_row_alone(dynamics, coupling, per_task,
+                                               eta, seed):
+    st = MtlStack(dynamics, coupling, per_task, eta, seed)
+    block = st.block.vjp_hyper(st.s, st.lam, st.t, st.alpha)
+    assert block.shape == st.lam.shape
+    for i in range(st.K):
+        assert np.array_equal(block[i], st.alone(i).vjp_hyper(
+            st.s[i], st.lam[i], st.t, st.alpha[i]))
+
+
+@pytest.mark.parametrize("engine", [reverse_hg, forward_hg])
+@pytest.mark.parametrize("seed", SEEDS[:5])
+@pytest.mark.parametrize("dynamics, coupling, per_task, eta", MTL_CASES)
+def test_block_hypergradient_equals_each_row_alone(dynamics, coupling,
+                                                   per_task, eta, seed,
+                                                   engine):
+    st = MtlStack(dynamics, coupling, per_task, eta, seed)
+    n_steps = st.t + 1
+    block = engine(st.block, st.E, st.s, st.lam, n_steps)
+    assert block.gradient.shape == st.lam.shape
+    assert len(block.response) == st.K
+    for i in range(st.K):
+        alone = engine(st.alone(i), st.E[i], st.s[i], st.lam[i], n_steps)
+        assert np.array_equal(block.gradient[i], alone.gradient)
+        assert block.response[i] == alone.response
+    if engine is reverse_hg:  # one tape of (K, d) states
+        assert len(block.tape) == n_steps + 1
+        assert all(s.shape == st.s.shape and not s.flags.writeable
+                   for s in block.tape.states)
+
+
+def test_a_block_takes_one_validation_error_per_row():
+    st = MtlStack("GD", "full", True, "hyper", 0)
+    for engine in (reverse_hg, forward_hg):
+        with pytest.raises(DimensionMismatchError):
+            engine(st.block, st.E[0], st.s, st.lam, 2)
+        with pytest.raises(DimensionMismatchError):
+            engine(st.block, st.E + st.E, st.s, st.lam, 2)
+
+
+def test_a_full_batch_over_the_stack_is_read_in_place():
+    # the sets in order read the stack's own arrays; repeated rows read
+    # one gathered copy, built once
+    st = MtlStack("GD", "full", True, "const", 0)
+    obj = MultitaskLinear(st.stack, **st._kwargs)
+    _, x, y, _ = obj._stack_batch(1)
+    assert x is st.stack.features and y is st.stack.labels
+    again = obj.take([0, 0])
+    _, x, _, onehot = again._stack_batch(1)
+    assert x.shape == (2, *st.stack.features.shape[1:])
+    assert np.array_equal(x[1], st.stack.features[0])
+    assert not x.flags.writeable and not onehot.flags.writeable
+    assert again._stack_batch(2)[1] is x
+
+
+def _reference_cross_vjp(obj, w, lam, t, alpha):
+    """``MultitaskLinear.cross_vjp`` of one vector, in its 1-D arithmetic.
+
+    A flat sum and BLAS dots: a row-wise rewrite of the block form that
+    moved the vector's bits would move every ``mtl`` digest.
+    """
+    mat, _ = obj._unpack(w)
+    amat, _ = obj._unpack(alpha)
+    k, frac = obj.n_classes, obj._frac(t)
+    out = np.zeros_like(lam)
+    if obj.coupling == "uniform":
+        val = 4.0 * (k * (amat * mat).sum()
+                     - amat.sum(axis=0) @ mat.sum(axis=0))
+        out[obj._coupling_slice] = frac * val
+    elif obj.coupling == "full":
+        m = amat @ mat.T
+        diag = m.diagonal()
+        pair = diag[:, None] + diag[None, :] - m - m.T
+        vals = np.where(obj._on_or_below_diag, 0.0, 4.0 * pair)
+        out[obj._coupling_slice] = frac * vals.ravel()
+    per_task = 2.0 * (amat * mat).sum(axis=1)
+    out[obj._rho_slice] = frac * (per_task if obj.per_task_rho
+                                  else per_task.sum())
+    return out
+
+
+def _reference_vjp_hyper(dyn, s, lam, t, alpha):
+    """``vjp_hyper`` of one vector, with 1-D dots for eta and mu."""
+    obj, eta, mu = dyn.objective, dyn._eta, getattr(dyn, "_mu", None)
+    if mu is None:  # GD
+        out = -eta.value(lam) * _reference_cross_vjp(obj, s, lam, t, alpha)
+        if eta.index is not None:
+            out[eta.index] -= float(alpha @ obj.grad_w(s, lam, t))
+        return out
+    v, w = dyn._split(s)
+    av, aw = dyn._split(alpha)
+    beta = av - eta.value(lam) * aw
+    out = _reference_cross_vjp(obj, w, lam, t, beta)
+    if mu.index is not None:
+        out[mu.index] += float(beta @ v)
+    if eta.index is not None:
+        v_new = mu.value(lam) * v + obj.grad_w(w, lam, t)
+        out[eta.index] -= float(aw @ v_new)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("dynamics, coupling, per_task, eta", MTL_CASES)
+def test_vector_vjp_hyper_keeps_its_1d_arithmetic(dynamics, coupling,
+                                                  per_task, eta, seed):
+    st = MtlStack(dynamics, coupling, per_task, eta, seed)
+    for i in range(st.K):
+        alone = st.alone(i)
+        assert np.array_equal(
+            alone.vjp_hyper(st.s[i], st.lam[i], st.t, st.alpha[i]),
+            _reference_vjp_hyper(alone, st.s[i], st.lam[i], st.t,
+                                 st.alpha[i]))
+
+
+# ---------------------------------------------------------------------------
+# run_mtl: every method runs its seeds as one block
+
+
+def _mtl_cfg(**kw):
+    base = dict(experiment="mtl", seed=3, n_seeds=3, n_classes=4,
+                n_clusters=2, n_features=8, n_train=16, n_val=16, n_test=40,
+                inner_steps=25, inner_lr=0.01, radius=0.5, hyper_iters=8,
+                hyper_lr=0.05)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _mtl_record_bits(records):
+    return [(r.extras["seed"], r.extras["method"], r.index, r.response,
+             r.grad_norm, r.lam.tobytes()) for r in records]
+
+
+@pytest.mark.parametrize("engine", ["reverse", "forward"])
+def test_multi_seed_mtl_equals_its_one_seed_runs(engine):
+    # radius 0.5 parts HMTL and HMTL-S in two of the three seeds, so the
+    # block also holds two rows on one seed's set
+    report = experiments.run_mtl(_mtl_cfg(engine=engine))
+    parted = [entry["hmtl_parted_at"] for entry in report.timings["seeds"]]
+    assert parted.count(None) == 1
+    for i, seed in enumerate((3, 4, 5)):
+        alone = experiments.run_mtl(_mtl_cfg(engine=engine, seed=seed,
+                                             n_seeds=1))
+        mine = [r for r in report.records if r.extras["seed"] == seed]
+        assert _mtl_record_bits(mine) == _mtl_record_bits(alone.records)
+        for method in ("stl", "nmtl", "hmtl", "hmtl_s"):
+            assert (report.metrics[method]["per_seed"][i]
+                    == alone.metrics[method]["per_seed"][0])
+        assert (report.metrics["coupling_matrices"]["hmtl"][i]
+                == alone.metrics["coupling_matrices"]["hmtl"][0])
+        assert report.timings["seeds"][i] == alone.timings["seeds"][0]
+
+
+def _huge_seed_4(monkeypatch):
+    """Seed 4's training features times 1e200: its steps overflow."""
+    task = experiments._mtl_task
+
+    def huge(cfg, seeds):
+        stack, e_vals = task(cfg, seeds)
+        stack.features[seeds.index(4)] *= 1e200
+        return stack, e_vals
+
+    monkeypatch.setattr(experiments, "_mtl_task", huge)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_diverging_mtl_seed_fails_the_run_and_is_named(monkeypatch,
+                                                          tmp_path, capsys):
+    _huge_seed_4(monkeypatch)
+    with pytest.raises(NonFiniteError,
+                       match="seed 4: hyper-iteration 1: ") as err:
+        experiments.run_mtl(_mtl_cfg())
+    assert err.value.rows.tolist() == [False, True, False]
+    assert err.value.step == 2
+    cfg = tmp_path / "mtl.cfg"
+    cfg.write_text("\n".join(f"{key} = {value}" for key, value in
+                             dataclasses.asdict(_mtl_cfg()).items()
+                             if value is not None) + "\n")
+    assert cli.main(["mtl", "--config", str(cfg), "--out",
+                     str(tmp_path / "runs")]) == 3
+    assert "numerical divergence: seed 4: hyper-iteration 1" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_diverging_stl_fit_marks_its_seed(monkeypatch):
+    _huge_seed_4(monkeypatch)
+    cfg = _mtl_cfg()
+    with pytest.raises(NonFiniteError, match="validation error") as err:
+        experiments._stl_grid(*experiments._mtl_task(cfg, [3, 4, 5]), cfg)
+    assert err.value.rows.tolist() == [False, True, False]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_diverging_retrain_marks_its_seed(monkeypatch):
+    # the loop hands back a final lam on which seed 5 alone diverges
+    loop = experiments.lockstep_ho_loop
+
+    def huge_final_lam(*args, **kwargs):
+        paths, counts = loop(*args, **kwargs)
+        lam, records = paths[-1]
+        return paths[:-1] + [(lam - 1e300, records)], counts
+
+    monkeypatch.setattr(experiments, "lockstep_ho_loop", huge_final_lam)
+    cfg = _mtl_cfg(hyper_iters=1)
+    with pytest.raises(NonFiniteError, match="retrained weights") as err:
+        experiments._coupled_runs(*experiments._mtl_task(cfg, [3, 4, 5]),
+                                  cfg, "uniform")
+    assert err.value.rows.tolist() == [False, False, True]

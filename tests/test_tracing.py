@@ -78,3 +78,41 @@ def test_a_seed_block_stream_counts_one_call_per_column(perfbench):
     assert counts["dynamics.step.calls"] == T
     assert counts["engines.rtho_stream.calls"] == emissions
     assert gates.self_test() == []
+
+
+def test_a_seed_block_tape_counts_one_sweep_per_hyper_iteration(perfbench):
+    # two seeds' mtl problems as one lockstep block: each hyper-iteration
+    # is one reverse_hg call whose T vjp_hyper and T - 1 vjp_state calls
+    # cover both rows
+    layertrace, gates = perfbench
+    from hypergrad import (DatasetValidation, GradientDescent, MaxHyperIters,
+                           MultitaskLinear, SeedStack, VectorLayout, driver)
+    from hypergrad.datasets import clustered_task_data
+
+    k, seeds = 3, (0, 1)
+    splits = [clustered_task_data(seed, k, 2, 5, 3, 3, 0) for seed in seeds]
+    stack = SeedStack(np.stack([train.features for train, *_ in splits]),
+                      np.stack([train.labels for train, *_ in splits]), k)
+    layout = VectorLayout([("coupling", k * k), ("rho", k)])
+    dyn = GradientDescent(MultitaskLinear(stack, hyper_layout=layout,
+                                          per_task_rho=True), eta=0.05)
+    val = [DatasetValidation(split[1]) for split in splits]
+    lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, 0.1))
+    T, iters = 4, 3
+    with layertrace.Tracer() as tracer:
+        paths, counts = driver.lockstep_ho_loop(
+            dyn, val, np.zeros((2, dyn.n_state)),
+            [(lam0, None, MaxHyperIters(iters), row) for row in (0, 1)], T)
+    metrics = tracer.metrics()
+    assert counts == [iters, iters]
+    assert [len(records) for _, records in paths] == [iters, iters]
+    assert metrics["engines.reverse_hg.calls"] == iters
+    assert metrics["engines.record_trajectory.calls"] == iters
+    assert metrics["dynamics.vjp_hyper.calls"] == iters * T
+    assert metrics["dynamics.vjp_state.calls"] == iters * (T - 1)
+    assert metrics["dynamics.step.calls"] == iters * T
+    # the block's tape holds both rows' states
+    assert metrics["engines.tape_bytes_max"] == (T + 1) * 2 * dyn.n_state * 8
+    # lockstep_ho_loop is not among the tracer's targets (yet)
+    assert metrics["driver.loop.calls"] == 0
+    assert gates.self_test() == []
