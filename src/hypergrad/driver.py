@@ -12,21 +12,19 @@ Two protocols:
   forward together. Each path has its own constraints, Adam state, stop
   rules and records; in each hyper-iteration the paths whose lam are
   bit-equal (and, over a seed stack, whose training set is the same)
-  share one hypergradient, handed read-only to each path's update. A
-  problem without a stack computes its groups one after another, each
-  released before the next is computed; over a seed stack every group
-  of the hyper-iteration is one row of a single block call (see
-  ``engines.reverse_hg``), released before the next hyper-iteration.
-  Either way one tape is alive at a time. A record's ``seconds`` is the
-  time of the hypergradient call it used plus its own update: paths
-  sharing a call each count all of it, and a block call counts the
-  whole block. ``batch_ho_loop`` is the one-path case.
+  share one hypergradient, handed read-only to each path's update. Each
+  hyper-iteration is one block call with one row per group (see
+  ``engines.reverse_hg``; a problem without a stack is the one-set
+  stack), released before the next, so one tape is alive at a time. A
+  record's ``seconds`` is the time of that call plus its own update:
+  paths sharing a call each count all of it. ``batch_ho_loop`` is the
+  one-path case.
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps; state and
   Z carry across updates, and the stop rules end the endless stream.
-  ``stream_ho_loop`` also runs S independent streams as one block (a
-  seed stack); each keeps its own Adam state, stop rules and records,
-  and leaves the block when its rules fire.
+  ``stream_ho_loop`` runs S independent streams (a seed stack, or one
+  stream as the one-row block) as one block; each keeps its own Adam
+  state, stop rules and records, and leaves the block when they fire.
 
 Stopping is rule-based; rules inspect the record trace and are free of
 side effects, so they can be combined and re-evaluated safely.
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import forward_hg, over_rows, reverse_hg, rtho_stream
+from .engines import forward_hg, over_rows, per_row, reverse_hg, rtho_stream
 from .errors import HypergradError, NonFiniteError, rescoped, rows_among
 from .outer import ProjectedAdam
 
@@ -126,31 +124,42 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
 
 
 class _OuterPath:
-    """One outer trajectory of a lockstep run (on stack row ``row``)."""
+    """One outer trajectory of a loop (on stack row ``row``)."""
 
-    def __init__(self, lam0, constraints, stop, lr, row=None):
+    def __init__(self, lam0, constraints, stop, lr, row=0):
         self.updater = ProjectedAdam(constraints, lr=lr)
         self.lam = lam0 if constraints is None else constraints.project(lam0)
         self.stop = stop
         self.row = row
         self.records = []
 
+    def record(self, lam, response, grad_norm, seconds, extras, seen,
+               step=None):
+        """Move to ``lam`` and record it, ``extras(lam, seen)`` (if given)
+        filling the record's extras; True once the stop rules fire."""
+        self.lam = lam
+        self.records.append(HyperIterRecord(
+            index=len(self.records) + 1, response=response,
+            grad_norm=grad_norm, lam=lam.copy(), seconds=seconds, step=step,
+            extras={} if extras is None else extras(lam, seen)))
+        return _stopped(self.stop, self.records)
+
 
 def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
                      record_extras=None):
     """Batch loops over one problem, one hypergradient per distinct lam.
 
-    ``paths`` lists one (lam0, constraints, stop) per outer path. Returns
-    one (lam, records) per path, in order, and the number of
-    hypergradients computed.
+    ``paths`` lists one (lam0, constraints, stop, row) per outer path.
+    Returns one (lam, records) per path, in order, and the list of
+    hypergradients computed per set.
 
     Over a seed stack (``dyn.objective`` holds S training sets, ``s0``
     is a (S, d) block and ``E`` one validation error per set) each path
-    is (lam0, constraints, stop, row) and trains on set ``row``; every
-    distinct (row, lam) of a hyper-iteration is one row of one block
-    call, and the count returned is a list of the hypergradients
-    computed per set. A non-finite value then fails the run with the
-    error's ``rows`` marking the failed sets among the S.
+    trains on set ``row``; a problem without one (a vector ``s0``, one
+    ``E``) is the one-set stack, ``row`` 0 by default. Every distinct
+    (row, lam) of a hyper-iteration is one row of one block call. A
+    non-finite value fails the run, the error's ``rows`` marking the
+    failed sets among the S (none without a stack).
     """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -160,11 +169,13 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    block = np.ndim(s0) == 2
+    if np.ndim(s0) == 1:  # the one-set problem
+        s0, E = np.asarray(s0)[None], [E]
+    per_row(E, len(s0))
     paths = [_OuterPath(lam0, constraints, stop, lr, *row)
              for lam0, constraints, stop, *row in paths]
     compute = forward_hg if engine == "forward" else reverse_hg
-    n_computed = [0] * (len(s0) if block else 1)
+    n_computed = [0] * len(s0)
     while True:
         groups = {}
         for path in paths:
@@ -174,44 +185,32 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
         if not groups:
             break
         groups = list(groups.values())
-        for call in [groups] if block else [[group] for group in groups]:
-            k = len(call[0][0].records) + 1
-            started = time.perf_counter()
-            result = None  # free the previous tape before recording the next
-            try:
-                if block:
-                    rows = np.array([group[0].row for group in call])
-                    result = compute(over_rows(dyn, rows), [E[r] for r in rows],
-                                     s0[rows],
-                                     np.array([group[0].lam for group in call]),
-                                     n_steps)
-                else:
-                    result = compute(dyn, E, s0, call[0][0].lam, n_steps)
-            except HypergradError as err:
-                if block and isinstance(err, NonFiniteError):
-                    rows_among(err, rows, len(s0))
-                raise rescoped(err, f"hyper-iteration {k}") from err
-            gradients = result.gradient
-            gradients.flags.writeable = False
-            shared = time.perf_counter() - started
-            for i, group in enumerate(call):
-                gradient = gradients[i] if block else gradients
-                response = result.response[i] if block else result.response
-                grad_norm = float(np.linalg.norm(gradient))
-                n_computed[group[0].row if block else 0] += 1
-                for path in group:
-                    own = time.perf_counter()
-                    path.lam = path.updater(path.lam, gradient)
-                    record = HyperIterRecord(
-                        index=len(path.records) + 1, response=response,
-                        grad_norm=grad_norm, lam=path.lam.copy(),
-                        seconds=shared + time.perf_counter() - own,
-                    )
-                    if record_extras is not None:
-                        record.extras = record_extras(path.lam, result)
-                    path.records.append(record)
-    return [(path.lam, path.records) for path in paths], (
-        n_computed if block else n_computed[0])
+        rows = np.array([group[0].row for group in groups])
+        lams = np.array([group[0].lam for group in groups])
+        started = time.perf_counter()
+        result = None  # free the previous tape before recording the next
+        try:
+            result = compute(over_rows(dyn, rows), [E[r] for r in rows],
+                             s0[rows], lams, n_steps)
+        except HypergradError as err:
+            if isinstance(err, NonFiniteError):
+                rows_among(err, rows, len(s0))
+            k = len(groups[0][0].records) + 1
+            raise rescoped(err, f"hyper-iteration {k}") from err
+        gradients = result.gradient
+        gradients.flags.writeable = False
+        shared = time.perf_counter() - started
+        for group, gradient, response in zip(groups, gradients,
+                                             result.response):
+            grad_norm = float(np.linalg.norm(gradient))
+            n_computed[group[0].row] += 1
+            for path in group:
+                own = time.perf_counter()
+                lam = path.updater(path.lam, gradient)
+                path.record(lam, response, grad_norm,
+                            shared + time.perf_counter() - own, record_extras,
+                            result)
+    return [(path.lam, path.records) for path in paths], n_computed
 
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
@@ -221,45 +220,36 @@ def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
     Returns (lam, records). A (S, d) block s0 with a (S, m) block lam0
     and one validation error per row in ``E`` runs S streams as one
     block (see ``engines.rtho_stream``) and returns one (lam, records)
-    per row. Each row has its own Adam state and records; the
-    constraints and stop rules (free of side effects) are shared, and a
-    row leaves the block when its rules fire. A record's ``seconds`` is
-    the time since the previous emission: for a block, the sweep of
-    every row still in it. ``record_extras(lam, emission)`` sees each
-    row's own emission.
+    per row; a vector problem runs as the one-row block. Each row has
+    its own Adam state and records; the constraints and stop rules (free
+    of side effects) are shared, and a row leaves the block when its
+    rules fire. A record's ``seconds`` is the time since the previous
+    emission: for a block, the sweep of every row still in it.
+    ``record_extras(lam, emission)`` sees each row's own emission.
     """
-    block = np.ndim(s0) == 2
-    paths = [_OuterPath(lam, constraints, stop, lr)
-             for lam in (lam0 if block else [lam0])]
+    vector = np.ndim(s0) == 1  # wrapped here, unwrapped on the way out
+    if vector:
+        s0, lam0, E = np.asarray(s0)[None], np.asarray(lam0)[None], [E]
+    paths = [_OuterPath(lam, constraints, stop, lr) for lam in lam0]
     if not _stopped(stop, []):
-        lam = np.array([path.lam for path in paths]) if block else paths[0].lam
-        updaters = [path.updater for path in paths]
-        stream = rtho_stream(dyn, E, s0, lam, delta,
-                             updater=updaters if block else updaters[0])
-        n_emitted = 0
+        stream = rtho_stream(dyn, E, s0, np.array([path.lam for path in paths]),
+                             delta, updater=[path.updater for path in paths])
         started = time.perf_counter()
         try:
             for emitted in stream:
                 now = time.perf_counter()
                 seconds, started = now - started, now
-                n_emitted += 1
-                for emission in emitted if block else [emitted]:
-                    path = paths[emission.row if block else 0]
-                    record = HyperIterRecord(
-                        index=len(path.records) + 1,
-                        response=emission.response,
-                        grad_norm=float(np.linalg.norm(emission.partial)),
-                        lam=emission.lam.copy(), seconds=seconds,
-                        step=emission.t,
-                    )
-                    if record_extras is not None:
-                        record.extras = record_extras(emission.lam, emission)
-                    path.records.append(record)
-                    path.lam = emission.lam
-                    emission.leave = _stopped(path.stop, path.records)
+                for emission in emitted:
+                    emission.leave = paths[emission.row].record(
+                        emission.lam, emission.response,
+                        float(np.linalg.norm(emission.partial)), seconds,
+                        record_extras, emission, step=emission.t)
         except HypergradError as err:
-            raise rescoped(err, f"hyper-iteration {n_emitted + 1}") from err
+            if vector and isinstance(err, NonFiniteError):
+                err.rows = None
+            k = max(len(path.records) for path in paths) + 1
+            raise rescoped(err, f"hyper-iteration {k}") from err
         finally:
             stream.close()
     out = [(path.lam, path.records) for path in paths]
-    return out if block else out[0]
+    return out[0] if vector else out

@@ -16,16 +16,18 @@ compute the exact d f / d lam of the unrolled iteration:
 * ``rtho_stream`` is forward mode read every ``delta`` steps: one endless
   training run whose partial hypergradient grad E(s_t) Z_t is emitted
   after each ``delta``-step sweep, so an outer updater can adjust lam
-  mid-flight. Its consumer decides when to stop. S independent streams
-  (one per training set of a seed stack) run as one (S, d) block with
-  an (S, d, m) Z.
+  mid-flight. Its consumer decides when to stop. It runs one loop on
+  an (S, d) block with an (S, d, m) Z: S independent streams (one per
+  training set of a seed stack), or a single stream as the one-row
+  block.
 
 Both batch engines also take K independent problems as one block: a
 (K, d) s0 with a (K, m) lam and one validation error per row (row i
 training on set ``rows[i]`` of a seed stack, see ``over_rows``). The
 sweep then makes its product calls once for all K rows (a tape of
 (K, d) states, or a (K, d, m) Z), and row i of the result is bit for
-bit the vector result of row i alone.
+bit the vector result of row i alone (a lone row without a stack runs
+on its vectors; see ``_on_rows``).
 
 Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
 sweep of T steps, ``rtho_stream`` one sweep per emission. Z propagation
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, TapeReplayError,
                      rows_among)
-from .numerics import as_vector, ensure_finite
+from .numerics import ensure_finite
 from .objectives import (_clear_memo, _frozen, _trajectory_scope,
                          val_grad_state, val_value)
 
@@ -73,11 +75,16 @@ def _as_block(s, lam, E=None):
         raise DimensionMismatchError(
             f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
             f"(m,), or (K, d) and (K, m)")
-    if s.ndim == 2 and E is not None and (
-            not isinstance(E, (list, tuple)) or len(E) != len(s)):
-        raise DimensionMismatchError(
-            f"a block of {len(s)} states takes {len(s)} validation errors")
+    if s.ndim == 2 and E is not None:
+        per_row(E, len(s))
     return s, lam
+
+
+def per_row(E, n):
+    """Check that ``E`` holds one validation error per row of ``n``."""
+    if not isinstance(E, (list, tuple)) or len(E) != n:
+        raise DimensionMismatchError(
+            f"a block of {n} states takes {n} validation errors")
 
 
 def over_rows(dyn, rows):
@@ -251,12 +258,35 @@ def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
     return s, z
 
 
+def _on_rows(engine, dyn, E, s0, lam, *args):
+    """``engine`` on (s0, lam), checked; a lone row runs on its vectors.
+
+    A one-row block whose objective holds no seed stack gives the
+    one-row result of its row's vector run (a failure marks no
+    ``rows``): the products' plain 2-D views serve vectors only, and on
+    (1, d) blocks ``forward_hg`` ran clean-wide-fwd's problem 7-17%
+    slower (in-process A/B runs, 2-vCPU Xeon). This goes once the sweep
+    stops making one product call per column of Z.
+    """
+    s, lam = _as_block(s0, lam, E)
+    if s.shape[:-1] != (1,) or getattr(dyn.objective, "_rows", None) is not None:
+        return engine(dyn, E, s, lam, *args)
+    result = engine(dyn, E[0], s[0], lam[0], *args)
+    result.gradient, result.response = result.gradient[None], [result.response]
+    if result.tape is not None:
+        result.tape = Tape([x[None] for x in result.tape.states], lam.copy())
+    return result
+
+
 def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
     """Forward-mode hypergradient of E(s_T) with respect to lam.
 
     A block sweeps an (K, d, m) Z, as ``rtho_stream`` does.
     """
-    s, lam = _as_block(s0, lam, E)
+    return _on_rows(_forward, dyn, E, s0, lam, n_steps)
+
+
+def _forward(dyn, E, s, lam, n_steps):
     m = lam.shape[-1]
     s, z = _sweep(dyn, s.copy(), np.zeros((*s.shape[:-1], dyn.n_state, m)),
                   lam, 0, n_steps, np.zeros(m))
@@ -281,7 +311,10 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     K times those of one row. A non-finite value fails the block, the
     NonFiniteError's ``rows`` marking the rows that failed.
     """
-    s0, lam = _as_block(s0, lam, E)
+    return _on_rows(_reverse, dyn, E, s0, lam, n_steps, verify_tape)
+
+
+def _reverse(dyn, E, s0, lam, n_steps, verify_tape):
     with _trajectory_scope(dyn.objective):
         tape = record_trajectory(dyn, s0, lam, n_steps)
         if verify_tape:
@@ -324,51 +357,34 @@ class StreamEmission:
 def rtho_stream(dyn, E, s0, lam, delta, updater=None):
     """Real-time partial hypergradients, until the consumer stops them.
 
-    One training run from s0, swept ``delta`` steps at a time; after each
-    sweep it emits grad E(s_t) Z_t. The optional ``updater`` then maps
-    (lam, partial) to the next hyperparameter vector, and training and
-    Z carry on from where they are. The stream ends only when its
-    emission is marked ``leave`` (or when the consumer closes it; see
-    ``driver.stream_ho_loop``).
-
-    A (S, d) block s0 with a (S, m) block lam runs S streams as one
-    block, one sweep for all of them: ``dyn.objective`` holds a seed
-    stack of S training sets (see ``objectives.WeightedSoftmax``), and
-    ``E`` and ``updater`` (if given) are sequences of one validation
-    error and one updater per row. Each sweep yields a list of one
-    emission per row still in the block. Row i's partial is read from
-    its own C-contiguous (d, m) slice of Z, so it is bit for bit that of
-    row i streamed alone. A row marked ``leave`` drops out of the block,
-    and the stream ends when no row is left. A non-finite value in any
-    row fails the block: the NonFiniteError's ``rows`` then marks the
-    rows that failed among all S.
+    One training run per row of a (S, d) block s0 with a (S, m) block
+    lam, swept ``delta`` steps at a time as one block. After each sweep
+    it yields a list of one emission per row still in the block, each
+    with grad E(s_t) Z_t read from the row's own C-contiguous (d, m)
+    slice of Z, so bit for bit that of the row streamed alone. ``dyn.objective`` may hold a
+    seed stack of S training sets (see ``objectives.WeightedSoftmax``);
+    ``E`` and ``updater`` (if given) hold one validation error and one
+    updater per row, the updater mapping (lam, partial) to the row's
+    next (m,) hyper vector, after which training and Z carry on. A row
+    whose emission is marked ``leave`` drops out, and the stream ends
+    when none is left (or when the consumer closes it; see
+    ``driver.stream_ho_loop``). A non-finite value fails the block, the
+    NonFiniteError's ``rows`` marking the failed rows among all S. A
+    vector stream is the one-row block, unwrapped: single emissions with
+    ``row`` None, failures without ``rows``.
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
-    lam = np.array(lam, dtype=np.float64)
-    s = np.array(s0, dtype=np.float64)
+    s, lam = _as_block(s0, lam, E)
+    vector = s.ndim == 1
+    if vector:
+        s, lam, E = s[None], lam[None], [E]
+        updater = None if updater is None else [updater]
+    lam = lam.copy()
     z = np.zeros((*s.shape, lam.shape[-1]))
     q_buf = np.zeros(lam.shape[-1])
     layout = dyn.state_layout
     t = 0
-    if s.ndim == 1:
-        while True:
-            s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
-            t += delta
-            partial = _partials(E, s, z, layout)
-            ensure_finite(partial, "partial hypergradient", step=t)
-            response = val_value(E, s, layout)
-            if updater is not None:
-                lam = as_vector(updater(lam, partial)).copy()
-            emission = StreamEmission(t=t, partial=partial, response=response,
-                                      lam=lam.copy(), state=s.copy())
-            yield emission
-            if emission.leave:
-                return
-    if s.shape[:-1] != lam.shape[:-1] or len(E) != len(s):
-        raise DimensionMismatchError(
-            f"a block of {len(s)} states takes {len(s)} hyper vectors and "
-            f"validation errors, got {lam.shape} and {len(E)}")
     live = np.arange(len(s))  # the rows still in the block
     while live.size:
         try:
@@ -377,18 +393,24 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
             partial = _partials([E[row] for row in live], s, z, layout)
             ensure_finite(partial, "partial hypergradient", step=t)
         except NonFiniteError as err:
-            raise rows_among(err, live, len(E))  # among all S rows
+            rows_among(err, live, len(E))  # among all S rows
+            if vector:
+                err.rows = None
+            raise
         emissions = []
         for i, row in enumerate(live):
             if updater is not None:
-                lam[i] = updater[row](lam[i], partial[i])
+                new = np.asarray(updater[row](lam[i], partial[i]), float)
+                if new.shape != lam[i].shape:
+                    raise DimensionMismatchError(
+                        f"updater returned shape {new.shape}, not {lam[i].shape}")
+                lam[i] = new
             emissions.append(StreamEmission(
                 t=t, partial=partial[i],
                 response=val_value(E[row], s[i], layout), lam=lam[i].copy(),
-                state=s[i].copy(), row=int(row)))
-        yield emissions
+                state=s[i].copy(), row=None if vector else int(row)))
+        yield emissions[0] if vector else emissions
         keep = np.array([not em.leave for em in emissions])
         if not keep.all():
             live, s, z, lam = live[keep], s[keep], z[keep], lam[keep]
             dyn = over_rows(dyn, keep)
-

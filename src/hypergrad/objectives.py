@@ -29,7 +29,8 @@ with unit weights only): S training sets, each with its own minibatch
 schedule, where row i of a (S, n_params) block trains on set i, each
 row bit for bit what set i alone gives. ``take`` maps the rows of a
 block onto the sets (a set may serve several rows). Example weights
-given as hypers take single vectors only, and a stack has no ``value``.
+given as hypers take (K, m) blocks too (a stack takes unit weights
+only), and a stack has no ``value``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def unpack_linear(w, n_classes, n_features):
 
 
 def pack_linear(mat, bias):
-    return np.concatenate([mat.ravel(), bias])
+    """Flatten (W, b) into one vector (or each row of a block into one row)."""
+    return np.concatenate([mat.reshape(*bias.shape[:-1], -1), bias], axis=-1)
 
 
 def _ce_losses(x, y, mat, bias):
@@ -450,14 +452,18 @@ class WeightedSoftmax(_SoftmaxData):
         self._scale = 1.0 / dataset.n
 
     def _weights(self, lam):
+        """The example weights; a (K, n) block of them for a (K, m) lam."""
         if self.weight_segment is None:
             return self._unit
-        return self.hyper_layout.get(lam, self.weight_segment)
+        if lam.shape[-1] != self.hyper_layout.size:
+            raise DimensionMismatchError(f"hyper vector has length {lam.shape[-1]}, "
+                                         f"layout expects {self.hyper_layout.size}")
+        return lam[..., self.hyper_layout.slice_of(self.weight_segment)]
 
     def _weighted(self, rows, idx, lam):
         if self.weight_segment is None:
             return rows
-        return rows * self._weights(lam)[idx][:, None]
+        return rows * self._weights(lam).take(idx, axis=-1)[..., None]
 
     def value(self, w, lam, t):
         idx, losses = self._losses(w, t)
@@ -489,8 +495,8 @@ class WeightedSoftmax(_SoftmaxData):
         if nz.size == 1:
             # unit-direction case (B-column assembly): one example's
             # gradient, no batch-wide pass needed
-            i = int(nz[0])
-            return (self._scale * qb[i]) * pack_linear(np.outer(g[i], x[i]), g[i])
+            i, gi = int(nz[0]), g[..., nz[0], :]
+            return (self._scale * qb[i]) * pack_linear(gi[..., None] * x[i], gi)
         return _assemble_wgrad(g * qb[:, None], x, self._scale)
 
     def cross_vjp(self, w, lam, t, alpha):
@@ -500,9 +506,10 @@ class WeightedSoftmax(_SoftmaxData):
         b = self._batch(t, w)
         amat, ab = self._unpack(alpha)
         # alpha . grad(ce_i) for each batch example, in one pass
-        per_example = ((b.x @ amat.T + ab) * b.g).sum(axis=1)
+        per_example = ((b.x @ amat.swapaxes(-1, -2) + ab[..., None, :])
+                       * b.g).sum(axis=-1)
         seg = self.hyper_layout.slice_of(self.weight_segment)
-        out[seg.start + b.idx] = self._scale * per_example
+        out[..., seg.start + b.idx] = self._scale * per_example
         return out
 
     def touched_hypers(self, t):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypergrad import driver
-from hypergrad.datasets import clustered_task_data
+from hypergrad.datasets import MinibatchSchedule, blob_task, clustered_task_data
 from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
@@ -14,7 +14,8 @@ from hypergrad.engines import HypergradResult, Tape
 from hypergrad.errors import DimensionMismatchError, NonFiniteError, rescoped
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
-                                  QuadraticToy, QuadraticValidation)
+                                  QuadraticToy, QuadraticValidation,
+                                  WeightedSoftmax)
 from hypergrad.outer import Box, BoxL1, Constraints, MTLCone, NonNeg
 
 
@@ -104,8 +105,8 @@ def test_batch_loop_frees_previous_tape_before_next_compute(monkeypatch):
             assert previous[-1]() is None, "previous tape still alive"
         tape = Tape(states=[s0.copy()], lam=lam.copy())
         previous.append(weakref.ref(tape))
-        return HypergradResult(gradient=np.zeros_like(lam), response=0.0,
-                               tape=tape)
+        return HypergradResult(gradient=np.zeros_like(lam),
+                               response=[0.0] * len(lam), tape=tape)
     monkeypatch.setattr(driver, "reverse_hg", compute)
     batch_ho_loop(dyn, e, s0, layout.pack(eta=0.2), None, 2, MaxHyperIters(3))
     assert len(previous) == 3
@@ -207,6 +208,44 @@ def test_rescoped_keeps_the_rows_of_a_block():
     assert str(other) == "hyper-iteration 2: wrong"
 
 
+@pytest.mark.parametrize("loop", ["batch", "stream"])
+def test_a_block_takes_one_validation_error_per_row(loop):
+    dyn, e, s0, layout = scalar_problem()
+    s, lam0 = np.stack([s0, s0]), layout.pack(eta=0.1)
+    with pytest.raises(DimensionMismatchError):
+        if loop == "batch":
+            batch_ho_loop(dyn, e, s, lam0, None, 2, MaxHyperIters(1))
+        else:
+            stream_ho_loop(dyn, e, s, np.stack([lam0, lam0]), None, 2,
+                           MaxHyperIters(1))
+
+
+def test_a_problem_without_a_stack_runs_its_products_on_vectors(monkeypatch):
+    # the batch loop hands the engines a one-row block; on a problem
+    # shaped like clean's (example weights as hypers, minibatches, an
+    # L1 box) the forward sweep must still run on the row's vectors
+    n = 12
+    train, val, _ = blob_task(0, n, 6, 4, n_classes=3, n_features=4)
+    layout = VectorLayout([("weights", n)])
+    obj = WeightedSoftmax(train, hyper_layout=layout,
+                          schedule=MinibatchSchedule(n=n, batch_size=4,
+                                                     seed=0))
+    dyn = GradientDescent(obj, eta=0.1)
+    cons = Constraints(layout, {"weights": BoxL1(0.0, 1.0, 8.0)})
+    seen = set()
+    real = GradientDescent.jvp_state
+
+    def spy(self, s, lam, t, r):
+        seen.add((s.ndim, lam.ndim, r.ndim))
+        return real(self, s, lam, t, r)
+    monkeypatch.setattr(GradientDescent, "jvp_state", spy)
+    _, records = batch_ho_loop(dyn, DatasetValidation(val),
+                               dyn.init_state(np.zeros(obj.n_params)),
+                               np.ones(n), cons, 5, MaxHyperIters(2),
+                               engine="forward")
+    assert len(records) == 2 and seen == {(1, 1, 1)}
+
+
 def test_batch_loop_records_are_contiguous():
     dyn, e, s0, layout = scalar_problem()
     _, records = batch_ho_loop(dyn, e, s0, layout.pack(eta=0.2), None, 2,
@@ -280,18 +319,22 @@ def test_lockstep_paths_equal_separate_runs():
 
 
 def test_lockstep_computes_once_per_distinct_lam(monkeypatch):
+    # each hyper-iteration is one block call with one row per distinct lam
     dyn, e, s0, starts = coupled_problem()
-    seen = []
+    seen, calls = [], []
     real = driver.reverse_hg
 
     def counting(dyn, e, s0, lam, n_steps):
-        seen.append(lam.tobytes())
+        calls.append(len(lam))
+        seen.extend(row.tobytes() for row in lam)
         return real(dyn, e, s0, lam, n_steps)
     monkeypatch.setattr(driver, "reverse_hg", counting)
     paths, n_computed = run_lockstep(dyn, e, s0, starts)
-    # one per iteration up to the parting one, then one per path
+    # one row per iteration up to the parting one, then one per path
     shared = LOCKSTEP_PARTED_AT
-    assert n_computed == len(seen) == shared + 2 * (LOCKSTEP_ITERS - shared)
+    assert calls == [1] * shared + [2] * (LOCKSTEP_ITERS - shared)
+    assert n_computed == [len(seen)]
+    assert len(seen) == shared + 2 * (LOCKSTEP_ITERS - shared)
     (_, unbounded), (_, bounded) = paths
     lam0 = [cons.project(lam0).tobytes() for lam0, cons in starts]
     assert lam0[0] == lam0[1]
@@ -301,24 +344,26 @@ def test_lockstep_computes_once_per_distinct_lam(monkeypatch):
     assert seen == want
 
 
-def test_lockstep_frees_each_group_tape_before_the_next(monkeypatch):
-    # two paths that never share: every iteration computes two groups,
-    # and each group's tape must be dead when the next one is recorded
+def test_lockstep_frees_each_block_tape_before_the_next(monkeypatch):
+    # two paths that never share: every iteration computes both groups
+    # as one two-row block, whose tape must be dead when the next
+    # iteration's is recorded
     dyn, e, s0, layout = scalar_problem()
     previous = []
 
     def compute(dyn, e, s0, lam, n_steps):
         if previous:
-            assert previous[-1]() is None, "previous group's tape alive"
+            assert previous[-1]() is None, "previous block's tape alive"
+        assert s0.shape == (2, 1) and len(e) == 2
         tape = Tape(states=[s0.copy()], lam=lam.copy())
         previous.append(weakref.ref(tape))
-        return HypergradResult(gradient=np.full_like(lam, 0.1), response=0.0,
-                               tape=tape)
+        return HypergradResult(gradient=np.full_like(lam, 0.1),
+                               response=[0.0] * len(lam), tape=tape)
     monkeypatch.setattr(driver, "reverse_hg", compute)
     paths, n_computed = lockstep_ho_loop(
         dyn, e, s0, [(layout.pack(eta=0.2), None, MaxHyperIters(3)),
                      (layout.pack(eta=0.4), None, MaxHyperIters(3))], 2)
-    assert n_computed == len(previous) == 6
+    assert len(previous) == 3 and n_computed == [6]
     assert [len(records) for _, records in paths] == [3, 3]
 
 
@@ -328,7 +373,7 @@ def test_lockstep_shared_gradient_is_read_only(monkeypatch):
 
     def compute(dyn, e, s0, lam, n_steps):
         handed.append(np.full_like(lam, 0.1))
-        return HypergradResult(gradient=handed[-1], response=0.0)
+        return HypergradResult(gradient=handed[-1], response=[0.0] * len(lam))
 
     def extras(lam, result):
         assert result.gradient is handed[-1]
@@ -341,7 +386,7 @@ def test_lockstep_shared_gradient_is_read_only(monkeypatch):
     paths, n_computed = lockstep_ho_loop(
         dyn, e, s0, [(lam0, None, MaxHyperIters(2)),
                      (lam0, None, MaxHyperIters(2))], 2, record_extras=extras)
-    assert n_computed == 2
+    assert n_computed == [2]
     assert paths[0][0].tobytes() == paths[1][0].tobytes()
 
 
@@ -352,7 +397,7 @@ def test_lockstep_paths_stop_on_their_own_rules():
         dyn, e, s0, [(lam0, None, MaxHyperIters(2)),
                      (lam0, None, MaxHyperIters(5))], 2)
     assert [len(records) for _, records in paths] == [2, 5]
-    assert n_computed == 5
+    assert n_computed == [5]
     _, alone = batch_ho_loop(dyn, e, s0, lam0, None, 2, MaxHyperIters(5))
     assert ([r.lam.tobytes() for r in paths[1][1]]
             == [r.lam.tobytes() for r in alone])

@@ -19,7 +19,8 @@ from hypergrad.dynamics import (GradientDescent, Momentum,
 from hypergrad.engines import (StreamEmission, Tape, evaluate_response,
                                forward_hg, record_trajectory, reverse_hg,
                                rtho_stream)
-from hypergrad.errors import NonFiniteError, TapeReplayError
+from hypergrad.errors import (DimensionMismatchError, NonFiniteError,
+                              TapeReplayError)
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
@@ -142,6 +143,24 @@ def test_tape_verify_detects_tampering():
         tape.verify(dyn)
 
 
+def test_a_lone_row_is_its_vector_run_as_one_row():
+    # a one-row block without a stack runs on its row's vectors and
+    # comes back as a one-row result: (1, m) gradient, one response in a
+    # list, a tape of (1, d) states that replays
+    dyn, e, s0, layout = softmax_problem()
+    lam = layout.pack(eta=0.2, mu=0.5, weights=1.0)
+    for engine in (forward_hg, reverse_hg):
+        vec = engine(dyn, e, s0, lam, 4)
+        one = engine(dyn, [e], s0[None], lam[None], 4)
+        assert one.gradient.shape == (1, len(lam))
+        assert np.array_equal(one.gradient[0], vec.gradient)
+        assert one.response == [vec.response]
+    tape = reverse_hg(dyn, [e], s0[None], lam[None], 4).tape
+    assert [x.shape for x in tape.states] == [(1, dyn.n_state)] * 5
+    assert tape.lam.shape == (1, len(lam))
+    tape.verify(dyn)
+
+
 # ---------------------------------------------------------------------------
 # streaming
 
@@ -168,6 +187,49 @@ def test_stream_delta_validation():
     dyn, e, s0, layout = scalar_problem()
     with pytest.raises(ValueError):
         next(rtho_stream(dyn, e, s0, layout.pack(eta=0.1), delta=0))
+
+
+def test_stream_checks_its_inputs_as_forward_does():
+    # a vector state with a (1, m) hyper block is a shape error in both
+    dyn, e, s0, layout = scalar_problem()
+    lam = layout.pack(eta=0.1)[None]
+    with pytest.raises(DimensionMismatchError):
+        forward_hg(dyn, e, s0, lam, 2)
+    with pytest.raises(DimensionMismatchError):
+        next(rtho_stream(dyn, e, s0, lam, delta=2))
+
+
+def test_a_vector_stream_ends_when_its_emission_leaves():
+    dyn, e, s0, layout = scalar_problem()
+    emitted = []
+    for em in rtho_stream(dyn, e, s0, layout.pack(eta=0.1), delta=2):
+        assert isinstance(em, StreamEmission) and em.row is None
+        emitted.append(em)
+        em.leave = len(emitted) == 3
+    assert [em.t for em in emitted] == [2, 4, 6]
+
+
+@pytest.mark.parametrize("returned", [np.zeros(3), 0.5, np.zeros((1, 2))])
+def test_a_vector_updater_must_return_a_hyper_vector(returned):
+    # m = 2: a longer vector, a scalar or a block is refused
+    dyn, e, s0, layout = softmax_problem(n_weights=False)
+    stream = rtho_stream(dyn, e, s0, layout.pack(eta=0.1, mu=0.5), delta=2,
+                         updater=lambda lam, partial: returned)
+    with pytest.raises(DimensionMismatchError):
+        next(stream)
+
+
+@pytest.mark.parametrize("returned", [0.5, np.zeros(3)])
+def test_a_block_updater_must_return_its_row_hyper_vector(returned):
+    # a scalar is not broadcast into the row, and a wrong length is a
+    # shape error, not numpy's ValueError
+    dyn, e, s0, layout = softmax_problem(n_weights=False)
+    lam = np.tile(layout.pack(eta=0.1, mu=0.5), (2, 1))
+    stream = rtho_stream(dyn, [e, e], np.stack([s0, s0]), lam, 2,
+                         updater=[lambda lam, partial: lam,
+                                  lambda lam, partial: returned])
+    with pytest.raises(DimensionMismatchError):
+        next(stream)
 
 
 def test_stream_updater_applied_between_hyper_batches():

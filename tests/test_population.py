@@ -74,7 +74,7 @@ def population(dynamics, objective, batch, seed):
                 MinibatchSchedule(n=n, batch_size=int(rng.integers(1, n + 1)),
                                   seed=seed))
     segs = [("eta", 1)] + ([("mu", 1)] if dynamics == "GDM" else [])
-    if objective == "weighted-hyper":  # example weights: vectors only
+    if objective == "weighted-hyper":  # example weights as hypers
         layout = VectorLayout(segs + [("weights", n)])
         obj = WeightedSoftmax(data, hyper_layout=layout, schedule=schedule)
     elif objective == "weighted-unit":
@@ -146,16 +146,60 @@ def test_block_and_hyper_rows_must_match():
         train(dyn, np.vstack([s0, s0]), lam, n_steps)
 
 
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_example_weight_hypers_take_vectors_only(seed):
-    dyn, s0, lam, n_steps = population("GDM", "weighted-hyper", "minibatch",
-                                       seed)
+def weighted_products(dyn, s, lam, t, r, directions):
+    """Every product and ``step`` of ``dyn`` at (s, lam, t), by name.
+
+    ``r`` is the tangent (and cotangent) of the state, and each of
+    ``directions`` one hyper direction ``q``.
+    """
+    obj, w, rw = dyn.objective, dyn.weights_of(s), dyn.weights_of(r)
+    out = {"step": dyn.step(s, lam, t),
+           "jvp_state": dyn.jvp_state(s, lam, t, r),
+           "vjp_state": dyn.vjp_state(s, lam, t, r),
+           "vjp_hyper": dyn.vjp_hyper(s, lam, t, r),
+           "grad_w": obj.grad_w(w, lam, t),
+           "hvp_w": obj.hvp_w(w, lam, t, rw),
+           "cross_vjp": obj.cross_vjp(w, lam, t, rw)}
+    for name, q in directions.items():
+        out[f"jvp_hyper {name}"] = dyn.jvp_hyper(s, lam, t, q)
+        out[f"cross_jvp {name}"] = obj.cross_jvp(w, lam, t, q)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("batch", ["full", "minibatch"])
+@pytest.mark.parametrize("dynamics", ["GD", "GDM"])
+def test_weighted_block_products_equal_vector_products(dynamics, batch, seed):
+    # example weights given as hypers: a (K, m) lam block gives, row for
+    # row and bit for bit, every product the vectors give, for a unit
+    # direction on one example of the batch (the B-column assembly), a
+    # direction over several examples and the learning rate's
+    dyn, s, lam, n_steps = population(dynamics, "weighted-hyper", batch, seed)
+    rng = make_rng(seed, 0x3E1)
+    t = int(rng.integers(1, n_steps + 1))
+    r = rng.standard_normal(s.shape)
+    layout = dyn.hyper_layout
+    start = layout.slice_of("weights").start
+    batch_idx = dyn.objective.schedule.indices(t)
+    unit, spread, eta = (np.zeros(layout.size) for _ in range(3))
+    unit[start + rng.choice(batch_idx)] = 1.0
+    spread[start:] = rng.standard_normal(layout.length_of("weights"))
+    eta[layout.slice_of("eta")] = 1.0
+    directions = {"unit": unit, "spread": spread, "eta": eta}
+    block = weighted_products(dyn, s, lam, t, r, directions)
+    vector_dyn = population(dynamics, "weighted-hyper", batch, seed)[0]
+    for i in range(len(s)):
+        alone = weighted_products(vector_dyn, s[i], lam[i], t, r[i],
+                                  directions)
+        for name, want in alone.items():
+            assert block[name].shape == (len(s), *want.shape), name
+            assert np.array_equal(block[name][i], want), name
+
+
+def test_example_weight_hypers_check_the_hyper_length():
+    dyn, s0, lam, n_steps = population("GD", "weighted-hyper", "full", 1)
     with pytest.raises(DimensionMismatchError):
-        train(dyn, s0, lam, n_steps)
-    # even a block with as many rows as the hyper vector has entries
-    square = np.ones((lam.shape[1], lam.shape[1]))
-    with pytest.raises(DimensionMismatchError):
-        train(dyn, np.zeros((len(square), dyn.n_state)), square, n_steps)
+        train(dyn, s0, lam[:, :-1], n_steps)
 
 
 # ---------------------------------------------------------------------------
