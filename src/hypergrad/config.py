@@ -8,6 +8,7 @@ greppable. Every run artifact embeds the full resolved config.
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -93,18 +94,20 @@ class ExperimentConfig:
         for name in positives:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("bench_m", "bench_steps"):
+            if min(self.int_list(name), default=1) < 1:
+                raise ConfigError(f"{name} entries must be >= 1, "
+                                  f"got {getattr(self, name)!r}")
         if self.experiment in ("clean", "mtl") and self.n_classes < 2:
             raise ConfigError(f"{self.experiment} needs n_classes >= 2, got "
                               f"{self.n_classes}")
         if not 0.0 <= self.corruption <= 1.0:
             raise ConfigError(f"corruption must lie in [0, 1], "
                               f"got {self.corruption}")
-        if self.radius <= 0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
-        if self.inner_lr <= 0:
-            raise ConfigError(f"inner_lr must be positive, got {self.inner_lr}")
-        if self.hyper_lr <= 0:
-            raise ConfigError(f"hyper_lr must be positive, got {self.hyper_lr}")
+        for name in ("radius", "inner_lr", "hyper_lr"):  # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         self._validate_data_files()
         return self
 

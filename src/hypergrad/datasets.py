@@ -63,7 +63,8 @@ class SeedStack:
 
     ``features`` is (S, n, f) and ``labels`` (S, n) integer class ids in
     [0, n_classes). ``stack[i]`` is training set i as a Dataset whose
-    arrays are views of the stack, so the stack is the one copy.
+    arrays are views of the stack, so the stack is the one copy. It is
+    made read-only in place: the objectives keep it as a cached batch.
     """
 
     features: np.ndarray
@@ -79,6 +80,7 @@ class SeedStack:
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.n_classes):
             raise ValueError(f"class ids must lie in [0, {self.n_classes})")
+        self.features.flags.writeable = self.labels.flags.writeable = False
 
     def __len__(self):
         return self.features.shape[0]

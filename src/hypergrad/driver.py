@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import forward_hg, over_rows, per_row, reverse_hg, rtho_stream
+from .engines import (OneRow, forward_hg, over_rows, per_row, reverse_hg,
+                      rtho_stream)
 from .errors import HypergradError, NonFiniteError, rescoped, rows_among
 from .outer import ProjectedAdam
 
@@ -169,8 +170,9 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    if np.ndim(s0) == 1:  # the one-set problem
-        s0, E = np.asarray(s0)[None], [E]
+    one = OneRow(s0)  # a vector problem is the one-set problem
+    s0, E = one.rows(s0, E)
+    s0 = np.asarray(s0)
     per_row(E, len(s0))
     paths = [_OuterPath(lam0, constraints, stop, lr, *row)
              for lam0, constraints, stop, *row in paths]
@@ -190,8 +192,9 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
         started = time.perf_counter()
         result = None  # free the previous tape before recording the next
         try:
-            result = compute(over_rows(dyn, rows), [E[r] for r in rows],
-                             s0[rows], lams, n_steps)
+            with one:
+                result = compute(over_rows(dyn, rows), [E[r] for r in rows],
+                                 s0[rows], lams, n_steps)
         except HypergradError as err:
             if isinstance(err, NonFiniteError):
                 rows_among(err, rows, len(s0))
@@ -227,29 +230,26 @@ def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
     emission: for a block, the sweep of every row still in it.
     ``record_extras(lam, emission)`` sees each row's own emission.
     """
-    vector = np.ndim(s0) == 1  # wrapped here, unwrapped on the way out
-    if vector:
-        s0, lam0, E = np.asarray(s0)[None], np.asarray(lam0)[None], [E]
+    one = OneRow(s0)  # wrapped here, unwrapped on the way out
+    s0, lam0, E = one.rows(s0, lam0, E)
     paths = [_OuterPath(lam, constraints, stop, lr) for lam in lam0]
     if not _stopped(stop, []):
         stream = rtho_stream(dyn, E, s0, np.array([path.lam for path in paths]),
                              delta, updater=[path.updater for path in paths])
         started = time.perf_counter()
         try:
-            for emitted in stream:
-                now = time.perf_counter()
-                seconds, started = now - started, now
-                for emission in emitted:
-                    emission.leave = paths[emission.row].record(
-                        emission.lam, emission.response,
-                        float(np.linalg.norm(emission.partial)), seconds,
-                        record_extras, emission, step=emission.t)
+            with one:
+                for emitted in stream:
+                    now = time.perf_counter()
+                    seconds, started = now - started, now
+                    for emission in emitted:
+                        emission.leave = paths[emission.row].record(
+                            emission.lam, emission.response,
+                            float(np.linalg.norm(emission.partial)), seconds,
+                            record_extras, emission, step=emission.t)
         except HypergradError as err:
-            if vector and isinstance(err, NonFiniteError):
-                err.rows = None
             k = max(len(path.records) for path in paths) + 1
             raise rescoped(err, f"hyper-iteration {k}") from err
         finally:
             stream.close()
-    out = [(path.lam, path.records) for path in paths]
-    return out[0] if vector else out
+    return one.out([(path.lam, path.records) for path in paths])

@@ -26,7 +26,7 @@ to a fixed float, in which case they are constants of the map.
 
 Every operation also takes a leading population axis: a (K, d) block
 of states with a (K, m) block of hyper vectors advances K independent
-runs at once, a (K, d) block of tangents (one column of each run's Z)
+runs at once, a (K, d) block of tangents (one tangent of each run's Z)
 gives each run's ``jvp_state``, and a (K, d) block of cotangents (one
 adjoint per run) gives each run's ``vjp_state`` and, as a (K, m) block,
 its ``vjp_hyper``. They are written on the last axis, so a 1-D state is
@@ -65,12 +65,10 @@ class _HyperBinding:
             self._const = float(binding)
 
     def value(self, lam):
-        """The scalar at ``lam``; a (K, 1) column for a (K, m) lam block."""
+        """The scalar at ``lam``: (1,) for a vector, (K, 1) for a block."""
         if self.index is None:
             return self._const
-        if lam.ndim == 1:
-            return float(lam[self.index])
-        return lam[:, self.index, None]
+        return lam[..., self.index, None]
 
     def direction(self, q):
         """Component of a hyper-space direction along this scalar."""

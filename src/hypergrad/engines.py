@@ -16,25 +16,20 @@ compute the exact d f / d lam of the unrolled iteration:
 * ``rtho_stream`` is forward mode read every ``delta`` steps: one endless
   training run whose partial hypergradient grad E(s_t) Z_t is emitted
   after each ``delta``-step sweep, so an outer updater can adjust lam
-  mid-flight. Its consumer decides when to stop. It runs one loop on
-  an (S, d) block with an (S, d, m) Z: S independent streams (one per
-  training set of a seed stack), or a single stream as the one-row
-  block.
+  mid-flight. Its consumer decides when to stop.
 
-Both batch engines also take K independent problems as one block: a
-(K, d) s0 with a (K, m) lam and one validation error per row (row i
-training on set ``rows[i]`` of a seed stack, see ``over_rows``). The
-sweep then makes its product calls once for all K rows (a tape of
-(K, d) states, or a (K, d, m) Z), and row i of the result is bit for
-bit the vector result of row i alone (a lone row without a stack runs
-on its vectors; see ``_on_rows``).
+All three run on blocks only: a (K, d) s0 with a (K, m) lam and one
+validation error per row (row i training on set ``rows[i]`` of a seed
+stack, see ``over_rows``), one product call for all K rows (a tape of
+(K, d) states, or a (K, m, d) Z), row i bit for bit what row i gives
+alone. A vector problem is the one-row block (``OneRow``).
 
 Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
-sweep of T steps, ``rtho_stream`` one sweep per emission. Z propagation
-is deliberately structured as one state-JVP per column of Z plus
-unit-direction hyper-JVPs for the columns of B_t; only columns listed by
-``dyn.touched_hypers(t)`` are filled, which keeps the per-step cost at
-O(batch) instead of O(m) when each minibatch touches few
+sweep of T steps, ``rtho_stream`` one sweep per emission. Z is stored
+tangent-major and propagated as one state-JVP per tangent ``Z[:, j]``
+plus unit-direction hyper-JVPs for the columns of B_t; only columns
+listed by ``dyn.touched_hypers(t)`` are filled, which keeps the per-step
+cost at O(batch) instead of O(m) when each minibatch touches few
 hyperparameters. What those products share within one step (the
 minibatch's softmax quantities and, for constant example weights, the
 gradient itself) is built once per (t, s) by the objective, so a step
@@ -67,15 +62,14 @@ class HypergradResult:
 
 def _as_block(s, lam, E=None):
     """(s, lam) as float arrays, checked to be (d,) and (m,), or (K, d)
-    and (K, m); a block's ``E`` (if given) holds one validation error
-    per row."""
+    and (K, m); ``E`` (if given) holds one validation error per row."""
     s = np.asarray(s, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
         raise DimensionMismatchError(
             f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
             f"(m,), or (K, d) and (K, m)")
-    if s.ndim == 2 and E is not None:
+    if E is not None:
         per_row(E, len(s))
     return s, lam
 
@@ -85,6 +79,50 @@ def per_row(E, n):
     if not isinstance(E, (list, tuple)) or len(E) != n:
         raise DimensionMismatchError(
             f"a block of {n} states takes {n} validation errors")
+
+
+class OneRow:
+    """A vector problem (a 1-D s0) run as the one-row block.
+
+    ``rows`` makes each input the one-row block's, ``out``, ``result``
+    and ``emission`` take row 0 of what the block gives, and as a
+    context it clears the ``rows`` of a NonFiniteError raised inside (a
+    vector has none to mark). For a block each hands its input back.
+    """
+
+    def __init__(self, s0):
+        self.vector = np.ndim(s0) == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if self.vector and isinstance(err, NonFiniteError):
+            err.rows = None
+
+    def rows(self, *inputs):
+        """Each input as a one-item list (None stays None)."""
+        if not self.vector:
+            return inputs
+        return tuple(None if x is None else [x] for x in inputs)
+
+    def out(self, x):
+        return x[0] if self.vector else x
+
+    def result(self, res):
+        """``res`` with row 0's gradient, response and tape."""
+        if self.vector:
+            res.gradient, res.response = res.gradient[0], res.response[0]
+            if res.tape is not None:
+                res.tape = Tape([x[0] for x in res.tape.states],
+                                res.tape.lam[0])
+        return res
+
+    def emission(self, emitted):
+        """Row 0's emission, its ``row`` None."""
+        if self.vector:
+            emitted[0].row = None
+        return self.out(emitted)
 
 
 def over_rows(dyn, rows):
@@ -104,28 +142,23 @@ def over_rows(dyn, rows):
 
 
 def _val_grads(E, s, layout):
-    """grad E(s) over the state; for a block, row i's with ``E[i]``."""
-    if s.ndim == 1:
-        return val_grad_state(E, s, layout)
+    """grad E(s) over the state of each row, row i's with ``E[i]``."""
     return np.stack([val_grad_state(e, row, layout) for e, row in zip(E, s)])
 
 
 def _partials(E, s, z, layout):
-    """grad E(s) Z; for a block, row i's with ``E[i]`` and its own
-    C-contiguous (d, m) slice of an (K, d, m) Z."""
+    """grad E(s) Z of each row, row i's with ``E[i]`` and its (m, d) slice
+    of a (K, m, d) Z, read as a C-contiguous (d, m) copy: a transposed
+    view would move the product's bits."""
     g = _val_grads(E, s, layout)
-    if s.ndim == 1:
-        return g @ z
-    return np.array([gi @ zi for gi, zi in zip(g, z)])
+    return np.array([gi @ np.ascontiguousarray(zi.T) for gi, zi in zip(g, z)])
 
 
 def _val_values(E, s, layout):
-    """E(s); for a block, the list of each row's with ``E[i]``.
+    """The list of E(s) of each row, row i's with ``E[i]``.
 
-    A non-finite value of a block fails with its row marked.
+    A non-finite value fails with its row marked.
     """
-    if s.ndim == 1:
-        return val_value(E, s, layout)
     values = []
     for i, (e, row) in enumerate(zip(E, s)):
         try:
@@ -234,20 +267,18 @@ def evaluate_response(dyn, E, s0, lam, n_steps):
 def _propagate_z(dyn, s, z, lam, t, q_buf):
     """Z <- A_t Z + B_t with products evaluated at the pre-step state.
 
-    Z is (d, m), or (S, d, m) for a (S, d) block of states: column j is
-    then a (S, d) block of tangents, one product call for all S rows.
+    Z is (K, m, d) for a (K, d) block of states: tangent j is the
+    (K, d) block ``z[:, j]`` of every row's own C-contiguous tangents,
+    one product call for all K rows.
     """
     out = np.empty_like(z)
-    for j in range(z.shape[-1]):
-        out[..., j] = dyn.jvp_state(s, lam, t, z[..., j])
+    for j in range(z.shape[1]):
+        out[:, j] = dyn.jvp_state(s, lam, t, z[:, j])
     for j in dyn.touched_hypers(t):
         q_buf[j] = 1.0
-        out[..., j] += dyn.jvp_hyper(s, lam, t, q_buf)
+        out[:, j] += dyn.jvp_hyper(s, lam, t, q_buf)
         q_buf[j] = 0.0
-    # a failure marks the failed rows of a block; one run's Z has none
-    ensure_finite(out if out.ndim == 3 else out.ravel(), "sensitivity matrix",
-                  step=t)
-    return out
+    return ensure_finite(out, "sensitivity matrix", step=t)  # marks rows
 
 
 def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
@@ -258,40 +289,21 @@ def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
     return s, z
 
 
-def _on_rows(engine, dyn, E, s0, lam, *args):
-    """``engine`` on (s0, lam), checked; a lone row runs on its vectors.
-
-    A one-row block whose objective holds no seed stack gives the
-    one-row result of its row's vector run (a failure marks no
-    ``rows``): the products' plain 2-D views serve vectors only, and on
-    (1, d) blocks ``forward_hg`` ran clean-wide-fwd's problem 7-17%
-    slower (in-process A/B runs, 2-vCPU Xeon). This goes once the sweep
-    stops making one product call per column of Z.
-    """
-    s, lam = _as_block(s0, lam, E)
-    if s.shape[:-1] != (1,) or getattr(dyn.objective, "_rows", None) is not None:
-        return engine(dyn, E, s, lam, *args)
-    result = engine(dyn, E[0], s[0], lam[0], *args)
-    result.gradient, result.response = result.gradient[None], [result.response]
-    if result.tape is not None:
-        result.tape = Tape([x[None] for x in result.tape.states], lam.copy())
-    return result
-
-
 def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
     """Forward-mode hypergradient of E(s_T) with respect to lam.
 
-    A block sweeps an (K, d, m) Z, as ``rtho_stream`` does.
+    A block sweeps a (K, m, d) Z, as ``rtho_stream`` does.
     """
-    return _on_rows(_forward, dyn, E, s0, lam, n_steps)
-
-
-def _forward(dyn, E, s, lam, n_steps):
+    one = OneRow(s0)
+    s, lam, E = one.rows(s0, lam, E)
+    s, lam = _as_block(s, lam, E)
     m = lam.shape[-1]
-    s, z = _sweep(dyn, s.copy(), np.zeros((*s.shape[:-1], dyn.n_state, m)),
-                  lam, 0, n_steps, np.zeros(m))
-    return HypergradResult(gradient=_partials(E, s, z, dyn.state_layout),
-                           response=_val_values(E, s, dyn.state_layout))
+    with one:
+        z = np.zeros((len(s), m, dyn.n_state))
+        s, z = _sweep(dyn, s.copy(), z, lam, 0, n_steps, np.zeros(m))
+        return one.result(HypergradResult(
+            gradient=_partials(E, s, z, dyn.state_layout),
+            response=_val_values(E, s, dyn.state_layout)))
 
 
 def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
@@ -311,12 +323,11 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     K times those of one row. A non-finite value fails the block, the
     NonFiniteError's ``rows`` marking the rows that failed.
     """
-    return _on_rows(_reverse, dyn, E, s0, lam, n_steps, verify_tape)
-
-
-def _reverse(dyn, E, s0, lam, n_steps, verify_tape):
-    with _trajectory_scope(dyn.objective):
-        tape = record_trajectory(dyn, s0, lam, n_steps)
+    one = OneRow(s0)
+    s, lam, E = one.rows(s0, lam, E)
+    s, lam = _as_block(s, lam, E)
+    with one, _trajectory_scope(dyn.objective):
+        tape = record_trajectory(dyn, s, lam, n_steps)
         if verify_tape:
             tape.verify(dyn)
         s_final = tape.states[-1]
@@ -327,10 +338,10 @@ def _reverse(dyn, E, s0, lam, n_steps, verify_tape):
             grad += dyn.vjp_hyper(s_prev, lam, t, alpha)
             if t > 1:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
-    ensure_finite(grad, "hypergradient")
-    return HypergradResult(gradient=grad,
-                           response=_val_values(E, s_final, dyn.state_layout),
-                           tape=tape)
+        ensure_finite(grad, "hypergradient")
+        return one.result(HypergradResult(
+            gradient=grad, response=_val_values(E, s_final, dyn.state_layout),
+            tape=tape))
 
 
 @dataclass
@@ -360,43 +371,39 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
     One training run per row of a (S, d) block s0 with a (S, m) block
     lam, swept ``delta`` steps at a time as one block. After each sweep
     it yields a list of one emission per row still in the block, each
-    with grad E(s_t) Z_t read from the row's own C-contiguous (d, m)
-    slice of Z, so bit for bit that of the row streamed alone. ``dyn.objective`` may hold a
-    seed stack of S training sets (see ``objectives.WeightedSoftmax``);
-    ``E`` and ``updater`` (if given) hold one validation error and one
-    updater per row, the updater mapping (lam, partial) to the row's
-    next (m,) hyper vector, after which training and Z carry on. A row
-    whose emission is marked ``leave`` drops out, and the stream ends
-    when none is left (or when the consumer closes it; see
-    ``driver.stream_ho_loop``). A non-finite value fails the block, the
-    NonFiniteError's ``rows`` marking the failed rows among all S. A
-    vector stream is the one-row block, unwrapped: single emissions with
-    ``row`` None, failures without ``rows``.
+    with grad E(s_t) Z_t, bit for bit that of the row streamed alone.
+    ``dyn.objective`` may hold a seed stack of S training sets (see
+    ``objectives.WeightedSoftmax``); ``E`` and ``updater`` (if given)
+    hold one validation error and one updater per row, the updater
+    mapping (lam, partial) to the row's next (m,) hyper vector, after
+    which training and Z carry on. A row whose emission is marked
+    ``leave`` drops out, and the stream ends when none is left (or when
+    the consumer closes it; see ``driver.stream_ho_loop``). A non-finite
+    value fails the block, the NonFiniteError's ``rows`` marking the
+    failed rows among all S. A vector stream yields single emissions
+    with ``row`` None, and its failures mark no ``rows``.
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
-    s, lam = _as_block(s0, lam, E)
-    vector = s.ndim == 1
-    if vector:
-        s, lam, E = s[None], lam[None], [E]
-        updater = None if updater is None else [updater]
+    one = OneRow(s0)
+    s, lam, E, updater = one.rows(s0, lam, E, updater)
+    s, lam = _as_block(s, lam, E)
     lam = lam.copy()
-    z = np.zeros((*s.shape, lam.shape[-1]))
+    z = np.zeros((len(s), lam.shape[-1], s.shape[-1]))
     q_buf = np.zeros(lam.shape[-1])
     layout = dyn.state_layout
     t = 0
     live = np.arange(len(s))  # the rows still in the block
     while live.size:
-        try:
-            s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
-            t += delta
-            partial = _partials([E[row] for row in live], s, z, layout)
-            ensure_finite(partial, "partial hypergradient", step=t)
-        except NonFiniteError as err:
-            rows_among(err, live, len(E))  # among all S rows
-            if vector:
-                err.rows = None
-            raise
+        with one:
+            try:
+                s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
+                t += delta
+                partial = _partials([E[row] for row in live], s, z, layout)
+                ensure_finite(partial, "partial hypergradient", step=t)
+            except NonFiniteError as err:
+                rows_among(err, live, len(E))  # among all S rows
+                raise
         emissions = []
         for i, row in enumerate(live):
             if updater is not None:
@@ -408,8 +415,8 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
             emissions.append(StreamEmission(
                 t=t, partial=partial[i],
                 response=val_value(E[row], s[i], layout), lam=lam[i].copy(),
-                state=s[i].copy(), row=None if vector else int(row)))
-        yield emissions[0] if vector else emissions
+                state=s[i].copy(), row=int(row)))
+        yield one.emission(emissions)
         keep = np.array([not em.leave for em in emissions])
         if not keep.all():
             live, s, z, lam = live[keep], s[keep], z[keep], lam[keep]

@@ -24,15 +24,13 @@ def as_vector(x, name="vector") -> np.ndarray:
 
 
 def row_dot(a, b):
-    """``a @ b`` as a float for vectors; one such dot per row for blocks.
+    """``a @ b`` for vectors; one such dot per row for blocks.
 
     Each row of a (K, d) block pair is bit for bit its vector dot:
     ``np.matmul`` runs the same BLAS dot on every (1, d) @ (d, 1) slice,
     which a row-wise ``(a * b).sum(axis=-1)`` (pairwise summation) does
     not reproduce.
     """
-    if a.ndim == 1:
-        return float(a @ b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -41,7 +39,7 @@ def ensure_finite(arr, context, step=None):
 
     For an array of more than one axis the error's ``rows`` is a boolean
     mask over the leading axis: which rows (the (d,) states of a (K, d)
-    block, the (d, m) slices of a (S, d, m) one) hold such an entry.
+    block, the (m, d) slices of a (S, m, d) one) hold such an entry.
     """
     finite = np.isfinite(arr)
     if not finite.all():

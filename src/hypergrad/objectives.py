@@ -22,9 +22,8 @@ axis: a (K, n_params) block of parameter vectors with a (K, m) block of
 hyper vectors gives K results, row i bit for bit the result of row i
 alone (a direction ``q`` of ``cross_jvp`` stays one (m,) vector). The
 kernels below are written on the last axes for this, so a single vector
-runs the same arithmetic; ``unpack_linear`` and ``_assemble_wgrad`` keep
-their plain 2-D views for it, the products' hot path. Either model can
-also hold a seed stack (``datasets.SeedStack``, for ``WeightedSoftmax``
+runs the same arithmetic through the same views. Either model can also
+hold a seed stack (``datasets.SeedStack``, for ``WeightedSoftmax``
 with unit weights only): S training sets, each with its own minibatch
 schedule, where row i of a (S, n_params) block trains on set i, each
 row bit for bit what set i alone gives. ``take`` maps the rows of a
@@ -72,8 +71,6 @@ def unpack_linear(w, n_classes, n_features):
             f"parameter vector has length {w.shape[-1]}, model expects "
             f"{n_mat + n_classes}"
         )
-    if w.ndim == 1:  # the products' hot path: plain slices are cheaper
-        return w[:n_mat].reshape(n_classes, n_features), w[n_mat:]
     mat = w[..., :n_mat].reshape(*w.shape[:-1], n_classes, n_features)
     return mat, w[..., n_mat:]
 
@@ -94,20 +91,13 @@ def _assemble_wgrad(coefs, x, scale=None):
 
     Both blocks are written into one vector and scaled in place. With
     (K, b, k) coefficients the result is one such vector per row: the
-    same matmul (one gemm per slice) and sum over the examples, with
-    the plain 2-D views kept for the products' hot path.
+    same matmul (one gemm per slice) and sum over the examples.
     """
-    k, f = coefs.shape[-1], x.shape[-1]
-    if coefs.ndim == 2:
-        out = np.empty(k * f + k)
-        np.matmul(coefs.T, x, out=out[: k * f].reshape(k, f))
-        coefs.sum(axis=0, out=out[k * f :])
-    else:
-        lead = coefs.shape[:-2]
-        out = np.empty((*lead, k * f + k))
-        np.matmul(coefs.swapaxes(-1, -2), x,
-                  out=out[..., : k * f].reshape(*lead, k, f))
-        coefs.sum(axis=-2, out=out[..., k * f :])
+    k, f, lead = coefs.shape[-1], x.shape[-1], coefs.shape[:-2]
+    out = np.empty((*lead, k * f + k))
+    np.matmul(coefs.swapaxes(-1, -2), x,
+              out=out[..., : k * f].reshape(*lead, k, f))
+    coefs.sum(axis=-2, out=out[..., k * f :])
     if scale is not None:
         out *= scale
     return out

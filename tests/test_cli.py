@@ -360,6 +360,15 @@ def _mismatch_shapes(monkeypatch):
      "config error: val_subset"),
     ("check", lambda tmp: "val_images = /nonexistent\n", None, 2,
      "config error: val_images"),
+    # a non-finite float or a bench size below 1 fails by its key name
+    *[(command, lambda tmp, text=text, key=key, value=value:
+       text + f"{key} = {value}\n", None, 2, f"config error: {key}")
+      for command, text, key, value in (
+          ("clean", TINY_CLEAN, "inner_lr", "nan"),
+          ("clean", TINY_CLEAN, "radius", "nan"),
+          ("rtho", TINY_RTHO, "hyper_lr", "inf"),
+          ("bench", TINY_BENCH, "bench_m", "0"),
+          ("bench", TINY_BENCH, "bench_steps", "5,0"))],
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
         "pool-too-small", "pool-leaves-no-test", "single-class-0",
@@ -367,7 +376,8 @@ def _mismatch_shapes(monkeypatch):
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",
-        "clean-n_classes", "mtl-n_classes", "val_subset", "check-val_images"])
+        "clean-n_classes", "mtl-n_classes", "val_subset", "check-val_images",
+        "inner_lr-nan", "radius-nan", "hyper_lr-inf", "bench_m-0", "bench_steps-0"])
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
                             patch, code, stderr_tag):
     if patch is not None:
@@ -378,3 +388,13 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
     got, out, err = run_cli(argv, capsys)
     assert got == code, err
     assert stderr_tag in err
+
+
+@pytest.mark.parametrize("flag, value", [("--hyper-lr", "inf"),
+                                         ("--radius", "nan")])
+def test_a_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
+    argv = ["rtho", "--config", write_cfg(tmp_path, TINY_RTHO), "--out",
+            str(tmp_path / "runs"), flag, value]
+    got, _, err = run_cli(argv, capsys)
+    assert got == 2
+    assert f"config error: {flag[2:].replace('-', '_')} must be positive and finite" in err

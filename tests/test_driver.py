@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypergrad import driver
-from hypergrad.datasets import MinibatchSchedule, blob_task, clustered_task_data
+from hypergrad.datasets import clustered_task_data
 from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
@@ -14,8 +14,7 @@ from hypergrad.engines import HypergradResult, Tape
 from hypergrad.errors import DimensionMismatchError, NonFiniteError, rescoped
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
-                                  QuadraticToy, QuadraticValidation,
-                                  WeightedSoftmax)
+                                  QuadraticToy, QuadraticValidation)
 from hypergrad.outer import Box, BoxL1, Constraints, MTLCone, NonNeg
 
 
@@ -218,32 +217,6 @@ def test_a_block_takes_one_validation_error_per_row(loop):
         else:
             stream_ho_loop(dyn, e, s, np.stack([lam0, lam0]), None, 2,
                            MaxHyperIters(1))
-
-
-def test_a_problem_without_a_stack_runs_its_products_on_vectors(monkeypatch):
-    # the batch loop hands the engines a one-row block; on a problem
-    # shaped like clean's (example weights as hypers, minibatches, an
-    # L1 box) the forward sweep must still run on the row's vectors
-    n = 12
-    train, val, _ = blob_task(0, n, 6, 4, n_classes=3, n_features=4)
-    layout = VectorLayout([("weights", n)])
-    obj = WeightedSoftmax(train, hyper_layout=layout,
-                          schedule=MinibatchSchedule(n=n, batch_size=4,
-                                                     seed=0))
-    dyn = GradientDescent(obj, eta=0.1)
-    cons = Constraints(layout, {"weights": BoxL1(0.0, 1.0, 8.0)})
-    seen = set()
-    real = GradientDescent.jvp_state
-
-    def spy(self, s, lam, t, r):
-        seen.add((s.ndim, lam.ndim, r.ndim))
-        return real(self, s, lam, t, r)
-    monkeypatch.setattr(GradientDescent, "jvp_state", spy)
-    _, records = batch_ho_loop(dyn, DatasetValidation(val),
-                               dyn.init_state(np.zeros(obj.n_params)),
-                               np.ones(n), cons, 5, MaxHyperIters(2),
-                               engine="forward")
-    assert len(records) == 2 and seen == {(1, 1, 1)}
 
 
 def test_batch_loop_records_are_contiguous():

@@ -144,7 +144,7 @@ def test_tape_verify_detects_tampering():
 
 
 def test_a_lone_row_is_its_vector_run_as_one_row():
-    # a one-row block without a stack runs on its row's vectors and
+    # a vector run is the one-row block unwrapped, so the one-row block
     # comes back as a one-row result: (1, m) gradient, one response in a
     # list, a tape of (1, d) states that replays
     dyn, e, s0, layout = softmax_problem()

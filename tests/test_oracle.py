@@ -108,17 +108,17 @@ def test_chain_matches_both_engines_on_random_instance():
             self._r = layout.slice_of("r")
 
         def grad_w(self, w, lam, t):
-            return w + lam[self._r][0]
+            return w + lam[..., self._r]
 
         def hvp_w(self, w, lam, t, r):
             return r.copy()
 
         def cross_jvp(self, w, lam, t, q):
-            return np.full(3, q[self._r.start])
+            return np.full(w.shape, q[self._r.start])
 
         def cross_vjp(self, w, lam, t, alpha):
-            out = np.zeros(layout.size)
-            out[self._r] = alpha.sum()
+            out = np.zeros(lam.shape)
+            out[..., self._r] = alpha.sum(axis=-1, keepdims=True)
             return out
 
         def touched_hypers(self, t):

@@ -631,6 +631,28 @@ def test_the_stack_is_freed_with_the_run(n_seeds, monkeypatch):
     assert report.records
 
 
+def _times_1e200(stack, i):
+    """A new stack whose set ``i`` has its features times 1e200."""
+    features = stack.features.copy()
+    features[i] *= 1e200
+    return SeedStack(features, stack.labels, stack.n_classes)
+
+
+def test_a_seed_stack_is_read_only():
+    # the objectives keep the stack's arrays as their full batch, so a
+    # write through a set or through the caller's array must fail
+    features, labels = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
+    stack = SeedStack(features, labels, 2)
+    assert stack.features is features and stack.labels is labels
+    for write in (lambda: stack[1].features.__setitem__(0, 1.0),
+                  lambda: stack[0].labels.__setitem__(0, 1),
+                  lambda: features.__setitem__(0, 1.0),
+                  lambda: labels.__setitem__(0, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert not features.any() and not labels.any()
+
+
 def _rtho_cfg(**kw):
     base = dict(experiment="rtho", seed=0, n_seeds=3, n_classes=3,
                 n_features=6, n_train=60, n_val=30, n_test=30, batch_size=10,
@@ -647,8 +669,7 @@ def test_a_diverging_seed_fails_the_run_and_is_named(monkeypatch):
 
     def huge_seed_1(cfg, seeds):
         layout, stack, e_vals = task(cfg, seeds)
-        stack.features[1] *= 1e200
-        return layout, stack, e_vals
+        return layout, _times_1e200(stack, 1), e_vals
 
     monkeypatch.setattr(experiments, "_rtho_task", huge_seed_1)
     with pytest.raises(NonFiniteError,
@@ -922,8 +943,7 @@ def _huge_seed_4(monkeypatch):
 
     def huge(cfg, seeds):
         stack, e_vals = task(cfg, seeds)
-        stack.features[seeds.index(4)] *= 1e200
-        return stack, e_vals
+        return _times_1e200(stack, seeds.index(4)), e_vals
 
     monkeypatch.setattr(experiments, "_mtl_task", huge)
 
