@@ -15,8 +15,8 @@ import json
 import sys
 
 from .config import ExperimentConfig, parse_config
-from .errors import (DimensionMismatchError, InfeasibleHypersError,
-                     IngestError, NonFiniteError)
+from .errors import (ConfigError, DimensionMismatchError,
+                     InfeasibleHypersError, IngestError, NonFiniteError)
 from .experiments import (run_bench, run_hyperclean, run_mtl, run_randsearch,
                           run_rtho, write_report)
 from .verify import run_check_suite
@@ -78,7 +78,16 @@ _FLAG_FIELDS = {
 
 
 def resolve_config(args) -> ExperimentConfig:
+    """The config file's values (if any) under the flags' overrides.
+
+    A file whose ``experiment`` names another experiment than the
+    subcommand is a ConfigError; ``check``, which reads only ``seed``,
+    takes any file.
+    """
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    if cfg.experiment not in ("", args.command) and args.command != "check":
+        raise ConfigError(f"{args.config}: experiment = {cfg.experiment}, "
+                          f"but the subcommand is {args.command}")
     cfg.experiment = args.command
     for flag, field_name in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)

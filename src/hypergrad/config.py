@@ -164,10 +164,14 @@ def _coerce(name, text, hint):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat key=value file into an ExperimentConfig."""
+    """Read a flat key=value file into an ExperimentConfig.
+
+    Each key may appear once: a repeated key is a ConfigError naming it
+    and both of its lines.
+    """
     hints = _field_types()
     known = {f.name for f in fields(ExperimentConfig)}
-    values = {}
+    values, line_of = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -183,6 +187,10 @@ def parse_config(path) -> ExperimentConfig:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeated "
+                              f"(lines {line_of[key]} and {lineno})")
+        line_of[key] = lineno
         values[key] = _coerce(key, raw.strip(), hints[key])
     return ExperimentConfig(**values)
 

@@ -10,15 +10,17 @@ Two protocols:
 
   ``lockstep_ho_loop`` moves several outer paths over one problem
   forward together. Each path has its own constraints, Adam state, stop
-  rules and records; in each hyper-iteration the paths whose lam are
-  bit-equal (and, over a seed stack, whose training set is the same)
-  share one hypergradient, handed read-only to each path's update. Each
-  hyper-iteration is one block call with one row per group (see
-  ``engines.reverse_hg``; a problem without a stack is the one-set
-  stack), released before the next, so one tape is alive at a time. A
-  record's ``seconds`` is the time of that call plus its own update:
-  paths sharing a call each count all of it. ``batch_ho_loop`` is the
-  one-path case.
+  rules and records; in each hyper-iteration the paths whose problem
+  lam are bit-equal (and, over a seed stack, whose training set is the
+  same) share one hypergradient, handed read-only to each path's
+  update. A path may be tied: it keeps a shorter lam of its own, the
+  problem sees ``lam[tie]``, and its gradient is the problem's summed
+  per own entry (the chain rule through the tie). Each hyper-iteration
+  is one block call with one row per group (see ``engines.reverse_hg``;
+  a problem without a stack is the one-set stack), released before the
+  next, so one tape is alive at a time. A record's ``seconds`` is the
+  time of that call plus its own update: paths sharing a call each
+  count all of it. ``batch_ho_loop`` is the one-path case.
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps; state and
   Z carry across updates, and the stop rules end the endless stream.
@@ -39,7 +41,8 @@ import numpy as np
 
 from .engines import (OneRow, forward_hg, over_rows, per_row, reverse_hg,
                       rtho_stream)
-from .errors import HypergradError, NonFiniteError, rescoped, rows_among
+from .errors import (DimensionMismatchError, HypergradError, NonFiniteError,
+                     rescoped, rows_among)
 from .outer import ProjectedAdam
 
 # records list lam itself only up to this many entries (summaries always)
@@ -125,14 +128,27 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
 
 
 class _OuterPath:
-    """One outer trajectory of a loop (on stack row ``row``)."""
+    """One outer trajectory of a loop (on stack row ``row``), its problem
+    lam ``lam[tie]`` if tied."""
 
-    def __init__(self, lam0, constraints, stop, lr, row=0):
+    def __init__(self, lam0, constraints, stop, lr, row=0, tie=None):
         self.updater = ProjectedAdam(constraints, lr=lr)
         self.lam = lam0 if constraints is None else constraints.project(lam0)
         self.stop = stop
         self.row = row
+        self.tie = None if tie is None else np.asarray(tie)
         self.records = []
+
+    @property
+    def problem_lam(self):
+        return self.lam if self.tie is None else self.lam[self.tie]
+
+    def own_gradient(self, gradient):
+        """A hypergradient over the problem lam as one over the path's
+        own: per own entry, the sum over the problem entries tied to it."""
+        if self.tie is None:
+            return gradient
+        return np.bincount(self.tie, weights=gradient, minlength=len(self.lam))
 
     def record(self, lam, response, grad_norm, seconds, extras, seen,
                step=None):
@@ -150,7 +166,14 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
                      record_extras=None):
     """Batch loops over one problem, one hypergradient per distinct lam.
 
-    ``paths`` lists one (lam0, constraints, stop, row) per outer path.
+    ``paths`` lists one (lam0, constraints, stop, row, tie) per outer
+    path; ``row`` (default 0) and ``tie`` (default None) may be left
+    off. A tied path keeps, projects, Adam-steps and records its own
+    lam while the problem sees ``lam[tie]`` (``tie`` a 1-D integer
+    array indexing lam); its gradient is the problem's summed back per
+    own entry, and its ``grad_norm`` that sum's norm. Every path's
+    problem lam must have the length of the problem's hyper layout, and
+    its row must be one of the sets; else DimensionMismatchError.
     Returns one (lam, records) per path, in order, and the list of
     hypergradients computed per set.
 
@@ -164,31 +187,33 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
-    m = max((len(path[0]) for path in paths), default=0)
+    one = OneRow(s0)  # a vector problem is the one-set problem
+    s0, E = one.rows(s0, E)
+    s0 = np.asarray(s0)
+    per_row(E, len(s0))
+    _check_paths(paths, dyn.hyper_layout, len(s0))
+    paths = [_OuterPath(lam0, constraints, stop, lr, *rest)
+             for lam0, constraints, stop, *rest in paths]
+    m = max((len(path.problem_lam) for path in paths), default=0)
     if engine == "forward" and m > 10 * dyn.n_state:
         raise ValueError(
             f"forward engine gated off for m = {m} > 10 * d = {10 * dyn.n_state}; "
             f"use reverse"
         )
-    one = OneRow(s0)  # a vector problem is the one-set problem
-    s0, E = one.rows(s0, E)
-    s0 = np.asarray(s0)
-    per_row(E, len(s0))
-    paths = [_OuterPath(lam0, constraints, stop, lr, *row)
-             for lam0, constraints, stop, *row in paths]
     compute = forward_hg if engine == "forward" else reverse_hg
     n_computed = [0] * len(s0)
     while True:
         groups = {}
         for path in paths:
             if not _stopped(path.stop, path.records):
-                key = (path.row, path.lam.tobytes())
-                groups.setdefault(key, []).append(path)
+                lam = path.problem_lam
+                groups.setdefault((path.row, lam.tobytes()),
+                                  (lam, []))[1].append(path)
         if not groups:
             break
         groups = list(groups.values())
-        rows = np.array([group[0].row for group in groups])
-        lams = np.array([group[0].lam for group in groups])
+        rows = np.array([group[0].row for _, group in groups])
+        lams = np.array([lam for lam, _ in groups])
         started = time.perf_counter()
         result = None  # free the previous tape before recording the next
         try:
@@ -198,22 +223,48 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
         except HypergradError as err:
             if isinstance(err, NonFiniteError):
                 rows_among(err, rows, len(s0))
-            k = len(groups[0][0].records) + 1
+            k = len(groups[0][1][0].records) + 1
             raise rescoped(err, f"hyper-iteration {k}") from err
         gradients = result.gradient
         gradients.flags.writeable = False
         shared = time.perf_counter() - started
-        for group, gradient, response in zip(groups, gradients,
-                                             result.response):
-            grad_norm = float(np.linalg.norm(gradient))
+        for (_, group), gradient, response in zip(groups, gradients,
+                                                  result.response):
             n_computed[group[0].row] += 1
             for path in group:
                 own = time.perf_counter()
-                lam = path.updater(path.lam, gradient)
-                path.record(lam, response, grad_norm,
+                g = path.own_gradient(gradient)
+                lam = path.updater(path.lam, g)
+                path.record(lam, response, float(np.linalg.norm(g)),
                             shared + time.perf_counter() - own, record_extras,
                             result)
     return [(path.lam, path.records) for path in paths], n_computed
+
+
+def _check_paths(paths, layout, n_sets):
+    """Raise DimensionMismatchError, naming the path, for a row that is
+    not one of the ``n_sets`` sets, a tie that is not a 1-D integer array
+    indexing the path's lam, or a problem lam whose length is not the
+    layout's (or, without one, the first path's)."""
+    want = None if layout is None else layout.size
+    for i, (lam0, _, _, *rest) in enumerate(paths):
+        if rest and not 0 <= rest[0] < n_sets:
+            raise DimensionMismatchError(
+                f"path {i}: row {rest[0]} is not one of the {n_sets} sets")
+        n = len(lam0)
+        if len(rest) > 1 and rest[1] is not None:
+            tie = np.asarray(rest[1])
+            if (tie.ndim != 1 or tie.dtype.kind not in "iu"
+                    or (len(tie) and not 0 <= tie.min() <= tie.max() < n)):
+                raise DimensionMismatchError(
+                    f"path {i}: tie must be a 1-D integer array indexing its "
+                    f"{n}-entry lam, got {tie.dtype} {tie.shape}")
+            n = len(tie)
+        want = n if want is None else want
+        if n != want:
+            raise DimensionMismatchError(
+                f"path {i}: hyper vector has length {n}, the problem "
+                f"expects {want}")
 
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,

@@ -333,60 +333,68 @@ def _stl_grid(stack, e_vals, cfg):
     return [(fits[i][vec.tobytes()][0], vec) for i, (vec, _) in enumerate(best)]
 
 
-def _coupled_runs(stack, e_vals, cfg, mode, radii=(None,)):
-    """Hyper-optimize a coupled model on every set, once per coupling
-    radius, in lockstep.
+def _uniform_tie(k):
+    """NMTL's tie: its (coupling, rho) onto the full model's k*k coupling
+    and k rho entries, so every C_jk is its a and every rho_k its rho."""
+    return np.repeat([0, 1], [k * k, k])
 
-    Every (set, radius) is one path of one lockstep problem over the
-    stack: each hyper-iteration computes all their hypergradients as one
-    block, and the radii of a set share each hypergradient while their
-    lam agree. The final retrains, one per distinct (set, final lam),
-    run as one population. Returns, per set, one (weights, final lam,
-    records, coupling) per radius, and the number of hypergradients
-    computed per set.
+
+def _coupled_runs(stack, e_vals, cfg, radii):
+    """Hyper-optimize NMTL and HMTL, once per coupling radius, on every
+    set, as one lockstep problem.
+
+    The problem is the full-coupling, per-task-rho model. Per set, NMTL
+    is a tied path (its own (coupling: 1, rho: 1) lam, NonNeg on both,
+    seen by the model through ``_uniform_tie``: the uniform coupling
+    and shared ridge, bit for bit) and each radius one HMTL path. Each
+    hyper-iteration computes every path's hypergradient as one block,
+    and the paths of a set share one while their model lam agree (NMTL
+    and HMTL start at the same one). The final retrains, one per
+    distinct (set, final model lam), run as one population. Returns,
+    per set, one (weights, final lam, records, coupling) for NMTL and
+    then each radius, and the number of hypergradients computed per
+    set.
     """
     k, n_sets = stack.n_classes, len(stack)
-    if mode == "uniform":
-        layout = VectorLayout([("coupling", 1), ("rho", 1)])
-        lam0 = layout.pack(coupling=0.0, rho=_RHO_INIT)
-        obj_kwargs = dict(coupling="uniform", per_task_rho=False)
-    else:
-        layout = VectorLayout([("coupling", k * k), ("rho", k)])
-        lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, _RHO_INIT))
-        obj_kwargs = dict(coupling="full", per_task_rho=True)
-    obj = MultitaskLinear(stack, hyper_layout=layout, **obj_kwargs)
+    layout = VectorLayout([("coupling", k * k), ("rho", k)])
+    obj = MultitaskLinear(stack, hyper_layout=layout, coupling="full",
+                          per_task_rho=True)
     dyn = GradientDescent(obj, eta=cfg.inner_lr)
-    constraints = [
-        Constraints(layout, {"coupling": NonNeg() if mode == "uniform"
-                             else MTLCone(r), "rho": NonNeg()})
-        for r in radii
-    ]
-    starts = [(row, cons) for row in range(n_sets) for cons in constraints]
+    nmtl = VectorLayout([("coupling", 1), ("rho", 1)])
+    methods = [(nmtl.pack(coupling=0.0, rho=_RHO_INIT),
+                Constraints(nmtl, {"coupling": NonNeg(), "rho": NonNeg()}),
+                _uniform_tie(k))]
+    methods += [(layout.pack(coupling=np.zeros(k * k),
+                             rho=np.full(k, _RHO_INIT)),
+                 Constraints(layout, {"coupling": MTLCone(r),
+                                      "rho": NonNeg()}), None)
+                for r in radii]
+    starts = [(lam0, cons, MaxHyperIters(cfg.hyper_iters), row, tie)
+              for row in range(n_sets) for lam0, cons, tie in methods]
     paths, n_computed = lockstep_ho_loop(
-        dyn, e_vals, np.zeros((n_sets, obj.n_params)),
-        [(lam0, cons, MaxHyperIters(cfg.hyper_iters), row)
-         for row, cons in starts],
+        dyn, e_vals, np.zeros((n_sets, obj.n_params)), starts,
         cfg.inner_steps, engine=cfg.engine, lr=cfg.hyper_lr,
     )
-    finals = {}  # one retrain per distinct (set, final lam)
-    for (row, cons), (lam, records) in zip(starts, paths):
+    finals, models = {}, []  # one retrain per distinct (set, final model lam)
+    for (_, cons, _, row, tie), (lam, records) in zip(starts, paths):
         for r in records:
             if not cons.contains(r.lam):
                 raise InfeasibleHypersError(
                     f"infeasible hypers at hyper-iteration {r.index}")
-        finals.setdefault((row, lam.tobytes()), (row, lam))
+        models.append(lam if tie is None else lam[tie])
+        finals.setdefault((row, models[-1].tobytes()), (row, models[-1]))
     rows = np.array([row for row, _ in finals.values()])
     ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr,
-              np.array([lam for _, lam in finals.values()]))
+              np.array([model for _, model in finals.values()]))
     try:
         ensure_finite(ws, "retrained weights")
     except NonFiniteError as err:
         raise rows_among(err, rows, n_sets)
     weights = dict(zip(finals, ws))
     runs = [[] for _ in range(n_sets)]
-    for (row, _), (lam, records) in zip(starts, paths):
-        runs[row].append((weights[row, lam.tobytes()], lam, records,
-                          obj._coupling_matrix(lam)))
+    for (_, _, _, row, _), model, (lam, records) in zip(starts, models, paths):
+        runs[row].append((weights[row, model.tobytes()], lam, records,
+                          obj._coupling_matrix(model)))
     return runs, n_computed
 
 
@@ -414,15 +422,17 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     """STL / NMTL / HMTL / HMTL-S comparison over seeded splits.
 
     Every method runs all seeds as one block over a stack of the seeds'
-    training sets, each seed bit for bit what it gives alone: NMTL as
-    one lockstep problem, HMTL and HMTL-S as another (two paths per
-    seed, sharing every hypergradient until the HMTL-S radius binds),
-    and the STL grid's passes as populations. A seed's test split is
-    drawn only when its accuracies are scored. ``timings`` gives the
-    seconds of each block (``uniform_s`` for NMTL, ``full_s`` for HMTL
-    and HMTL-S, ``stl_s`` for the grid) and, per seed, the
-    hyper-iteration where HMTL and HMTL-S parted (None if they never
-    did) and the number of hypergradients computed.
+    training sets, each seed bit for bit what it gives alone: NMTL,
+    HMTL and HMTL-S as one lockstep problem (three paths per seed on
+    the full-coupling model, NMTL's tied to the uniform coupling;
+    sharing each hypergradient while their model lam agree, so NMTL and
+    HMTL share the first and HMTL and HMTL-S every one until the radius
+    binds), and the STL grid's passes as populations. A seed's test
+    split is drawn only when its accuracies are scored. ``timings``
+    gives the seconds of each block (``coupled_s`` for NMTL, HMTL and
+    HMTL-S, ``stl_s`` for the grid) and, per seed, the hyper-iteration
+    where HMTL and HMTL-S parted (None if they never did) and the
+    number of hypergradients computed.
     """
     cfg.validate()
     seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
@@ -430,12 +440,9 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     timings = {}
     with _seeds_named(seeds):
         started = time.perf_counter()
-        nmtl, n_uniform = _coupled_runs(stack, e_vals, cfg, "uniform")
-        timings["uniform_s"] = time.perf_counter() - started
-        started = time.perf_counter()
-        full, n_full = _coupled_runs(stack, e_vals, cfg, "full",
-                                     radii=(None, cfg.radius))
-        timings["full_s"] = time.perf_counter() - started
+        coupled, n_coupled = _coupled_runs(stack, e_vals, cfg,
+                                           radii=(None, cfg.radius))
+        timings["coupled_s"] = time.perf_counter() - started
         started = time.perf_counter()
         stl = _stl_grid(stack, e_vals, cfg)
         timings["stl_s"] = time.perf_counter() - started
@@ -447,17 +454,16 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     for i, seed in enumerate(seeds):
         _, _, test, _ = _mtl_data(cfg, seed, ("test",))
         methods["stl"].append(_accuracy_pct(test, stl[i][0]))
-        [(w, _, recs, _)] = nmtl[i]
-        methods["nmtl"].append(_accuracy_pct(test, w))
-        _tag_records(recs, all_records, seed=seed, method="nmtl")
-        for name, (w, _, recs, c_mat) in zip(("hmtl", "hmtl_s"), full[i]):
+        for name, (w, _, recs, c_mat) in zip(("nmtl", "hmtl", "hmtl_s"),
+                                             coupled[i]):
             methods[name].append(_accuracy_pct(test, w))
             _tag_records(recs, all_records, seed=seed, method=name)
-            couplings[name].append(c_mat)
+            if name in couplings:
+                couplings[name].append(c_mat)
         per_seed.append({"seed": seed,
-                         "hmtl_parted_at": _parted_at(full[i][0][2],
-                                                      full[i][1][2]),
-                         "hypergradients": n_uniform[i] + n_full[i]})
+                         "hmtl_parted_at": _parted_at(coupled[i][1][2],
+                                                      coupled[i][2][2]),
+                         "hypergradients": n_coupled[i]})
 
     metrics = {"seeds": seeds}
     for name, accs in methods.items():

@@ -7,6 +7,7 @@ import pytest
 
 from hypergrad.cli import build_parser, main, resolve_config
 from hypergrad.data_io import read_jsonl, write_idx
+from hypergrad.errors import ConfigError
 from hypergrad.numerics import make_rng
 
 
@@ -90,6 +91,27 @@ def test_resolve_config_flag_overrides(tmp_path):
     assert cfg.seed == 9           # flag wins over file
     assert cfg.hyper_iters == 2
     assert cfg.experiment == "clean"
+
+
+@pytest.mark.parametrize("command, text, want", [
+    ("clean", "seed = 3\n", "clean"),          # no experiment key: valid
+    ("check", TINY_MTL, "check"),             # check reads only the seed
+    ("check", "experiment = bogus\n", "check"),
+    ("mtl", TINY_MTL, "mtl"),
+])
+def test_resolve_config_takes_a_file_of_its_experiment(tmp_path, command,
+                                                       text, want):
+    args = build_parser().parse_args(
+        [command, "--config", write_cfg(tmp_path, text)])
+    assert resolve_config(args).validate().experiment == want
+
+
+def test_resolve_config_rejects_a_file_of_another_experiment(tmp_path):
+    args = build_parser().parse_args(
+        ["rtho", "--config", write_cfg(tmp_path, TINY_MTL)])
+    with pytest.raises(ConfigError, match="experiment = mtl, but the "
+                       "subcommand is rtho"):
+        resolve_config(args)
 
 
 def test_clean_end_to_end(tmp_path, capsys):
@@ -297,6 +319,13 @@ def _reject_every_lambda(monkeypatch):
     monkeypatch.setattr(Constraints, "contains", lambda self, lam: False)
 
 
+def _set(text, key, value):
+    """``text`` with ``key`` set to ``value``: a key may appear once."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 def _mismatch_shapes(monkeypatch):
     from hypergrad import cli
     from hypergrad.errors import DimensionMismatchError
@@ -353,16 +382,21 @@ def _mismatch_shapes(monkeypatch):
      "config error: n_features"),
     ("mtl", lambda tmp: TINY_MTL.replace("n_clusters = 2", "n_clusters = 0"),
      None, 2, "config error: n_clusters"),
-    *[(command, lambda tmp, text=text: text + "n_classes = 1\n", None, 2,
+    *[(command, lambda tmp, text=text: _set(text, "n_classes", 1), None, 2,
        f"config error: {command} needs n_classes >= 2")
       for command, text in (("clean", TINY_CLEAN), ("mtl", TINY_MTL))],
     ("rtho", lambda tmp: TINY_RTHO + "val_subset = 0\n", None, 2,
      "config error: val_subset"),
     ("check", lambda tmp: "val_images = /nonexistent\n", None, 2,
      "config error: val_images"),
+    # a key given twice, and a file for another experiment
+    ("clean", lambda tmp: TINY_CLEAN + "inner_steps = 3\n", None, 2,
+     "config key 'inner_steps' repeated"),
+    ("clean", lambda tmp: TINY_MTL, None, 2,
+     "experiment = mtl, but the subcommand is clean"),
     # a non-finite float or a bench size below 1 fails by its key name
     *[(command, lambda tmp, text=text, key=key, value=value:
-       text + f"{key} = {value}\n", None, 2, f"config error: {key}")
+       _set(text, key, value), None, 2, f"config error: {key}")
       for command, text, key, value in (
           ("clean", TINY_CLEAN, "inner_lr", "nan"),
           ("clean", TINY_CLEAN, "radius", "nan"),
@@ -377,6 +411,7 @@ def _mismatch_shapes(monkeypatch):
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",
         "clean-n_classes", "mtl-n_classes", "val_subset", "check-val_images",
+        "repeated-key", "other-experiment",
         "inner_lr-nan", "radius-nan", "hyper_lr-inf", "bench_m-0", "bench_steps-0"])
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
                             patch, code, stderr_tag):

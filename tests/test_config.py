@@ -37,6 +37,16 @@ def test_parse_unknown_key_reports_line_number(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_a_repeated_key(tmp_path):
+    # the file names the key and both of its lines; nothing is kept
+    path = tmp_path / "c.cfg"
+    path.write_text("experiment = clean\nhyper_iters = 2\n# note\n"
+                    "hyper_iters = 3\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:4: config key "
+                       r"'hyper_iters' repeated \(lines 2 and 4\)"):
+        parse_config(path)
+
+
 def test_parse_missing_equals_reports_line(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("experiment clean\n")

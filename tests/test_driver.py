@@ -14,7 +14,8 @@ from hypergrad.engines import HypergradResult, Tape
 from hypergrad.errors import DimensionMismatchError, NonFiniteError, rescoped
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
-                                  QuadraticToy, QuadraticValidation)
+                                  QuadraticToy, QuadraticValidation,
+                                  WeightedSoftmax)
 from hypergrad.outer import Box, BoxL1, Constraints, MTLCone, NonNeg
 
 
@@ -374,6 +375,73 @@ def test_lockstep_paths_stop_on_their_own_rules():
     _, alone = batch_ho_loop(dyn, e, s0, lam0, None, 2, MaxHyperIters(5))
     assert ([r.lam.tobytes() for r in paths[1][1]]
             == [r.lam.tobytes() for r in alone])
+
+
+def weighted_problem():
+    """A 6-example WeightedSoftmax problem: one weight hyper per example."""
+    train, val, _, _ = clustered_task_data(0, 2, 2, 3, 3, 3, 3,
+                                           cluster_separation=2.0,
+                                           class_spread=0.3)
+    assert train.n == 6
+    layout = VectorLayout([("weights", train.n)])
+    dyn = GradientDescent(WeightedSoftmax(train, hyper_layout=layout),
+                          eta=0.1)
+    return dyn, DatasetValidation(val), dyn.init_state(
+        np.zeros(dyn.n_state))
+
+
+@pytest.mark.parametrize("lengths", [(6, 5), (6, 7), (5, 5)])
+def test_lockstep_rejects_a_path_of_another_length(lengths):
+    # the layout expects 6 entries; the first path off it is named
+    dyn, e, s0 = weighted_problem()
+    bad = 0 if lengths[0] != 6 else 1
+    with pytest.raises(DimensionMismatchError, match=f"path {bad}: .*"
+                       f"length {lengths[bad]}, the problem expects 6"):
+        lockstep_ho_loop(dyn, e, s0, [(np.full(n, 0.5), None,
+                                       MaxHyperIters(1)) for n in lengths], 2)
+
+
+@pytest.mark.parametrize("tie", [
+    np.zeros((2, 3), dtype=int),         # not 1-D
+    np.zeros(6),                         # not integer
+    np.array([0, 1, 2, 0, 1, 2] == 0),   # bool
+    np.array([0, 1, 2, 0, 1, 3]),        # past the path's 3 entries
+    np.array([0, 1, 2, 0, 1, -1]),       # negative
+    np.array([0, 1, 2, 0, 1]),           # indexes, but 5 != the layout's 6
+])
+def test_lockstep_rejects_a_bad_tie(tie):
+    dyn, e, s0 = weighted_problem()
+    good = (np.full(6, 0.5), None, MaxHyperIters(1))
+    tied = (np.array([0.5, 0.4, 0.3]), None, MaxHyperIters(1), 0, tie)
+    with pytest.raises(DimensionMismatchError, match="path 1: "):
+        lockstep_ho_loop(dyn, e, s0, [good, tied], 2)
+
+
+@pytest.mark.parametrize("row", [1, -1])
+def test_lockstep_rejects_a_row_off_the_stack(row):
+    # a problem without a stack is the one-set stack: row 0 only
+    dyn, e, s0 = weighted_problem()
+    with pytest.raises(DimensionMismatchError,
+                       match=f"path 0: row {row} is not one of the 1 sets"):
+        lockstep_ho_loop(dyn, e, s0, [(np.full(6, 0.5), None,
+                                       MaxHyperIters(1), row)], 2)
+
+
+def test_lockstep_runs_a_tied_path_on_its_own_lam():
+    # the problem sees lam[tie]; the path records its own 3 entries and
+    # the norm of the gradient summed back onto them
+    dyn, e, s0 = weighted_problem()
+    tie = np.array([0, 1, 2, 0, 1, 2])
+    own = np.array([0.5, 0.4, 0.3])
+    [(lam, records)], _ = lockstep_ho_loop(
+        dyn, e, s0, [(own, None, MaxHyperIters(1), 0, tie)], 2, lr=0.05)
+    [(_, alone)], _ = lockstep_ho_loop(
+        dyn, e, s0, [(own[tie], None, MaxHyperIters(1))], 2, lr=0.05)
+    assert lam.shape == records[0].lam.shape == (3,)
+    assert records[0].response == alone[0].response
+    g = driver.reverse_hg(dyn, e, s0, own[tie], 2).gradient
+    assert records[0].grad_norm == float(np.linalg.norm(
+        np.bincount(tie, weights=g, minlength=3)))
 
 
 # ---------------------------------------------------------------------------

@@ -993,5 +993,5 @@ def test_a_diverging_retrain_marks_its_seed(monkeypatch):
     cfg = _mtl_cfg(hyper_iters=1)
     with pytest.raises(NonFiniteError, match="retrained weights") as err:
         experiments._coupled_runs(*experiments._mtl_task(cfg, [3, 4, 5]),
-                                  cfg, "uniform")
+                                  cfg, radii=(None,))
     assert err.value.rows.tolist() == [False, False, True]
