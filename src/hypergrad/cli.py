@@ -77,15 +77,21 @@ _FLAG_FIELDS = {
 }
 
 
+# experiments whose files a subcommand takes besides its own: randsearch
+# runs rtho's streaming task, so it reads rtho's configs
+_ALSO_TAKES = {"randsearch": ("rtho",)}
+
+
 def resolve_config(args) -> ExperimentConfig:
     """The config file's values (if any) under the flags' overrides.
 
     A file whose ``experiment`` names another experiment than the
-    subcommand is a ConfigError; ``check``, which reads only ``seed``,
-    takes any file.
+    subcommand is a ConfigError, except an rtho file for ``randsearch``;
+    ``check``, which reads only ``seed``, takes any file.
     """
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if cfg.experiment not in ("", args.command) and args.command != "check":
+    takes = ("", args.command) + _ALSO_TAKES.get(args.command, ())
+    if cfg.experiment not in takes and args.command != "check":
         raise ConfigError(f"{args.config}: experiment = {cfg.experiment}, "
                           f"but the subcommand is {args.command}")
     cfg.experiment = args.command

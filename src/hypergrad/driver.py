@@ -18,9 +18,11 @@ Two protocols:
   per own entry (the chain rule through the tie). Each hyper-iteration
   is one block call with one row per group (see ``engines.reverse_hg``;
   a problem without a stack is the one-set stack), released before the
-  next, so one tape is alive at a time. A record's ``seconds`` is the
-  time of that call plus its own update: paths sharing a call each
-  count all of it. ``batch_ho_loop`` is the one-path case.
+  next, so one tape is alive at a time; the forward engine makes a
+  second call for the groups of tied paths, which sweep one tangent
+  per own entry. A record's ``seconds`` is the time of its call plus
+  its own update: paths sharing a call each count all of it.
+  ``batch_ho_loop`` is the one-path case.
 * stream mode — a single continuous training run with real-time partial
   hypergradients and projected updates every ``delta`` steps; state and
   Z carry across updates, and the stop rules end the endless stream.
@@ -171,9 +173,11 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     off. A tied path keeps, projects, Adam-steps and records its own
     lam while the problem sees ``lam[tie]`` (``tie`` a 1-D integer
     array indexing lam); its gradient is the problem's summed back per
-    own entry, and its ``grad_norm`` that sum's norm. Every path's
-    problem lam must have the length of the problem's hyper layout, and
-    its row must be one of the sets; else DimensionMismatchError.
+    own entry, and its ``grad_norm`` that sum's norm (the forward
+    engine sweeps a group of paths sharing one tie along the tie's
+    directions instead, one tangent per own entry, a call of its own).
+    Every path's problem lam must have the length of the problem's hyper
+    layout; else DimensionMismatchError.
     Returns one (lam, records) per path, in order, and the list of
     hypergradients computed per set.
 
@@ -191,7 +195,7 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     s0, E = one.rows(s0, E)
     s0 = np.asarray(s0)
     per_row(E, len(s0))
-    _check_paths(paths, dyn.hyper_layout, len(s0))
+    _check_paths(paths, dyn.hyper_layout)
     paths = [_OuterPath(lam0, constraints, stop, lr, *rest)
              for lam0, constraints, stop, *rest in paths]
     m = max((len(path.problem_lam) for path in paths), default=0)
@@ -211,46 +215,74 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
                                   (lam, []))[1].append(path)
         if not groups:
             break
-        groups = list(groups.values())
-        rows = np.array([group[0].row for _, group in groups])
-        lams = np.array([lam for lam, _ in groups])
-        started = time.perf_counter()
-        result = None  # free the previous tape before recording the next
-        try:
-            with one:
-                result = compute(over_rows(dyn, rows), [E[r] for r in rows],
-                                 s0[rows], lams, n_steps)
-        except HypergradError as err:
-            if isinstance(err, NonFiniteError):
-                rows_among(err, rows, len(s0))
-            k = len(groups[0][1][0].records) + 1
-            raise rescoped(err, f"hyper-iteration {k}") from err
-        gradients = result.gradient
-        gradients.flags.writeable = False
-        shared = time.perf_counter() - started
-        for (_, group), gradient, response in zip(groups, gradients,
-                                                  result.response):
-            n_computed[group[0].row] += 1
-            for path in group:
-                own = time.perf_counter()
-                g = path.own_gradient(gradient)
-                lam = path.updater(path.lam, g)
-                path.record(lam, response, float(np.linalg.norm(g)),
-                            shared + time.perf_counter() - own, record_extras,
-                            result)
+        calls = {}  # one block call per tangent set: None, every entry
+        for lam, group in groups.values():
+            key = _own_tangents(group) if engine == "forward" else None
+            calls.setdefault(key, []).append((lam, group))
+        for key, block in calls.items():
+            rows = np.array([group[0].row for _, group in block])
+            lams = np.array([lam for lam, _ in block])
+            extra = {} if key is None else {
+                "directions": _tie_directions(block[0][1][0])}
+            started = time.perf_counter()
+            result = None  # free the previous tape before recording the next
+            try:
+                with one:
+                    result = compute(over_rows(dyn, rows),
+                                     [E[r] for r in rows], s0[rows], lams,
+                                     n_steps, **extra)
+            except HypergradError as err:
+                if isinstance(err, NonFiniteError):
+                    rows_among(err, rows, len(s0))
+                k = len(block[0][1][0].records) + 1
+                raise rescoped(err, f"hyper-iteration {k}") from err
+            gradients = result.gradient
+            gradients.flags.writeable = False
+            shared = time.perf_counter() - started
+            for (_, group), gradient, response in zip(block, gradients,
+                                                      result.response):
+                n_computed[group[0].row] += 1
+                for path in group:
+                    own = time.perf_counter()
+                    g = (gradient if key is not None
+                         else path.own_gradient(gradient))
+                    lam = path.updater(path.lam, g)
+                    path.record(lam, response, float(np.linalg.norm(g)),
+                                shared + time.perf_counter() - own,
+                                record_extras, result)
     return [(path.lam, path.records) for path in paths], n_computed
 
 
-def _check_paths(paths, layout, n_sets):
-    """Raise DimensionMismatchError, naming the path, for a row that is
-    not one of the ``n_sets`` sets, a tie that is not a 1-D integer array
-    indexing the path's lam, or a problem lam whose length is not the
-    layout's (or, without one, the first path's)."""
+def _own_tangents(group):
+    """The forward engine's key for a group whose paths share one tie:
+    it then sweeps one tangent per own entry, along ``_tie_directions``
+    (NMTL: 2 in place of k*k + k). None for any other group, which
+    sweeps one per problem entry."""
+    first = group[0]
+    if first.tie is None:
+        return None
+    key = (len(first.lam), first.tie.tobytes())
+    for path in group[1:]:
+        if path.tie is None or (len(path.lam), path.tie.tobytes()) != key:
+            return None
+    return key
+
+
+def _tie_directions(path):
+    """Per own entry of a tied path, the indicator of the problem
+    entries tied to it: a (len(lam), len(tie)) matrix."""
+    directions = np.zeros((len(path.lam), len(path.tie)))
+    directions[path.tie, np.arange(len(path.tie))] = 1.0
+    return directions
+
+
+def _check_paths(paths, layout):
+    """Raise DimensionMismatchError, naming the path, for a tie that is
+    not a 1-D integer array indexing the path's lam, or a problem lam
+    whose length is not the layout's (or, without one, the first
+    path's)."""
     want = None if layout is None else layout.size
     for i, (lam0, _, _, *rest) in enumerate(paths):
-        if rest and not 0 <= rest[0] < n_sets:
-            raise DimensionMismatchError(
-                f"path {i}: row {rest[0]} is not one of the {n_sets} sets")
         n = len(lam0)
         if len(rest) > 1 and rest[1] is not None:
             tie = np.asarray(rest[1])

@@ -264,43 +264,53 @@ def evaluate_response(dyn, E, s0, lam, n_steps):
     return val_value(E, train(dyn, s0, lam, n_steps), dyn.state_layout)
 
 
-def _propagate_z(dyn, s, z, lam, t, q_buf):
+def _propagate_z(dyn, s, z, lam, t, q_buf, directions=None):
     """Z <- A_t Z + B_t with products evaluated at the pre-step state.
 
     Z is (K, m, d) for a (K, d) block of states: tangent j is the
     (K, d) block ``z[:, j]`` of every row's own C-contiguous tangents,
-    one product call for all K rows.
+    one product call for all K rows. With ``directions`` (p, m), Z is
+    (K, p, d) and tangent j follows lam along ``directions[j]``.
     """
     out = np.empty_like(z)
     for j in range(z.shape[1]):
         out[:, j] = dyn.jvp_state(s, lam, t, z[:, j])
-    for j in dyn.touched_hypers(t):
-        q_buf[j] = 1.0
-        out[:, j] += dyn.jvp_hyper(s, lam, t, q_buf)
-        q_buf[j] = 0.0
+    if directions is None:
+        for j in dyn.touched_hypers(t):
+            q_buf[j] = 1.0
+            out[:, j] += dyn.jvp_hyper(s, lam, t, q_buf)
+            q_buf[j] = 0.0
+    else:
+        touched = directions[:, dyn.touched_hypers(t)].any(axis=1)
+        for j in np.flatnonzero(touched):
+            out[:, j] += dyn.jvp_hyper(s, lam, t, directions[j])
     return ensure_finite(out, "sensitivity matrix", step=t)  # marks rows
 
 
-def _sweep(dyn, s, z, lam, t, n_steps, q_buf):
+def _sweep(dyn, s, z, lam, t, n_steps, q_buf, directions=None):
     """(s, Z) after steps t+1 .. t+n_steps of the state and of Z."""
     for k in range(t + 1, t + n_steps + 1):
-        z = _propagate_z(dyn, s, z, lam, k, q_buf)
+        z = _propagate_z(dyn, s, z, lam, k, q_buf, directions)
         s = dyn.step(s, lam, k)
     return s, z
 
 
-def forward_hg(dyn, E, s0, lam, n_steps) -> HypergradResult:
+def forward_hg(dyn, E, s0, lam, n_steps, directions=None) -> HypergradResult:
     """Forward-mode hypergradient of E(s_T) with respect to lam.
 
-    A block sweeps a (K, m, d) Z, as ``rtho_stream`` does.
+    A block sweeps a (K, m, d) Z, as ``rtho_stream`` does. Given a
+    (p, m) ``directions``, it sweeps p tangents instead, and the
+    gradient is (K, p): E's derivative along each direction.
     """
     one = OneRow(s0)
     s, lam, E = one.rows(s0, lam, E)
     s, lam = _as_block(s, lam, E)
     m = lam.shape[-1]
+    p = m if directions is None else len(directions)
     with one:
-        z = np.zeros((len(s), m, dyn.n_state))
-        s, z = _sweep(dyn, s.copy(), z, lam, 0, n_steps, np.zeros(m))
+        z = np.zeros((len(s), p, dyn.n_state))
+        s, z = _sweep(dyn, s.copy(), z, lam, 0, n_steps, np.zeros(m),
+                      directions)
         return one.result(HypergradResult(
             gradient=_partials(E, s, z, dyn.state_layout),
             response=_val_values(E, s, dyn.state_layout)))

@@ -98,6 +98,7 @@ def test_resolve_config_flag_overrides(tmp_path):
     ("check", TINY_MTL, "check"),             # check reads only the seed
     ("check", "experiment = bogus\n", "check"),
     ("mtl", TINY_MTL, "mtl"),
+    ("randsearch", TINY_RTHO, "randsearch"),  # randsearch runs rtho's task
 ])
 def test_resolve_config_takes_a_file_of_its_experiment(tmp_path, command,
                                                        text, want):

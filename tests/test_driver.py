@@ -417,16 +417,6 @@ def test_lockstep_rejects_a_bad_tie(tie):
         lockstep_ho_loop(dyn, e, s0, [good, tied], 2)
 
 
-@pytest.mark.parametrize("row", [1, -1])
-def test_lockstep_rejects_a_row_off_the_stack(row):
-    # a problem without a stack is the one-set stack: row 0 only
-    dyn, e, s0 = weighted_problem()
-    with pytest.raises(DimensionMismatchError,
-                       match=f"path 0: row {row} is not one of the 1 sets"):
-        lockstep_ho_loop(dyn, e, s0, [(np.full(6, 0.5), None,
-                                       MaxHyperIters(1), row)], 2)
-
-
 def test_lockstep_runs_a_tied_path_on_its_own_lam():
     # the problem sees lam[tie]; the path records its own 3 entries and
     # the norm of the gradient summed back onto them

@@ -159,3 +159,44 @@ def test_tied_and_untied_paths_share_their_start(dynamics, batch, n_sets,
     for (tied_lam, tied), (lam, untied) in zip(out[::2], out[1::2]):
         assert (len(tied_lam), len(lam)) == (2, tc.full_layout.size)
         assert tied[0].response == untied[0].response
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dynamics, batch, n_sets", CASES)
+def test_forward_sweeps_a_tied_path_along_its_tie(dynamics, batch, n_sets,
+                                                  seed, monkeypatch):
+    # the forward engine sweeps a group of tied paths along the tie: one
+    # tangent per own entry (2, not k*k + k), with the uniform model's
+    # gradient; a group that holds an untied path sweeps every entry
+    tc = Tied(dynamics, batch, n_sets, seed)
+    calls = []
+    real = driver.forward_hg
+
+    def counting(dyn, e, s0, lam, n_steps, directions=None):
+        calls.append((len(lam), None if directions is None
+                      else directions.shape))
+        return real(dyn, e, s0, lam, n_steps, directions)
+    monkeypatch.setattr(driver, "forward_hg", counting)
+    owns = np.atleast_2d(tc.own)
+    tied = [(own, None, MaxHyperIters(1), row, tc.tie)
+            for row, own in enumerate(owns)]
+    out, _ = lockstep_ho_loop(tc.full, tc.E, tc.s, tied, tc.n_steps,
+                              engine="forward", lr=0.05)
+    m = tc.full_layout.size
+    assert calls == [(n_sets, (2, m))]
+    uni = forward_hg(tc.uniform, tc.E, tc.s, tc.own, tc.n_steps)
+    for (_, records), g, response in zip(
+            out, np.atleast_2d(uni.gradient), np.atleast_1d(uni.response)):
+        assert records[0].response == response
+        want = float(np.linalg.norm(g))
+        assert abs(records[0].grad_norm - want) <= 1e-12 * want
+
+    calls.clear()
+    untied = [(own[tc.tie], None, MaxHyperIters(2), row)
+              for row, own in enumerate(owns)]
+    lockstep_ho_loop(tc.full, tc.E, tc.s,
+                     [(*path[:2], MaxHyperIters(2), *path[3:])
+                      for path in tied] + untied,
+                     tc.n_steps, engine="forward", lr=0.05)
+    assert calls[0] == (n_sets, None)  # the shared start
+    assert sorted(calls[1:], key=str) == [(n_sets, (2, m)), (n_sets, None)]
