@@ -222,8 +222,10 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
         for key, block in calls.items():
             rows = np.array([group[0].row for _, group in block])
             lams = np.array([lam for lam, _ in block])
-            extra = {} if key is None else {
-                "directions": _tie_directions(block[0][1][0])}
+            first = block[0][1][0]
+            # per own entry, the indicator of the problem entries tied to it
+            extra = {} if key is None else {"directions": (
+                first.tie == np.arange(len(first.lam))[:, None]).astype(float)}
             started = time.perf_counter()
             result = None  # free the previous tape before recording the next
             try:
@@ -234,7 +236,7 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             except HypergradError as err:
                 if isinstance(err, NonFiniteError):
                     rows_among(err, rows, len(s0))
-                k = len(block[0][1][0].records) + 1
+                k = len(first.records) + 1
                 raise rescoped(err, f"hyper-iteration {k}") from err
             gradients = result.gradient
             gradients.flags.writeable = False
@@ -254,26 +256,13 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
 
 
 def _own_tangents(group):
-    """The forward engine's key for a group whose paths share one tie:
-    it then sweeps one tangent per own entry, along ``_tie_directions``
-    (NMTL: 2 in place of k*k + k). None for any other group, which
-    sweeps one per problem entry."""
-    first = group[0]
-    if first.tie is None:
-        return None
-    key = (len(first.lam), first.tie.tobytes())
-    for path in group[1:]:
-        if path.tie is None or (len(path.lam), path.tie.tobytes()) != key:
-            return None
-    return key
-
-
-def _tie_directions(path):
-    """Per own entry of a tied path, the indicator of the problem
-    entries tied to it: a (len(lam), len(tie)) matrix."""
-    directions = np.zeros((len(path.lam), len(path.tie)))
-    directions[path.tie, np.arange(len(path.tie))] = 1.0
-    return directions
+    """The forward engine's key for a group whose paths share one tie,
+    which then sweeps one tangent per own entry (NMTL: 2 in place of
+    k*k + k); None for any other group, which sweeps one per problem
+    entry."""
+    keys = {None if path.tie is None else (len(path.lam), path.tie.tobytes())
+            for path in group}
+    return keys.pop() if len(keys) == 1 else None
 
 
 def _check_paths(paths, layout):

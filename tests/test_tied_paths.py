@@ -172,10 +172,13 @@ def test_forward_sweeps_a_tied_path_along_its_tie(dynamics, batch, n_sets,
     calls = []
     real = driver.forward_hg
 
+    results = []
+
     def counting(dyn, e, s0, lam, n_steps, directions=None):
         calls.append((len(lam), None if directions is None
                       else directions.shape))
-        return real(dyn, e, s0, lam, n_steps, directions)
+        results.append(real(dyn, e, s0, lam, n_steps, directions))
+        return results[-1]
     monkeypatch.setattr(driver, "forward_hg", counting)
     owns = np.atleast_2d(tc.own)
     tied = [(own, None, MaxHyperIters(1), row, tc.tie)
@@ -185,11 +188,13 @@ def test_forward_sweeps_a_tied_path_along_its_tie(dynamics, batch, n_sets,
     m = tc.full_layout.size
     assert calls == [(n_sets, (2, m))]
     uni = forward_hg(tc.uniform, tc.E, tc.s, tc.own, tc.n_steps)
-    for (_, records), g, response in zip(
-            out, np.atleast_2d(uni.gradient), np.atleast_1d(uni.response)):
+    want = np.atleast_2d(uni.gradient)
+    scale = np.abs(want).max()
+    assert np.abs(results[0].gradient - want).max() <= 1e-12 * scale
+    for (_, records), g, response in zip(out, want,
+                                         np.atleast_1d(uni.response)):
         assert records[0].response == response
-        want = float(np.linalg.norm(g))
-        assert abs(records[0].grad_norm - want) <= 1e-12 * want
+        assert abs(records[0].grad_norm - np.linalg.norm(g)) <= 1e-12 * scale
 
     calls.clear()
     untied = [(own[tc.tie], None, MaxHyperIters(2), row)
