@@ -16,11 +16,18 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# data-file keys no experiment reads, and the IDX keys only clean reads
+# data-file keys no experiment reads
 _UNREAD_FILE_KEYS = ("val_images", "val_labels", "train_csv", "val_csv",
                      "test_csv")
-_IDX_FILE_KEYS = ("train_images", "train_labels", "test_images",
-                  "test_labels")
+# the experiments that read each optional key; any other experiment
+# given one is a config error (check, which reads only seed, takes any
+# file some subcommand accepts)
+_READ_BY = {
+    **dict.fromkeys(("train_images", "train_labels", "test_images",
+                     "test_labels"), ("clean",)),
+    "batch_size": ("clean", "rtho", "randsearch"),
+    "val_subset": ("rtho", "randsearch"),
+}
 
 
 @dataclass
@@ -34,7 +41,8 @@ class ExperimentConfig:
     # IDX data files, read by clean only; synthetic generation when absent.
     # The val_* and *_csv keys are read by no experiment: validate()
     # rejects them (they stay fields because every digest hashes the
-    # full config).
+    # full config). _READ_BY names the experiments that read each
+    # optional key.
     train_images: str | None = None
     train_labels: str | None = None
     val_images: str | None = None
@@ -108,21 +116,22 @@ class ExperimentConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)}")
-        self._validate_data_files()
+        self._validate_optional_keys()
         return self
 
-    def _validate_data_files(self):
-        """Reject every data-file key the experiment would not read."""
+    def _validate_optional_keys(self):
+        """Reject every optional key the experiment would not read."""
         for name in _UNREAD_FILE_KEYS:
             if getattr(self, name) is not None:
                 raise ConfigError(f"{name} is read by no experiment; only "
                                   f"clean reads data, from train_images/"
                                   f"train_labels and test_images/test_labels")
-        given = [name for name in _IDX_FILE_KEYS
-                 if getattr(self, name) is not None]
-        if given and self.experiment != "clean":
-            raise ConfigError(f"{given[0]} is read only by clean; "
-                              f"{self.experiment} runs on synthetic data")
+        for name, readers in _READ_BY.items():
+            if (getattr(self, name) is not None and self.experiment != "check"
+                    and self.experiment not in readers):
+                raise ConfigError(f"{name} is read only by "
+                                  f"{', '.join(readers)}, not by "
+                                  f"{self.experiment}")
         for split in ("train", "test"):
             if ((getattr(self, f"{split}_images") is None)
                     != (getattr(self, f"{split}_labels") is None)):
@@ -139,9 +148,8 @@ def _field_types():
 
 
 def _coerce(name, text, hint):
-    origin = typing.get_origin(hint)
-    # typing.Optional and the X | None spelling are distinct origins
-    if origin in (typing.Union, types.UnionType):
+    # every optional field is spelled X | None
+    if typing.get_origin(hint) is types.UnionType:
         args = [a for a in typing.get_args(hint) if a is not type(None)]
         if text.lower() in ("none", "null", ""):
             return None
@@ -151,12 +159,6 @@ def _coerce(name, text, hint):
             return int(text)
         if hint is float:
             return float(text)
-        if hint is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         return text
     except ValueError as err:
         raise ConfigError(f"config key {name}: cannot parse {text!r} "

@@ -265,11 +265,13 @@ def _mtl_data(cfg, seed, splits=("train", "val", "test")):
 
 
 def _mtl_task(cfg, seeds):
-    """(training sets, validation errors) at ``seeds``.
+    """(model, validation errors) at ``seeds``.
 
-    The training sets of all seeds are one ``SeedStack``; each seed's
-    validation error is its own. Only the training and validation
-    splits are drawn: a seed's test split is drawn when it is scored.
+    The model is the full-coupling, per-task-rho ``MultitaskLinear``
+    over one ``SeedStack`` of all seeds' training sets; every method
+    trains on it. Each seed's validation error is its own. Only the
+    training and validation splits are drawn: a seed's test split is
+    drawn when it is scored.
     """
     trains, e_vals = [], []
     for seed in seeds:
@@ -279,13 +281,19 @@ def _mtl_task(cfg, seeds):
     stack = SeedStack(np.stack([train.features for train in trains]),
                       np.stack([train.labels for train in trains]),
                       cfg.n_classes)
-    return stack, e_vals
+    k = cfg.n_classes
+    layout = VectorLayout([("coupling", k * k), ("rho", k)])
+    obj = MultitaskLinear(stack, hyper_layout=layout, coupling="full",
+                          per_task_rho=True)
+    return obj, e_vals
 
 
-def _stl_grid(stack, e_vals, cfg):
+def _stl_grid(obj, e_vals, cfg):
     """Per-task ridge sweep on every set: shared value first, then a
     greedy pass per task.
 
+    STL is the coupled model ``obj`` with its k*k coupling entries held
+    at 0, so a candidate rho vector is fitted at lam = [0 ... 0, rho].
     Each pass fits the candidate rho vectors of every set as one
     population, each row on its own set: the shared values, then per
     task each set's current best vector with that task's entry swept
@@ -295,9 +303,7 @@ def _stl_grid(stack, e_vals, cfg):
     grid order: a strictly lower validation error wins. Returns one
     (weights, rho vector) per set.
     """
-    n_sets, k = len(stack), stack.n_classes
-    obj = MultitaskLinear(stack, hyper_layout=VectorLayout([("rho", k)]),
-                          coupling="none", per_task_rho=True)
+    n_sets, k = len(obj.dataset), obj.n_classes
     fits = [{} for _ in range(n_sets)]  # one memo per set
     best = [(None, np.inf)] * n_sets  # (rho vector, validation error)
 
@@ -308,8 +314,9 @@ def _stl_grid(stack, e_vals, cfg):
                            if c.tobytes() not in fits[i]}.values()]
         if new:
             rows = np.array([i for i, _ in new])
-            ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr,
-                      np.array([vec for _, vec in new]))
+            lams = np.zeros((len(new), k * k + k))
+            lams[:, k * k:] = [vec for _, vec in new]
+            ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr, lams)
             for (i, vec), w in zip(new, ws):
                 try:
                     fits[i][vec.tobytes()] = w, e_vals[i].value(w)
@@ -339,11 +346,12 @@ def _uniform_tie(k):
     return np.repeat([0, 1], [k * k, k])
 
 
-def _coupled_runs(stack, e_vals, cfg, radii):
+def _coupled_runs(obj, e_vals, cfg, radii):
     """Hyper-optimize NMTL and HMTL, once per coupling radius, on every
     set, as one lockstep problem.
 
-    The problem is the full-coupling, per-task-rho model. Per set, NMTL
+    The problem is ``obj``, the full-coupling, per-task-rho model over
+    the seed stack (see ``_mtl_task``). Per set, NMTL
     is a tied path (its own (coupling: 1, rho: 1) lam, NonNeg on both,
     seen by the model through ``_uniform_tie``: the uniform coupling
     and shared ridge, bit for bit) and each radius one HMTL path. Each
@@ -355,10 +363,7 @@ def _coupled_runs(stack, e_vals, cfg, radii):
     then each radius, and the number of hypergradients computed per
     set.
     """
-    k, n_sets = stack.n_classes, len(stack)
-    layout = VectorLayout([("coupling", k * k), ("rho", k)])
-    obj = MultitaskLinear(stack, hyper_layout=layout, coupling="full",
-                          per_task_rho=True)
+    k, n_sets, layout = obj.n_classes, len(obj.dataset), obj.hyper_layout
     dyn = GradientDescent(obj, eta=cfg.inner_lr)
     nmtl = VectorLayout([("coupling", 1), ("rho", 1)])
     methods = [(nmtl.pack(coupling=0.0, rho=_RHO_INIT),
@@ -421,13 +426,14 @@ def _seeds_named(seeds):
 def run_mtl(cfg: ExperimentConfig) -> RunReport:
     """STL / NMTL / HMTL / HMTL-S comparison over seeded splits.
 
-    Every method runs all seeds as one block over a stack of the seeds'
-    training sets, each seed bit for bit what it gives alone: NMTL,
-    HMTL and HMTL-S as one lockstep problem (three paths per seed on
-    the full-coupling model, NMTL's tied to the uniform coupling;
-    sharing each hypergradient while their model lam agree, so NMTL and
-    HMTL share the first and HMTL and HMTL-S every one until the radius
-    binds), and the STL grid's passes as populations. A seed's test
+    Every method trains on one model, the full-coupling, per-task-rho
+    ``MultitaskLinear`` over a stack of the seeds' training sets, and
+    runs all seeds as one block, each seed bit for bit what it gives
+    alone: NMTL, HMTL and HMTL-S as one lockstep problem (three paths
+    per seed, NMTL's tied to the uniform coupling; sharing each
+    hypergradient while their model lam agree, so NMTL and HMTL share
+    the first and HMTL and HMTL-S every one until the radius binds), and
+    the STL grid's passes as populations at coupling 0. A seed's test
     split is drawn only when its accuracies are scored. ``timings``
     gives the seconds of each block (``coupled_s`` for NMTL, HMTL and
     HMTL-S, ``stl_s`` for the grid) and, per seed, the hyper-iteration
@@ -436,15 +442,15 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     """
     cfg.validate()
     seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
-    stack, e_vals = _mtl_task(cfg, seeds)
+    obj, e_vals = _mtl_task(cfg, seeds)
     timings = {}
     with _seeds_named(seeds):
         started = time.perf_counter()
-        coupled, n_coupled = _coupled_runs(stack, e_vals, cfg,
+        coupled, n_coupled = _coupled_runs(obj, e_vals, cfg,
                                            radii=(None, cfg.radius))
         timings["coupled_s"] = time.perf_counter() - started
         started = time.perf_counter()
-        stl = _stl_grid(stack, e_vals, cfg)
+        stl = _stl_grid(obj, e_vals, cfg)
         timings["stl_s"] = time.perf_counter() - started
 
     methods = {"stl": [], "nmtl": [], "hmtl": [], "hmtl_s": []}

@@ -165,19 +165,15 @@ class _Batch:
         return self._g
 
 
-# size of the (t, w) memo; the oldest entry is evicted first
-_MEMO_ENTRIES = 4
-
-
 class _BatchCache:
-    """Memo of per-step softmax quantities keyed by (t, parameter bytes).
+    """Memo of the last softmax build, keyed by (t, parameter bytes).
 
     Within one training step the dynamics evaluate several products at
     the same (t, w); caching the shared probabilities keeps forward-mode
     cost at one matrix pass per product instead of several. Pure
-    speedup: every entry is a function of the key only. A lookup
-    compares t first and reads w's bytes only when some entry has the
-    same t and shape; the oldest entry is evicted first.
+    speedup: the entry is a function of the key only. A lookup compares
+    t first and reads w's bytes only when the entry has the same t and
+    shape.
 
     Inside ``trajectory()`` the cache also keeps, for every step t, the
     probabilities built at a read-only w together with that w, so the
@@ -188,7 +184,7 @@ class _BatchCache:
     """
 
     def __init__(self):
-        self._entries = []  # (t, w shape, w bytes, entry), oldest first
+        self._last = None  # (t, w shape, w bytes, entry) of the last build
         self._steps = None  # t -> (read-only w, p) inside trajectory()
 
     @contextmanager
@@ -202,16 +198,14 @@ class _BatchCache:
 
     def clear(self):
         """Drop the (t, w) memo; what ``trajectory()`` keeps stays."""
-        self._entries.clear()
+        self._last = None
 
     def get(self, obj, t, w):
-        key = None
-        for entry_t, entry_shape, entry_key, entry in self._entries:
-            if entry_t == t and entry_shape == w.shape:
-                if key is None:
-                    key = w.tobytes()
-                if entry_key == key:
-                    return entry
+        key, last = None, self._last
+        if last is not None and last[0] == t and last[1] == w.shape:
+            key = w.tobytes()
+            if last[2] == key:
+                return last[3]
         steps = self._steps
         if steps is not None and _read_only(w):
             kept = steps.get(t)
@@ -222,10 +216,7 @@ class _BatchCache:
                 steps[t] = (w, entry.p)
         else:
             entry = _Batch(obj, t, w)
-        if len(self._entries) >= _MEMO_ENTRIES:
-            del self._entries[0]
-        self._entries.append((t, w.shape, w.tobytes() if key is None else key,
-                              entry))
+        self._last = (t, w.shape, w.tobytes() if key is None else key, entry)
         return entry
 
 
@@ -519,11 +510,11 @@ class MultitaskLinear(_SoftmaxData):
     with C symmetric nonnegative. ``coupling`` selects how C enters:
     "full" (a KxK "coupling" hyper block of which only the upper
     triangle is read, mirrored to the lower half, so symmetry holds
-    structurally), "uniform" (a single shared "coupling" entry a with
-    C = a * ones), or "none" (C = 0, plain ridge softmax). ``rho`` is
-    the hyper vector's "rho" segment; it is a scalar unless
-    ``per_task_rho`` is set (one entry per class; used by the
-    single-task grid baseline).
+    structurally) or "uniform" (a single shared "coupling" entry a with
+    C = a * ones). Plain per-task ridge softmax is the full model with
+    its coupling entries at 0. ``rho`` is the hyper vector's "rho"
+    segment; it is a scalar unless ``per_task_rho`` is set (one entry
+    per class).
 
     The data term is the batch sum of cross-entropies, and the penalty
     is scaled by batch/n, so one full pass matches the full-batch
@@ -535,16 +526,14 @@ class MultitaskLinear(_SoftmaxData):
                  schedule: MinibatchSchedule | None = None,
                  coupling="full", per_task_rho=False):
         super().__init__(dataset, hyper_layout, schedule)
-        if coupling not in ("full", "uniform", "none"):
+        if coupling not in ("full", "uniform"):
             raise ValueError(f"unknown coupling mode {coupling!r}")
         self.coupling = coupling
         self.per_task_rho = per_task_rho
 
         k = self.n_classes
-        self._coupling_slice = None
-        if coupling != "none":
-            self._coupling_slice = _segment(hyper_layout, "coupling",
-                                            k * k if coupling == "full" else 1)
+        self._coupling_slice = _segment(hyper_layout, "coupling",
+                                        k * k if coupling == "full" else 1)
         self._rho_slice = _segment(hyper_layout, "rho",
                                    k if per_task_rho else 1)
         # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
@@ -576,9 +565,7 @@ class MultitaskLinear(_SoftmaxData):
                 raise DimensionMismatchError(
                     f"hyper vector has length {lam.shape[-1]}, layout "
                     f"expects {layout.size}")
-            if self.coupling == "none":
-                c = np.zeros((k, k))
-            elif self.coupling == "uniform":
+            if self.coupling == "uniform":
                 a = lam[..., self._coupling_slice, None]
                 c = np.broadcast_to(a, (*lead, k, k)).copy()
             else:
@@ -645,16 +632,15 @@ class MultitaskLinear(_SoftmaxData):
             )
         k = self.n_classes
         acc = np.zeros_like(mat)
-        if self._coupling_slice is not None:
-            if self.coupling == "uniform":
-                qa = q[self._coupling_slice][0]
-                if qa != 0.0:
-                    ones = np.full((k, k), qa)
-                    acc += _reg_grad_mat(mat, *_penalty_factors(ones, np.zeros(k)))
-            else:
-                qeff = self._symmetrize(q[self._coupling_slice].reshape(k, k))
-                if np.any(qeff):
-                    acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
+        if self.coupling == "uniform":
+            qa = q[self._coupling_slice][0]
+            if qa != 0.0:
+                ones = np.full((k, k), qa)
+                acc += _reg_grad_mat(mat, *_penalty_factors(ones, np.zeros(k)))
+        else:
+            qeff = self._symmetrize(q[self._coupling_slice].reshape(k, k))
+            if np.any(qeff):
+                acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
         qr = q[self._rho_slice]
         rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
         acc += 2.0 * rho_dir[:, None] * mat
@@ -670,23 +656,20 @@ class MultitaskLinear(_SoftmaxData):
         frac = self._frac(t)
         out = np.zeros_like(lam)
         prod = amat * mat
-        if self._coupling_slice is not None:
-            if self.coupling == "uniform":
-                # the flat sum of a (k, f) slice, and a BLAS dot, per row
-                val = 4.0 * (k * prod.reshape(*lead, -1).sum(axis=-1)
-                             - row_dot(amat.sum(axis=-2), mat.sum(axis=-2)))
-                out[..., self._coupling_slice] = frac * np.reshape(
-                    val, (*lead, 1))
-            else:
-                # d<alpha, grad_W reg>/dC[j,k] for stored upper entries:
-                # 4 (a_j - a_k).(w_j - w_k)
-                m = amat @ mat.swapaxes(-1, -2)
-                diag = np.diagonal(m, axis1=-2, axis2=-1)
-                pair = (diag[..., :, None] + diag[..., None, :] - m
-                        - m.swapaxes(-1, -2))
-                vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
-                out[..., self._coupling_slice] = frac * vals.reshape(
-                    *lead, k * k)
+        if self.coupling == "uniform":
+            # the flat sum of a (k, f) slice, and a BLAS dot, per row
+            val = 4.0 * (k * prod.reshape(*lead, -1).sum(axis=-1)
+                         - row_dot(amat.sum(axis=-2), mat.sum(axis=-2)))
+            out[..., self._coupling_slice] = frac * np.reshape(val, (*lead, 1))
+        else:
+            # d<alpha, grad_W reg>/dC[j,k] for stored upper entries:
+            # 4 (a_j - a_k).(w_j - w_k)
+            m = amat @ mat.swapaxes(-1, -2)
+            diag = np.diagonal(m, axis1=-2, axis2=-1)
+            pair = (diag[..., :, None] + diag[..., None, :] - m
+                    - m.swapaxes(-1, -2))
+            vals = np.where(self._on_or_below_diag, 0.0, 4.0 * pair)
+            out[..., self._coupling_slice] = frac * vals.reshape(*lead, k * k)
         per_task = 2.0 * prod.sum(axis=-1)
         out[..., self._rho_slice] = frac * (
             per_task if self.per_task_rho
@@ -694,10 +677,8 @@ class MultitaskLinear(_SoftmaxData):
         return out
 
     def touched_hypers(self, t):
-        rho = self.hyper_layout.indices("rho")
-        if self._coupling_slice is None:
-            return rho
-        return np.concatenate([self.hyper_layout.indices("coupling"), rho])
+        return np.concatenate([self.hyper_layout.indices("coupling"),
+                               self.hyper_layout.indices("rho")])
 
 
 def _segment(layout, name, want):

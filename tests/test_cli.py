@@ -78,6 +78,16 @@ bench_steps = 5,10
 """
 
 
+NO_SUCH_IDX = "train_images = /nonexistent\ntrain_labels = /nonexistent\n"
+
+
+def _set(text, key, value):
+    """``text`` with ``key`` set to ``value``: a key may appear once."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 def test_parser_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -99,6 +109,12 @@ def test_resolve_config_flag_overrides(tmp_path):
     ("check", "experiment = bogus\n", "check"),
     ("mtl", TINY_MTL, "mtl"),
     ("randsearch", TINY_RTHO, "randsearch"),  # randsearch runs rtho's task
+    # each optional key on the experiments that read it, and on check
+    ("check", TINY_CLEAN + NO_SUCH_IDX, "check"),
+    ("check", _set(TINY_RTHO, "val_subset", 10), "check"),
+    ("clean", _set(TINY_CLEAN, "batch_size", 8), "clean"),
+    ("rtho", _set(TINY_RTHO, "val_subset", 10), "rtho"),
+    ("randsearch", _set(TINY_RTHO, "val_subset", 10), "randsearch"),
 ])
 def test_resolve_config_takes_a_file_of_its_experiment(tmp_path, command,
                                                        text, want):
@@ -250,9 +266,6 @@ def _write_garbage_idx(tmp_path):
             f"train_labels = {bad}\n")
 
 
-NO_SUCH_IDX = "train_images = /nonexistent\ntrain_labels = /nonexistent\n"
-
-
 def _idx_pair(tmp_path, split, n):
     """Paths of a tiny IDX image/label pair for ``split``."""
     rng = make_rng(0, 0x1D)
@@ -318,13 +331,6 @@ def _fail_one_check(monkeypatch):
 def _reject_every_lambda(monkeypatch):
     from hypergrad.outer import Constraints
     monkeypatch.setattr(Constraints, "contains", lambda self, lam: False)
-
-
-def _set(text, key, value):
-    """``text`` with ``key`` set to ``value``: a key may appear once."""
-    lines = [line for line in text.splitlines()
-             if line.partition("=")[0].strip() != key]
-    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
 
 
 def _mismatch_shapes(monkeypatch):
@@ -404,6 +410,14 @@ def _mismatch_shapes(monkeypatch):
           ("rtho", TINY_RTHO, "hyper_lr", "inf"),
           ("bench", TINY_BENCH, "bench_m", "0"),
           ("bench", TINY_BENCH, "bench_steps", "5,0"))],
+    # an optional key the experiment never reads fails by its name
+    *[(command, lambda tmp, text=text, key=key: _set(text, key, 8), None, 2,
+       f"config error: {key} is read only by")
+      for command, text, key in (("mtl", TINY_MTL, "batch_size"),
+                                 ("bench", TINY_BENCH, "batch_size"),
+                                 ("clean", TINY_CLEAN, "val_subset"),
+                                 ("mtl", TINY_MTL, "val_subset"),
+                                 ("bench", TINY_BENCH, "val_subset"))],
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
         "pool-too-small", "pool-leaves-no-test", "single-class-0",
@@ -413,7 +427,9 @@ def _mismatch_shapes(monkeypatch):
         "test_images-without-labels", "n_features", "n_clusters",
         "clean-n_classes", "mtl-n_classes", "val_subset", "check-val_images",
         "repeated-key", "other-experiment",
-        "inner_lr-nan", "radius-nan", "hyper_lr-inf", "bench_m-0", "bench_steps-0"])
+        "inner_lr-nan", "radius-nan", "hyper_lr-inf", "bench_m-0", "bench_steps-0",
+        "mtl-batch_size", "bench-batch_size", "clean-val_subset",
+        "mtl-val_subset", "bench-val_subset"])
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
                             patch, code, stderr_tag):
     if patch is not None:

@@ -74,8 +74,8 @@ def test_optional_fields_accept_none_and_values(tmp_path):
     assert cfg.val_subset == 50
 
 
-def test_bool_style_values_round_trip(tmp_path):
-    # floats and ints survive the text round trip exactly
+def test_float_values_round_trip(tmp_path):
+    # a float survives the text round trip exactly
     cfg = ExperimentConfig(experiment="bench", hyper_lr=0.00125)
     path = tmp_path / "c.cfg"
     write_config(path, cfg)

@@ -125,14 +125,12 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
                            n_clusters=2, n_features=8, n_train=16, n_val=16,
                            n_test=40, inner_steps=25, inner_lr=0.01,
                            radius=radius, hyper_iters=iters, hyper_lr=0.05)
-    retrained, retrains = [], []
+    fits = []  # the (row, lam bytes) of every fit, one list per call
     fit = experiments._fit
 
     def counting(obj, n_steps, lr, lam=None):
-        if getattr(obj, "coupling", None) == "full":
-            retrains.append(len(lam))
-            retrained.extend((int(row), vec.tobytes())
-                             for row, vec in zip(obj._rows, lam))
+        fits.append([(int(row), vec.tobytes())
+                     for row, vec in zip(obj._rows, lam)])
         return fit(obj, n_steps, lr, lam)
     monkeypatch.setattr(experiments, "_fit", counting)
     report = run_mtl(cfg)
@@ -153,10 +151,13 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
                   if a.lam.tobytes() != b.lam.tobytes()]
         assert (differ[0] if differ else None) == parted_at
     # one retrain per distinct (seed, final model lam), NMTL's too, all
-    # in one population
+    # in one population; then the STL grid's passes, at coupling 0
+    retrained, stl_passes = fits[0], fits[1:]
     assert len(retrained) == len(set(retrained)) == (4 if parted_at is None
                                                      else 6)
-    assert retrains == [len(retrained)]
+    assert len(stl_passes) == 1 + 4
+    assert not any(np.frombuffer(lam)[:16].any()
+                   for fitted in stl_passes for _, lam in fitted)
     digest = report.digest()
     payload = json.loads((write_report(report, tmp_path)
                           / "metrics.json").read_text())
@@ -165,22 +166,45 @@ def test_mtl_hmtl_paths_share_until_the_radius_binds(radius, parted_at,
     assert report.digest() == digest == payload["digest"]
 
 
+def test_run_mtl_builds_one_model(monkeypatch):
+    # STL, NMTL, HMTL and HMTL-S all train on one MultitaskLinear
+    built = []
+
+    class Counting(MultitaskLinear):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "MultitaskLinear", Counting)
+    run_mtl(ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=3,
+                             n_clusters=2, n_features=6, n_train=12,
+                             n_val=12, n_test=30, inner_steps=10,
+                             inner_lr=0.01, hyper_iters=2))
+    assert len(built) == 1
+
+
+# the coupled model of a 3-class mtl run: STL fits it with C = 0
+STL_LAYOUT = VectorLayout([("coupling", 9), ("rho", 3)])
+
+
 def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
     cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=3,
                            n_clusters=2, n_features=6, n_train=12, n_val=12,
                            n_test=30, inner_steps=15, inner_lr=0.01)
-    stack, e_vals = experiments._mtl_task(cfg, [0, 1])
+    obj, e_vals = experiments._mtl_task(cfg, [0, 1])
     fitted, blocks = [], []
     fit = experiments._fit
 
     def counting(obj, n_steps, lr, lam):
+        # STL is the coupled model with its coupling held at 0
+        assert not lam[:, :9].any()
         blocks.append(len(lam))
-        fitted.extend((int(row), vec.tobytes())
+        fitted.extend((int(row), vec[9:].tobytes())
                       for row, vec in zip(obj._rows, lam))
         return fit(obj, n_steps, lr, lam)
 
     monkeypatch.setattr(experiments, "_fit", counting)
-    grid = experiments._stl_grid(stack, e_vals, cfg)
+    grid = experiments._stl_grid(obj, e_vals, cfg)
     # per seed 7 shared values, then 7 per task; the greedy pass
     # revisits the current best vector once per task, and each pass is
     # one block over both seeds
@@ -191,13 +215,14 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
         assert grid[seed][1].tobytes() in mine
     assert blocks[0] == 2 * 7 and len(blocks) == 1 + 3
     monkeypatch.undo()
-    # each seed's weights are the 1-D fit at its chosen vector
+    # each seed's weights are the 1-D fit of the coupled model at C = 0
+    # and its chosen vector
     for seed, (w, rho_vec) in enumerate(grid):
-        stl = MultitaskLinear(stack[seed],
-                              hyper_layout=VectorLayout([("rho", 3)]),
-                              coupling="none", per_task_rho=True)
-        assert np.array_equal(w, experiments._fit(stl, cfg.inner_steps,
-                                                  cfg.inner_lr, rho_vec))
+        stl = MultitaskLinear(obj.dataset[seed], hyper_layout=STL_LAYOUT,
+                              per_task_rho=True)
+        assert np.array_equal(w, experiments._fit(
+            stl, cfg.inner_steps, cfg.inner_lr,
+            STL_LAYOUT.pack(coupling=np.zeros(9), rho=rho_vec)))
 
 
 def test_stl_grid_matches_the_looped_greedy_sweep():
@@ -210,11 +235,13 @@ def test_stl_grid_matches_the_looped_greedy_sweep():
     grid = experiments._stl_grid(*experiments._mtl_task(cfg, [0, 1]), cfg)
     for seed, (got_w, got) in enumerate(grid):
         train, val, _, _ = experiments._mtl_data(cfg, seed)
-        stl = MultitaskLinear(train, hyper_layout=VectorLayout([("rho", 3)]),
-                              coupling="none", per_task_rho=True)
+        stl = MultitaskLinear(train, hyper_layout=STL_LAYOUT,
+                              per_task_rho=True)
 
         def score(rho_vec):
-            w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr, rho_vec)
+            w = experiments._fit(stl, cfg.inner_steps, cfg.inner_lr,
+                                 STL_LAYOUT.pack(coupling=np.zeros(9),
+                                                 rho=rho_vec))
             return w, DatasetValidation(val).value(w)
 
         best = min(experiments._RHO_GRID,

@@ -317,6 +317,7 @@ def test_validation_grad_equals_label_subtract(subset):
 
 
 def mtl_setup(coupling="full", per_task_rho=True, k=3, p=4, n=9, seed=2):
+    # coupling "none" builds the full model: its tests hold C at 0
     rng = make_rng(seed, 0)
     feats = rng.standard_normal((n, p))
     labels = rng.integers(0, k, size=n)
@@ -324,8 +325,9 @@ def mtl_setup(coupling="full", per_task_rho=True, k=3, p=4, n=9, seed=2):
     train = Dataset(features=feats, labels=labels, n_classes=k)
     layout = VectorLayout([("coupling", 1 if coupling == "uniform" else k * k),
                            ("rho", k if per_task_rho else 1)])
-    obj = MultitaskLinear(train, hyper_layout=layout, coupling=coupling,
-                          per_task_rho=per_task_rho)
+    obj = MultitaskLinear(train, hyper_layout=layout,
+                          coupling="uniform" if coupling == "uniform"
+                          else "full", per_task_rho=per_task_rho)
     return obj, layout, train
 
 
@@ -374,6 +376,7 @@ def test_mtl_ridge_only_gradient():
 
 
 def test_mtl_grad_matches_fd():
+    # "none" is plain per-task ridge: the full model at C = 0
     for coupling in ("full", "uniform", "none"):
         per_task = coupling == "full"
         obj, layout, train = mtl_setup(coupling=coupling, per_task_rho=per_task) \
@@ -383,10 +386,10 @@ def test_mtl_grad_matches_fd():
             feats = rng.standard_normal((6, 3))
             labels = np.array([0, 1, 2, 0, 1, 2])
             train = Dataset(features=feats, labels=labels, n_classes=3)
-            layout = VectorLayout([("rho", 3)])
+            layout = VectorLayout([("coupling", 9), ("rho", 3)])
             obj = MultitaskLinear(train, hyper_layout=layout,
-                                  coupling="none", per_task_rho=True)
-            lam = np.array([0.1, 0.2, 0.3])
+                                  per_task_rho=True)
+            lam = layout.pack(coupling=np.zeros(9), rho=[0.1, 0.2, 0.3])
         else:
             rng = make_rng(2, 3)
             lam = layout.pack(coupling=rng.random(layout.length_of("coupling")) * 0.3,
@@ -420,14 +423,17 @@ def test_mtl_cross_duality_all_couplings():
 
 
 def test_mtl_cross_jvp_matches_fd():
+    # at a random coupling, and at C = 0, where the STL grid fits
     obj, layout, train = mtl_setup()
     rng = make_rng(2, 6)
     w = rng.standard_normal(obj.n_params)
     lam = layout.pack(coupling=rng.random(9) * 0.3, rho=rng.random(3))
     q = rng.standard_normal(lam.size)
     h = 1e-6
-    fd = (obj.grad_w(w, lam + h * q, 1) - obj.grad_w(w, lam - h * q, 1)) / (2 * h)
-    assert np.max(np.abs(obj.cross_jvp(w, lam, 1, q) - fd)) < 1e-5
+    for at in (lam, layout.pack(coupling=np.zeros(9), rho=lam[9:])):
+        fd = (obj.grad_w(w, at + h * q, 1)
+              - obj.grad_w(w, at - h * q, 1)) / (2 * h)
+        assert np.max(np.abs(obj.cross_jvp(w, at, 1, q) - fd)) < 1e-5
 
 
 def test_mtl_minibatch_scales_regularizer():
@@ -453,13 +459,17 @@ def test_mtl_minibatch_scales_regularizer():
 def test_mtl_bound_lambda_matches_fresh_objective(coupling, per_task_rho):
     # lambda-only terms are memoised per distinct lam; every product must
     # stay bit-equal to a freshly built objective's, including when the
-    # caller mutates a lam array in place after using it
+    # caller mutates a lam array in place after using it ("none": the
+    # full model with its coupling at 0)
     obj, layout, _ = mtl_setup(coupling=coupling, per_task_rho=per_task_rho)
     rng = make_rng(2, 8)
     w = rng.standard_normal(obj.n_params)
     r = rng.standard_normal(obj.n_params)
     q = rng.standard_normal(layout.size)
     x, y, z = (rng.random(layout.size) for _ in range(3))
+    if coupling == "none":
+        for lam in (x, y, z):
+            lam[layout.slice_of("coupling")] = 0.0
 
     def products(o, lam):
         return [o.grad_w(w, lam, 1).tobytes(), o.hvp_w(w, lam, 1, r).tobytes(),

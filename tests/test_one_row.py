@@ -62,21 +62,23 @@ def problem(dynamics, objective, seed):
             layout = VectorLayout(segs + ([("weights", n)] if hyper else []))
             obj = WeightedSoftmax(data, hyper_layout=layout, schedule=schedule,
                                   weight_segment="weights" if hyper else None)
-        else:
+        else:  # "mtl-none" is the full model with its coupling at 0
             coupling = objective.split("-")[1]
-            if coupling != "none":
-                segs.append(("coupling", k * k if coupling == "full" else 1))
             per_task = bool(rng.random() < 0.5)
-            segs.append(("rho", k if per_task else 1))
+            segs += [("coupling", 1 if coupling == "uniform" else k * k),
+                     ("rho", k if per_task else 1)]
             layout = VectorLayout(segs)
             obj = MultitaskLinear(data, hyper_layout=layout, schedule=schedule,
-                                  coupling=coupling, per_task_rho=per_task)
+                                  coupling="uniform" if coupling == "uniform"
+                                  else "full", per_task_rho=per_task)
         E = DatasetValidation(Dataset(features=rng.standard_normal((7, p)),
                                       labels=rng.integers(0, k, size=7),
                                       n_classes=k))
     dyn = GradientDescent(obj) if dynamics == "GD" else Momentum(obj)
     lam = 0.5 * rng.random(layout.size)
     lam[0] = 0.05 + 0.3 * lam[0]  # eta
+    if objective == "mtl-none":
+        lam[layout.slice_of("coupling")] = 0.0
     s0 = 0.5 * rng.standard_normal(dyn.n_state)
     return (dyn, E, s0, lam, int(rng.integers(1, 9)),
             int(rng.integers(1, 5)))

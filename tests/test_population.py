@@ -41,7 +41,9 @@ from hypergrad.outer import Constraints, NonNeg, ProjectedAdam, UnitInterval
 SEEDS = range(30)
 
 # (dynamics, objective, batch): the two pairs the experiments train as
-# populations, and the other objective kinds the block accepts
+# populations, and the other objective kinds the block accepts.
+# "mtl-none" is the full-coupling model with its coupling entries at 0,
+# as the STL grid fits it.
 CASES = [
     ("GDM", "weighted-unit", "minibatch"),
     ("GD", "mtl-none", "full"),
@@ -83,14 +85,16 @@ def population(dynamics, objective, batch, seed):
                               weight_segment=None)
     else:
         coupling = objective.split("-")[1]
-        if coupling != "none":
-            segs.append(("coupling", k * k if coupling == "full" else 1))
-        segs.append(("rho", k))
+        segs += [("coupling", 1 if coupling == "uniform" else k * k),
+                 ("rho", k)]
         layout = VectorLayout(segs)
         obj = MultitaskLinear(data, hyper_layout=layout, schedule=schedule,
-                              coupling=coupling, per_task_rho=True)
+                              coupling="uniform" if coupling == "uniform"
+                              else "full", per_task_rho=True)
     dyn = GradientDescent(obj) if dynamics == "GD" else Momentum(obj)
     lam = rng.random((n_rows, layout.size))
+    if objective == "mtl-none":
+        lam[:, layout.slice_of("coupling")] = 0.0
     lam[:, 0] = 0.05 + 0.3 * lam[:, 0]  # eta
     if dynamics == "GDM":
         lam[:, 1] *= 0.9  # mu
@@ -697,6 +701,7 @@ def test_single_seed_run_is_the_one_row_block():
 # the reverse engine on a seed stack: MultitaskLinear rows, set rows[i]
 
 
+# coupling "none" is the full model with its coupling entries at 0
 MTL_CASES = [(dynamics, coupling, per_task, eta)
              for dynamics in ("GD", "GDM")
              for coupling in ("none", "uniform", "full")
@@ -734,12 +739,12 @@ class MtlStack:
         segs = []
         if eta == "hyper":
             segs = [("eta", 1)] + ([("mu", 1)] if dynamics == "GDM" else [])
-        if coupling != "none":
-            segs.append(("coupling", k * k if coupling == "full" else 1))
-        segs.append(("rho", k if per_task else 1))
+        segs += [("coupling", 1 if coupling == "uniform" else k * k),
+                 ("rho", k if per_task else 1)]
         self.layout = VectorLayout(segs)
-        self._kwargs = dict(hyper_layout=self.layout, coupling=coupling,
-                            per_task_rho=per_task)
+        self._kwargs = dict(hyper_layout=self.layout,
+                            coupling="uniform" if coupling == "uniform"
+                            else "full", per_task_rho=per_task)
         if eta == "hyper":
             self._make = GradientDescent if dynamics == "GD" else Momentum
         elif dynamics == "GD":
@@ -753,6 +758,8 @@ class MtlStack:
         lam = 0.3 * rng.random((self.K, self.m))
         if eta == "hyper":
             lam[:, 0] = 0.05 + 0.3 * lam[:, 0]
+        if coupling == "none":
+            lam[:, self.layout.slice_of("coupling")] = 0.0
         self.lam = lam
         d = self.block.n_state
         self.s = 0.5 * rng.standard_normal((self.K, d))
@@ -854,7 +861,7 @@ def _reference_cross_vjp(obj, w, lam, t, alpha):
         val = 4.0 * (k * (amat * mat).sum()
                      - amat.sum(axis=0) @ mat.sum(axis=0))
         out[obj._coupling_slice] = frac * val
-    elif obj.coupling == "full":
+    else:
         m = amat @ mat.T
         diag = m.diagonal()
         pair = diag[:, None] + diag[None, :] - m - m.T
@@ -942,8 +949,10 @@ def _huge_seed_4(monkeypatch):
     task = experiments._mtl_task
 
     def huge(cfg, seeds):
-        stack, e_vals = task(cfg, seeds)
-        return _times_1e200(stack, seeds.index(4)), e_vals
+        obj, e_vals = task(cfg, seeds)
+        stack = _times_1e200(obj.dataset, seeds.index(4))
+        return MultitaskLinear(stack, hyper_layout=obj.hyper_layout,
+                               per_task_rho=True), e_vals
 
     monkeypatch.setattr(experiments, "_mtl_task", huge)
 

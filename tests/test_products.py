@@ -60,14 +60,17 @@ def random_instance(objective, dynamics, seed):
     else:
         _, coupling, rho = objective.split("-", 2)
         per_task = rho == "per-task"
-        if coupling != "none":
-            segs.append(("coupling", k * k if coupling == "full" else 1))
-            values["coupling"] = 0.3 * rng.random(segs[-1][1])
+        # "none" is the full model at C = 0, where the STL grid fits it
+        segs.append(("coupling", 1 if coupling == "uniform" else k * k))
+        values["coupling"] = 0.3 * rng.random(segs[-1][1])
+        if coupling == "none":
+            values["coupling"][:] = 0.0
         segs.append(("rho", k if per_task else 1))
         values["rho"] = rng.random(segs[-1][1])
         layout = VectorLayout(segs)
         obj = MultitaskLinear(
-            train, hyper_layout=layout, schedule=schedule, coupling=coupling,
+            train, hyper_layout=layout, schedule=schedule,
+            coupling="uniform" if coupling == "uniform" else "full",
             per_task_rho=per_task)
 
     dyn = (GradientDescent(obj) if dynamics == "GD" else Momentum(obj))
