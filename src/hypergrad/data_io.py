@@ -75,6 +75,9 @@ def ingest_idx(images_path, labels_path):
     images = read_idx(images_path)
     if images.ndim != 3:
         raise IngestError(f"{images_path}: expected an image stack, got labels")
+    if 0 in images.shape:  # no images, or images of no pixels
+        raise IngestError(f"{images_path}: empty image stack, dims "
+                          f"{images.shape}")
     features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     labels = read_idx(labels_path)
     if labels.ndim != 1:

@@ -34,8 +34,9 @@ the size-1 case of the same numpy calls, and each row of the block is
 bit for bit the result of that row alone (``np.matmul`` runs one gemm
 per slice, and ``numerics.row_dot`` one BLAS dot per row). A hyper
 direction ``q`` stays one (m,) vector for every row. The objective
-decides what a row trains on: the same data for a population, or set
-``rows[i]`` of a seed stack for row i (see ``objectives._SoftmaxData``).
+decides what a row trains on: its one training set for every row of a
+population, or set ``rows[i]`` of a seed stack for row i (see
+``objectives._SoftmaxData``).
 """
 
 from __future__ import annotations

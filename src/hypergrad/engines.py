@@ -130,11 +130,11 @@ def over_rows(dyn, rows):
 
     ``rows`` is a boolean mask or an index array (which may repeat a
     row) over the rows the objective's seed stack serves now (see
-    ``objectives._SoftmaxData.take``). Dynamics whose objective holds
-    no stack train every row on the same data and come back as they
-    are.
+    ``objectives._SoftmaxData.take``). Dynamics whose objective trains
+    on one set (its row is 0-d) or on no data train every row on the
+    same data and come back as they are.
     """
-    if getattr(dyn.objective, "_rows", None) is None:
+    if np.ndim(getattr(dyn.objective, "_rows", None)) == 0:
         return dyn
     sub = copy.copy(dyn)
     sub.objective = dyn.objective.take(rows)

@@ -536,9 +536,8 @@ def _rtho_dynamics(cfg, layout, train, seeds):
     """
     schedules = [MinibatchSchedule(n=cfg.n_train, batch_size=cfg.batch_size,
                                    seed=seed) for seed in seeds]
-    obj = WeightedSoftmax(
-        train, hyper_layout=layout, weight_segment=None,
-        schedule=schedules if isinstance(train, SeedStack) else schedules[0])
+    obj = WeightedSoftmax(train, hyper_layout=layout, weight_segment=None,
+                          schedule=schedules)
     return Momentum(obj, eta="eta", mu="mu")
 
 

@@ -22,14 +22,14 @@ axis: a (K, n_params) block of parameter vectors with a (K, m) block of
 hyper vectors gives K results, row i bit for bit the result of row i
 alone (a direction ``q`` of ``cross_jvp`` stays one (m,) vector). The
 kernels below are written on the last axes for this, so a single vector
-runs the same arithmetic through the same views. Either model can also
-hold a seed stack (``datasets.SeedStack``, for ``WeightedSoftmax``
-with unit weights only): S training sets, each with its own minibatch
-schedule, where row i of a (S, n_params) block trains on set i, each
-row bit for bit what set i alone gives. ``take`` maps the rows of a
-block onto the sets (a set may serve several rows). Example weights
-given as hypers take (K, m) blocks too (a stack takes unit weights
-only), and a stack has no ``value``.
+runs the same arithmetic through the same views. Either model holds a
+seed stack (``datasets.SeedStack``); a ``Dataset`` is the one-set stack,
+whose minibatch serves a vector or every row of a population. Over S
+sets (``WeightedSoftmax`` with unit weights only), each with its own
+minibatch schedule, row i of a (S, n_params) block trains on set i, bit
+for bit what set i alone gives. ``take`` maps the rows of a block onto
+the sets (a set may serve several rows). Example weights given as
+hypers take (K, m) blocks too; ``value`` takes one vector on one set.
 """
 
 from __future__ import annotations
@@ -109,28 +109,14 @@ def _gauss_newton_dirs(p, u):
     return pu - p * pu.sum(axis=-1, keepdims=True)
 
 
-def _batch_rows(dataset, schedule, t):
-    """(idx, x, y) of minibatch ``t``.
-
-    A full batch over a C-contiguous feature matrix reads the dataset in
-    place instead of gathering an identical copy.
-    """
-    idx = schedule.indices(t)
-    x, y = dataset.features, dataset.labels
-    if schedule.full_batch and schedule.n == len(x) and x.flags.c_contiguous:
-        return idx, x, y
-    return idx, x[idx], y[idx]
-
-
 class _Batch:
     """Softmax quantities of one step at one w.
 
     ``p`` holds the (read-only) probabilities, computed unless given;
     the read-only coefficients ``g = p - onehot`` are derived from them
-    on first use, with the batch's rows of the objective's read-only
-    one-hot labels. ``grad`` is filled by objectives whose gradient
-    depends on (t, w) only. Over a seed stack, ``idx`` is (K, b) and
-    row i of ``x``, ``onehot``, ``p`` and ``g`` is the minibatch of set
+    on first use. ``grad`` is filled by objectives whose gradient
+    depends on (t, w) only. Over a seed stack, ``idx`` is (K, b) and row
+    i of ``x``, ``onehot``, ``p`` and ``g`` is the minibatch of set
     ``rows[i]`` (see ``_SoftmaxData._stack_batch``).
     """
 
@@ -138,18 +124,11 @@ class _Batch:
 
     def __init__(self, obj, t, w, p=None):
         rows = obj._rows
-        if rows is None:
-            self.idx, self.x, self.y = _batch_rows(obj.dataset, obj.schedule,
-                                                   t)
-            # a full batch read in place takes the whole one-hot as it is
-            self.onehot = (obj._onehot if self.y is obj.dataset.labels
-                           else obj._onehot[self.idx])
-        else:
-            if w.shape[:-1] != rows.shape:
-                raise DimensionMismatchError(
-                    f"a stack of {len(rows)} rows takes "
-                    f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
-            self.idx, self.x, self.y, self.onehot = obj._stack_batch(t)
+        if rows.ndim and w.shape[:-1] != rows.shape:
+            raise DimensionMismatchError(
+                f"a stack of {len(rows)} rows takes "
+                f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
+        self.idx, self.x, self.y, self.onehot = obj._stack_batch(t)
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
             p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
@@ -278,47 +257,52 @@ class QuadraticToy:
 class _SoftmaxData:
     """Cross-entropy data term of a linear softmax model, batch by batch.
 
-    What both softmax objectives share: the dataset and its shapes, the
-    schedule (full batch by default), the read-only one-hot labels and
-    the per-step batch memo. The data term's gradient and Gauss-Newton
-    product weight each example's row (``_weighted``: unit weights
-    unless a subclass says otherwise) and then scale the batch sum by
-    ``_scale`` (none unless a subclass sets one).
+    What both softmax objectives share: the training sets and their
+    shapes, the schedules (full batch by default) and the per-step batch
+    memo. The data term's gradient and Gauss-Newton product weight each
+    example's row (``_weighted``: unit weights unless a subclass says
+    otherwise) and then scale the batch sum by ``_scale`` (none unless a
+    subclass sets one).
 
-    ``dataset`` may be a ``SeedStack`` of S training sets, with one
-    schedule per set (all full batch by default; all of one shape):
-    the products then take (K, n_params) blocks whose row i trains on
-    set ``rows[i]`` with that set's schedule. At first the rows are the
-    sets in order (K = S); ``take`` picks other rows.
+    ``dataset`` is a ``SeedStack`` of S training sets, with one schedule
+    shared by every set or one per set (all of one shape): the products
+    take (K, n_params) blocks whose row i trains on set ``rows[i]`` with
+    that set's schedule. The rows start as the sets in order; ``take``
+    picks others. A ``Dataset`` is the one-set stack (a leading-axis
+    view, made read-only in place as a stack is) with the scalar row 0.
     """
 
     _scale = None
-    _rows = None  # seed stacks: the set each row of a block trains on
 
     def __init__(self, dataset: Dataset | SeedStack,
                  hyper_layout: VectorLayout | None,
-                 schedule: MinibatchSchedule | None):
+                 schedule: MinibatchSchedule | list | None):
+        if isinstance(dataset, Dataset):
+            dataset.features.flags.writeable = False
+            dataset.labels.flags.writeable = False
+            self._rows = np.intp(0)
+            dataset = SeedStack(dataset.features[None], dataset.labels[None],
+                                dataset.n_classes)
+        else:
+            self._rows = np.arange(len(dataset))
         self.dataset = dataset
         self.n_classes = int(dataset.n_classes)
         self.n_features = dataset.n_features
         self.n_params = self.n_classes * (self.n_features + 1)
         self.hyper_layout = hyper_layout
-        if isinstance(dataset, SeedStack):
-            self.schedule = (tuple(schedule) if schedule is not None else
-                             (full_batch_schedule(dataset.n),) * len(dataset))
-            shapes = {(sched.n, sched.batch_size) for sched in self.schedule}
-            if (len(self.schedule) != len(dataset) or len(shapes) != 1
-                    or shapes.pop()[0] != dataset.n):
-                raise ValueError(
-                    f"a seed stack of {len(dataset)} training sets takes one "
-                    f"schedule per set, all over its {dataset.n} examples "
-                    f"with one batch size")
-            self._rows = np.arange(len(dataset))
-            self._onehot = None  # each batch builds its one-hot instead
-        else:
-            self.schedule = schedule or full_batch_schedule(dataset.n)
-            self._onehot = _frozen(_onehot(dataset.labels, self.n_classes))
-        self._full = None  # a stack's full batch, built on first use
+        if schedule is None:
+            schedule = full_batch_schedule(dataset.n)
+        self.schedule = ((schedule,) * len(dataset)
+                         if isinstance(schedule, MinibatchSchedule)
+                         else tuple(schedule))
+        shapes = {(sched.n, sched.batch_size) for sched in self.schedule}
+        if (len(self.schedule) != len(dataset) or len(shapes) != 1
+                or shapes.pop()[0] != dataset.n):
+            raise ValueError(
+                f"{len(dataset)} training sets take one schedule, or one "
+                f"schedule per set, all over their {dataset.n} examples "
+                f"with one batch size")
+        self._full = None  # the full batch, built on first use
         self._cache = _BatchCache()
 
     def take(self, rows):
@@ -341,25 +325,26 @@ class _SoftmaxData:
     def _stack_batch(self, t):
         """(idx, x, y, one-hot) of minibatch ``t``, row i from set rows[i].
 
-        A full batch is built once per objective: the stack's own arrays
-        when the rows are its sets in order (read in place), else one
-        read-only gathered copy. A minibatch gathers its rows at every
-        build. The one-hot is bool: p - onehot has the bits of p - 1.0
-        and p - 0.0, and the stack keeps none of its own.
+        A scalar row gives a (b, ...) batch, K rows a (K, b, ...) one. A
+        full batch is built once per objective: the stack's arrays (its
+        one set, or its sets in order) read in place if C-contiguous,
+        else a read-only gathered copy. A minibatch gathers its rows at
+        every build. The one-hot is bool: p - onehot has the bits of
+        p - 1.0 and p - 0.0.
         """
         if self._full is not None:
             return self._full
         rows, data = self._rows, self.dataset
         idx = np.stack([sched.indices(t) for sched in self.schedule])
+        idx = idx.reshape(*rows.shape, -1)
         if not self.schedule[0].full_batch:  # the schedules share one shape
-            at = (rows[:, None], idx)
+            at = (rows[..., None], idx)
             x, y = data.features[at], data.labels[at]
             return idx, x, y, y[..., None] == np.arange(self.n_classes)
-        if (np.array_equal(rows, np.arange(len(data)))
-                and data.features.flags.c_contiguous):
-            x, y = data.features, data.labels
-        else:
-            x, y = _frozen(data.features[rows]), _frozen(data.labels[rows])
+        x, y = data.features, data.labels
+        if not np.array_equal(rows, np.arange(len(data))):
+            x, y = x[rows], y[rows]
+        x, y = (_frozen(np.ascontiguousarray(a)) for a in (x, y))
         self._full = (_frozen(idx), x, y,
                       _frozen(y[..., None] == np.arange(self.n_classes)))
         return self._full
@@ -372,10 +357,11 @@ class _SoftmaxData:
 
     def _losses(self, w, t):
         """(indices, per-example cross-entropies) of minibatch ``t`` at w."""
-        if self._rows is not None:
+        if w.ndim != 1 or self._rows.ndim:
             raise DimensionMismatchError(
-                "a seed stack has no value: take its training sets one by one")
-        idx, x, y = _batch_rows(self.dataset, self.schedule, t)
+                f"a block or a seed stack has no value: got {w.shape} on "
+                f"{self._rows.size} sets, value takes one parameter vector")
+        idx, x, y, _ = self._stack_batch(t)
         return idx, _ce_losses(x, y, *self._unpack(w))
 
     def _weighted(self, rows, idx, lam):
@@ -410,26 +396,25 @@ class WeightedSoftmax(_SoftmaxData):
     cached batch and returned read-only.
 
     With unit weights ``dataset`` may be a ``SeedStack`` (see
-    ``_SoftmaxData``).
+    ``_SoftmaxData``); example weights belong to one training set.
     """
 
     def __init__(self, dataset: Dataset | SeedStack,
                  hyper_layout: VectorLayout | None = None,
-                 schedule: MinibatchSchedule | None = None,
+                 schedule: MinibatchSchedule | list | None = None,
                  weight_segment: str | None = "weights"):
         super().__init__(dataset, hyper_layout, schedule)
         self.weight_segment = weight_segment
         self._unit = None
-        if self._rows is not None:
-            if weight_segment is not None:
-                raise ValueError(f"a seed stack of {len(dataset)} training "
-                                 f"sets takes unit weights")
-        elif weight_segment is not None:
-            _segment(hyper_layout, weight_segment, dataset.n)  # one per example
-        else:
+        if weight_segment is None:
             # value() dots the losses with these, exactly as it dots them
             # with all-ones weights passed as hypers
             self._unit = _frozen(np.ones(dataset.n))
+        elif self._rows.ndim:
+            raise ValueError(f"a seed stack of {len(dataset)} training "
+                             f"sets takes unit weights")
+        else:
+            _segment(hyper_layout, weight_segment, dataset.n)  # one per example
         self._scale = 1.0 / dataset.n
 
     def _weights(self, lam):
@@ -497,7 +482,7 @@ class WeightedSoftmax(_SoftmaxData):
         if self.weight_segment is None:
             return _NO_HYPERS
         seg = self.hyper_layout.slice_of(self.weight_segment)
-        return np.sort(seg.start + self.schedule.indices(t))
+        return np.sort(seg.start + self.schedule[0].indices(t))
 
 
 class MultitaskLinear(_SoftmaxData):
@@ -523,7 +508,7 @@ class MultitaskLinear(_SoftmaxData):
 
     def __init__(self, dataset: Dataset | SeedStack,
                  hyper_layout: VectorLayout | None = None,
-                 schedule: MinibatchSchedule | None = None,
+                 schedule: MinibatchSchedule | list | None = None,
                  coupling="full", per_task_rho=False):
         super().__init__(dataset, hyper_layout, schedule)
         if coupling not in ("full", "uniform"):
@@ -594,8 +579,7 @@ class MultitaskLinear(_SoftmaxData):
 
     def _frac(self, t):
         """Minibatch ``t``'s share of the training set: the penalty's weight."""
-        # the schedules of a stack's rows share one shape
-        sched = self.schedule if self._rows is None else self.schedule[0]
+        sched = self.schedule[0]  # the schedules of the rows share one shape
         size = sched.n if sched.full_batch else len(sched.indices(t))
         return size / self.dataset.n
 

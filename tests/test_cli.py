@@ -314,6 +314,14 @@ def _single_class_pool(tmp_path, label):
     return TINY_CLEAN + f"train_images = {images}\ntrain_labels = {labels}\n"
 
 
+def _empty_images(tmp_path, dims):
+    """Clean config on an IDX image stack of ``dims`` with its labels."""
+    images, labels = tmp_path / "empty-images", tmp_path / "empty-labels"
+    write_idx(images, np.zeros(dims, dtype=np.uint8))
+    write_idx(labels, np.arange(dims[0]) % 2)
+    return TINY_CLEAN + f"train_images = {images}\ntrain_labels = {labels}\n"
+
+
 def _test_images_without_labels(tmp_path):
     train_images, train_labels = _idx_pair(tmp_path, "train", 60)
     test_images, _ = _idx_pair(tmp_path, "test", 10)
@@ -368,6 +376,10 @@ def _mismatch_shapes(monkeypatch):
     # one class leaves nothing to clean: the data file is at fault
     *[("clean", lambda tmp, label=label: _single_class_pool(tmp, label), None,
        4, f"every label is class {label}") for label in (0, 1)],
+    # an image file of no images, or of images of no pixels
+    *[("clean", lambda tmp, dims=dims: _empty_images(tmp, dims), None, 4,
+       f"empty-images: empty image stack, dims {dims}")
+      for dims in ((0, 2, 2), (60, 0, 4))],
     ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
      "infeasible hyperparameters"),
     # a shape mismatch inside a run is a fault of the program
@@ -421,7 +433,7 @@ def _mismatch_shapes(monkeypatch):
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
         "pool-too-small", "pool-leaves-no-test", "single-class-0",
-        "single-class-1", "infeasible", "internal",
+        "single-class-1", "no-images", "no-pixels", "infeasible", "internal",
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",

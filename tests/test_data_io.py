@@ -1,5 +1,7 @@
 """IDX ingestion, label corruption, and artifact writers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ def test_ingest_idx_mismatched_counts(tmp_path):
     write_idx(tmp_path / "i.idx", _image_stack(n=10))
     write_idx(tmp_path / "l.idx", np.zeros(7, dtype=np.uint8))
     with pytest.raises(IngestError, match="label count 7"):
+        ingest_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 3), (5, 0, 3), (5, 3, 0)])
+def test_ingest_idx_rejects_an_empty_image_stack(tmp_path, dims):
+    # no images, or images of no pixels, would train on nothing
+    write_idx(tmp_path / "i.idx", np.zeros(dims, dtype=np.uint8))
+    write_idx(tmp_path / "l.idx", np.zeros(dims[0], dtype=np.uint8))
+    want = f"i.idx: empty image stack, dims {dims}"
+    with pytest.raises(IngestError, match=re.escape(want)):
         ingest_idx(tmp_path / "i.idx", tmp_path / "l.idx")
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from hypergrad.datasets import (Dataset, MinibatchSchedule, SeedStack,
                                 blob_task, full_batch_schedule)
+from hypergrad.errors import DimensionMismatchError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
@@ -150,8 +151,7 @@ def test_weighted_softmax_cross_duality():
 def test_weighted_softmax_touched_hypers_follow_schedule():
     train = tiny_task(n=8)
     obj, layout = make_weighted(train, batch_size=3)
-    lam = layout.pack(weights=1.0)
-    batch = obj.schedule.indices(2)
+    batch = obj._stack_batch(2)[0]  # the examples step 2 trains on
     touched = obj.touched_hypers(2)
     assert np.array_equal(touched, np.sort(batch))
 
@@ -225,13 +225,21 @@ def test_full_batch_reads_contiguous_features_in_place():
     c_obj, lam = weight_kinds_task("hyper")
     f_obj, _ = weight_kinds_task("hyper", order="F")
     w = make_rng(5, 7).standard_normal(c_obj.n_params)
-    assert c_obj._batch(1, w).x is c_obj.dataset.features
+    c_b = c_obj._batch(1, w)
+    assert np.shares_memory(c_b.x, c_obj.dataset.features)
+    assert np.shares_memory(c_b.y, c_obj.dataset.labels)
     # a non-contiguous matrix is gathered into a C-ordered copy instead
-    f_x = f_obj._batch(1, w).x
-    assert f_x is not f_obj.dataset.features and f_x.flags.c_contiguous
+    f_b = f_obj._batch(1, w)
+    assert not np.shares_memory(f_b.x, f_obj.dataset.features)
+    assert f_b.x.flags.c_contiguous
+    # the full batch is built once per objective and cached read-only
+    for obj, b in ((c_obj, c_b), (f_obj, f_b)):
+        assert obj._batch(2, w).x is b.x
+        for arr in (b.idx, b.x, b.y, b.onehot):
+            assert not arr.flags.writeable
     assert c_obj.grad_w(w, lam, 1).tobytes() == f_obj.grad_w(w, lam, 1).tobytes()
     mb_obj, _ = weight_kinds_task("hyper", batch_size=8)  # batch == n: full
-    assert mb_obj._batch(1, w).x is mb_obj.dataset.features
+    assert np.shares_memory(mb_obj._batch(1, w).x, mb_obj.dataset.features)
 
 
 def label_subtract_coefs(p, y):
@@ -241,12 +249,22 @@ def label_subtract_coefs(p, y):
     return g
 
 
+def softmax_model(model, train, sched=None):
+    """A unit-weight or multitask softmax on 3-class ``train``, its lam."""
+    if model == "weighted":
+        return WeightedSoftmax(train, schedule=sched,
+                               weight_segment=None), np.zeros(0)
+    return MultitaskLinear(train, schedule=sched, per_task_rho=True,
+                           hyper_layout=VectorLayout([("coupling", 9),
+                                                      ("rho", 3)])), np.zeros(12)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("batch_size", [None, 3])
 @pytest.mark.parametrize("model", ["weighted", "mtl"])
 def test_grad_coefs_equal_label_subtract(model, batch_size, order):
-    # g = p - onehot from the objective's read-only one-hot has the bits
-    # of subtracting 1 at each label, for a full batch read in place, a
+    # g = p - onehot from the batch's bool one-hot has the bits of
+    # subtracting 1 at each label, for a full batch read in place, a
     # gathered full batch and a minibatch alike
     train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
     if order == "F":
@@ -254,17 +272,37 @@ def test_grad_coefs_equal_label_subtract(model, batch_size, order):
                         labels=train.labels, n_classes=train.n_classes)
     sched = (None if batch_size is None
              else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
-    if model == "weighted":
-        obj = WeightedSoftmax(train, schedule=sched, weight_segment=None)
-    else:
-        obj = MultitaskLinear(train, schedule=sched, per_task_rho=True,
-                              hyper_layout=VectorLayout([("coupling", 9),
-                                                         ("rho", 3)]))
-    assert not obj._onehot.flags.writeable
+    obj, _ = softmax_model(model, train, sched)
     w = make_rng(5, 8).standard_normal(obj.n_params)
     for t in (1, 2, 3):
         b = obj._batch(t, w)
         assert b.g.tobytes() == label_subtract_coefs(b.p, b.y).tobytes()
+
+
+@pytest.mark.parametrize("model", ["weighted", "mtl"])
+def test_a_dataset_is_read_only_once_an_objective_holds_it(model):
+    # the objective keeps the dataset's arrays as its full batch, as it
+    # keeps a seed stack's, so a later write to them must fail
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    features, labels = train.features.copy(), train.labels.copy()
+    softmax_model(model, train)
+    for write in (lambda: train.features.__setitem__((0, 0), 1.0),
+                  lambda: train.labels.__setitem__(0, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert np.array_equal(train.features, features)
+    assert np.array_equal(train.labels, labels)
+
+
+@pytest.mark.parametrize("model", ["weighted", "mtl"])
+def test_value_takes_one_parameter_vector(model):
+    # a block has no value, even on one training set
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    obj, lam = softmax_model(model, train)
+    w = make_rng(5, 9).standard_normal((2, obj.n_params))
+    with pytest.raises(DimensionMismatchError, match="one parameter vector"):
+        obj.value(w, lam, 1)
+    assert obj.value(w[0], lam, 1) > 0.0
 
 
 @pytest.mark.parametrize("batch_size", [None, 3])

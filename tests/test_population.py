@@ -184,7 +184,7 @@ def test_weighted_block_products_equal_vector_products(dynamics, batch, seed):
     r = rng.standard_normal(s.shape)
     layout = dyn.hyper_layout
     start = layout.slice_of("weights").start
-    batch_idx = dyn.objective.schedule.indices(t)
+    batch_idx = dyn.objective._stack_batch(t)[0]
     unit, spread, eta = (np.zeros(layout.size) for _ in range(3))
     unit[start + rng.choice(batch_idx)] = 1.0
     spread[start:] = rng.standard_normal(layout.length_of("weights"))
@@ -602,10 +602,19 @@ def test_a_stack_takes_blocks_of_its_own_rows():
         st.block.step(np.vstack([st.s, st.s]), np.vstack([st.lam, st.lam]), 1)
     with pytest.raises(DimensionMismatchError, match="no value"):
         st.block.objective.value(st.block.weights_of(st.s), st.lam, 1)
-    with pytest.raises(ValueError, match="one schedule per set"):
-        WeightedSoftmax(st.stack, hyper_layout=st.layout,
-                        schedule=st.schedules[:-1] + [full_batch_schedule(1)],
-                        weight_segment=None)
+    # one schedule shared by every set: each row's minibatch follows it
+    shared = WeightedSoftmax(st.stack, hyper_layout=st.layout,
+                             schedule=st.schedules[0], weight_segment=None)
+    idx = shared._stack_batch(st.t)[0]
+    assert idx.shape[0] == st.S
+    for row in idx:
+        assert np.array_equal(row, st.schedules[0].indices(st.t))
+    # a schedule too many, or one of another shape
+    for schedules in (st.schedules + st.schedules[:1],
+                      st.schedules[:-1] + [full_batch_schedule(1)]):
+        with pytest.raises(ValueError, match="one schedule per set"):
+            WeightedSoftmax(st.stack, hyper_layout=st.layout,
+                            schedule=schedules, weight_segment=None)
 
 
 def test_seed_datasets_are_views_of_the_stack():
