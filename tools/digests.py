@@ -48,8 +48,8 @@ def _digest(tree, name, argv, out_dir):
     return json.loads(metrics.read_text())["digest"]
 
 
-def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
+def main():
+    args = sys.argv[1:]
     tree = Path(args[0] if args else Path(__file__).parent.parent).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
