@@ -409,8 +409,10 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
             try:
                 s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
                 t += delta
-                partial = _partials([E[row] for row in live], s, z, layout)
+                live_E = [E[row] for row in live]
+                partial = _partials(live_E, s, z, layout)
                 ensure_finite(partial, "partial hypergradient", step=t)
+                responses = _val_values(live_E, s, layout)
             except NonFiniteError as err:
                 rows_among(err, live, len(E))  # among all S rows
                 raise
@@ -423,9 +425,8 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
                         f"updater returned shape {new.shape}, not {lam[i].shape}")
                 lam[i] = new
             emissions.append(StreamEmission(
-                t=t, partial=partial[i],
-                response=val_value(E[row], s[i], layout), lam=lam[i].copy(),
-                state=s[i].copy(), row=int(row)))
+                t=t, partial=partial[i], response=responses[i],
+                lam=lam[i].copy(), state=s[i].copy(), row=int(row)))
         yield one.emission(emissions)
         keep = np.array([not em.leave for em in emissions])
         if not keep.all():

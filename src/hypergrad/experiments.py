@@ -198,9 +198,7 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
                                         f"hyper-iteration {r.index}")
 
     kept = np.nonzero(lam_final > 0.0)[0]
-    discarded = np.nonzero(lam_final == 0.0)[0]
-    tp = sum(1 for i in discarded if int(i) in corrupted_set)
-    f1 = _f1(tp, len(discarded), len(corrupted_set))
+    cleaning = cleaning_extras(lam_final, None)
 
     # retrain on kept-training + validation pool
     pooled = Dataset(
@@ -217,10 +215,7 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
         "seed": cfg.seed,
         "n_corrupted": len(corrupted_set),
         "kept": int(len(kept)),
-        "discarded": int(len(discarded)),
-        "tp": int(tp),
-        "fp": int(len(discarded) - tp),
-        "f1": f1,
+        **cleaning,
         "test_accuracy": _accuracy_pct(test, w_clean),
         "baseline_accuracy": _accuracy_pct(test, w_baseline),
         "oracle_accuracy": _accuracy_pct(test, w_oracle),
@@ -761,8 +756,6 @@ def _best_time(fn, repeats=_BENCH_REPEATS):
 
 def run_bench(cfg: ExperimentConfig) -> RunReport:
     """Measure per-hypergradient wall time vs m and tape growth vs T."""
-    from .engines import forward_hg, reverse_hg  # local to keep import cheap
-
     cfg.validate()
     m_values = cfg.int_list("bench_m")
     step_values = cfg.int_list("bench_steps")
@@ -770,18 +763,18 @@ def run_bench(cfg: ExperimentConfig) -> RunReport:
     forward_rows, reverse_rows = [], []
     for m in m_values:
         dyn, e_val, s0, lam = _bench_instance(cfg, m)
-        forward_hg(dyn, e_val, s0, lam, 2)  # warm caches before timing
-        fwd = _best_time(lambda: forward_hg(dyn, e_val, s0, lam,
-                                            _BENCH_TIMING_STEPS))
-        rev = _best_time(lambda: reverse_hg(dyn, e_val, s0, lam,
-                                            _BENCH_TIMING_STEPS))
+        engines.forward_hg(dyn, e_val, s0, lam, 2)  # warm caches before timing
+        fwd = _best_time(lambda: engines.forward_hg(
+            dyn, e_val, s0, lam, _BENCH_TIMING_STEPS))
+        rev = _best_time(lambda: engines.reverse_hg(
+            dyn, e_val, s0, lam, _BENCH_TIMING_STEPS))
         forward_rows.append([m, fwd])
         reverse_rows.append([m, rev])
 
     tape_rows = []
     dyn, e_val, s0, lam = _bench_instance(cfg, 10)
     for n_steps in step_values:
-        result = reverse_hg(dyn, e_val, s0, lam, n_steps)
+        result = engines.reverse_hg(dyn, e_val, s0, lam, n_steps)
         tape_rows.append([n_steps, len(result.tape), result.tape.nbytes()])
 
     fwd_by_m = {int(m): s for m, s in forward_rows}

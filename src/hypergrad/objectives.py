@@ -8,14 +8,14 @@ step Jacobian products out of exactly these, so the five must agree with
 finite differences of ``value`` — the test suite enforces this for every
 kind.
 
-The two linear softmax models share one data term (``_SoftmaxData``):
-the batch build, the cross-entropy gradient and its Gauss-Newton
-product, each example's row weighted and the batch sum scaled.
-``WeightedSoftmax`` adds only its example weights (and the 1/N scale),
-``MultitaskLinear`` only its coupling/ridge penalty. Their parameter
-vectors are laid out as ``concat(W.ravel(), b)`` with W of shape
-(n_classes, n_features). The validation error is the mean cross-entropy
-of the same model.
+The two linear softmax models and the validation error share one data
+term (``_SoftmaxData``): the batch build, the cross-entropy gradient and
+its Gauss-Newton product, each example's row weighted and the batch sum
+scaled. ``WeightedSoftmax`` adds only its example weights (and the 1/N
+scale), ``MultitaskLinear`` only its coupling/ridge penalty, and
+``DatasetValidation`` is the data term's full batch over a validation
+set, its mean cross-entropy. Parameter vectors are laid out as
+``concat(W.ravel(), b)`` with W of shape (n_classes, n_features).
 
 The products of both softmax models also take a leading population
 axis: a (K, n_params) block of parameter vectors with a (K, m) block of
@@ -38,7 +38,6 @@ import copy
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -728,7 +727,9 @@ class DatasetValidation:
     When ``subset_size`` is set, a fixed random subset drawn once from
     ``subset_seed`` is used instead of the full set, mirroring
     stream-mode evaluation on a sampled validation slice; the value is
-    still deterministic given the seed.
+    still deterministic given the seed. The set (or subset) is held as a
+    full-batch ``_SoftmaxData``, so it is made read-only in place as a
+    training set is.
     """
 
     dataset: Dataset
@@ -736,43 +737,27 @@ class DatasetValidation:
     subset_seed: int = 0
 
     def __post_init__(self):
-        self.n_classes = int(self.dataset.n_classes)
-        self.n_features = self.dataset.n_features
-        self.n_params = self.n_classes * (self.n_features + 1)
-        if self.subset_size is not None and self.subset_size < self.dataset.n:
+        data = self.dataset
+        if self.subset_size is not None and self.subset_size < data.n:
             rng = make_rng(self.subset_seed, 0x5B5E7)
-            idx = rng.choice(self.dataset.n, size=self.subset_size, replace=False)
-            self._x = self.dataset.features[np.sort(idx)]
-            self._y = self.dataset.labels[np.sort(idx)]
-        else:
-            self._x = self.dataset.features
-            self._y = self.dataset.labels
+            idx = rng.choice(data.n, size=self.subset_size, replace=False)
+            data = data.subset(np.sort(idx))
+        self._data = _SoftmaxData(data, None, None)
+        self.n_params = self._data.n_params
 
     def value(self, w):
-        mat, bias = unpack_linear(w, self.n_classes, self.n_features)
-        val = float(_ce_losses(self._x, self._y, mat, bias).mean())
-        return ensure_finite_scalar(val, "validation error")
+        _, losses = self._data._losses(w, 1)
+        return ensure_finite_scalar(float(losses.mean()), "validation error")
 
     def grad(self, w):
-        mat, bias = unpack_linear(w, self.n_classes, self.n_features)
-        g = softmax_rows(self._x @ mat.T + bias) - self._targets
-        return _assemble_wgrad(g, self._x) / len(self._y)
-
-    @cached_property
-    def _targets(self):
-        """One-hot labels, read-only, built on the first ``grad``."""
-        return _frozen(_onehot(self._y, self.n_classes))
+        # one softmax build per call: no (t, w) memo spans engine calls
+        b = _Batch(self._data, 1, w)
+        return _assemble_wgrad(b.g, b.x) / self._data.dataset.n
 
     def accuracy(self, w):
-        mat, bias = unpack_linear(w, self.n_classes, self.n_features)
-        pred = (self._x @ mat.T + bias).argmax(axis=1)
-        return float((pred == self._y).mean())
-
-
-def _onehot(y, k):
-    out = np.zeros((len(y), k))
-    out[np.arange(len(y)), y] = 1.0
-    return out
+        _, x, y, _ = self._data._stack_batch(1)
+        mat, bias = self._data._unpack(w)
+        return float(((x @ mat.T + bias).argmax(axis=1) == y).mean())
 
 
 def val_value(val, state, state_layout) -> float:

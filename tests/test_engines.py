@@ -517,8 +517,8 @@ def test_replaced_tape_state_rebuilds_its_step(kind, batch_size, frozen,
 @pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
 def test_verify_tape_recomputes_every_step(kind, batch_size, softmax_calls):
     make, e, s0, lam = retention_problem(kind, batch_size)
-    # longer than the 4-entry per-step memo: it is keyed by content, so
-    # it would serve the whole replay of a tape of at most 4 steps
+    # the replay runs from a writable copy of the tape, which neither the
+    # (t, w) memo nor the kept per-step softmax serves
     n_steps = 6
     plain = reverse_hg(make(), e, s0, lam, n_steps)
     softmax_calls[0] = 0
@@ -531,7 +531,7 @@ def test_verify_tape_recomputes_every_step(kind, batch_size, softmax_calls):
 @pytest.mark.parametrize("kind,batch_size", RETENTION_CASES, ids=RETENTION_IDS)
 def test_verify_tape_replays_short_tapes(kind, batch_size, n_steps,
                                          softmax_calls):
-    # a tape that fits in the 4-entry per-step memo is replayed in full too
+    # a short tape is replayed in full too: no memo serves the copy
     make, e, s0, lam = retention_problem(kind, batch_size)
     plain = reverse_hg(make(), e, s0, lam, n_steps)
     softmax_calls[0] = 0

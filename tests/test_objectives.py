@@ -279,13 +279,17 @@ def test_grad_coefs_equal_label_subtract(model, batch_size, order):
         assert b.g.tobytes() == label_subtract_coefs(b.p, b.y).tobytes()
 
 
-@pytest.mark.parametrize("model", ["weighted", "mtl"])
+@pytest.mark.parametrize("model", ["weighted", "mtl", "validation"])
 def test_a_dataset_is_read_only_once_an_objective_holds_it(model):
     # the objective keeps the dataset's arrays as its full batch, as it
-    # keeps a seed stack's, so a later write to them must fail
+    # keeps a seed stack's, so a later write to them must fail; so does
+    # a validation error, whose value and gradient would else disagree
     train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
     features, labels = train.features.copy(), train.labels.copy()
-    softmax_model(model, train)
+    if model == "validation":
+        DatasetValidation(train).grad(make_rng(5, 9).standard_normal(15))
+    else:
+        softmax_model(model, train)
     for write in (lambda: train.features.__setitem__((0, 0), 1.0),
                   lambda: train.labels.__setitem__(0, 2)):
         with pytest.raises(ValueError, match="read-only"):
@@ -340,14 +344,21 @@ def test_cached_batch_arrays_are_read_only(model, batch_size):
 
 @pytest.mark.parametrize("subset", [None, 5])
 def test_validation_grad_equals_label_subtract(subset):
+    # the validation error reads its (subset of the) set as the data
+    # term's full batch, the seeded subset's rows in order
     train = tiny_task(n=9, p=3, k=3)
     e = DatasetValidation(train, subset_size=subset, subset_seed=2)
     w = make_rng(1, 10).standard_normal(3 * 4)
+    _, x, y, onehot = e._data._stack_batch(1)
+    rows = np.arange(9) if subset is None else np.sort(
+        make_rng(2, 0x5B5E7).choice(9, size=subset, replace=False))
+    assert np.array_equal(x, train.features[rows])
+    assert np.array_equal(y, train.labels[rows])
     mat, bias = unpack_linear(w, 3, 3)
-    g = label_subtract_coefs(softmax_rows(e._x @ mat.T + bias), e._y)
-    want = _assemble_wgrad(g, e._x) / len(e._y)
+    g = label_subtract_coefs(softmax_rows(x @ mat.T + bias), y)
+    want = _assemble_wgrad(g, x) / len(y)
     assert e.grad(w).tobytes() == want.tobytes()
-    assert not e._targets.flags.writeable
+    assert not onehot.flags.writeable
 
 
 # ---------------------------------------------------------------------------

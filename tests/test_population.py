@@ -33,7 +33,7 @@ from hypergrad.dynamics import GradientDescent, Momentum
 from hypergrad.engines import forward_hg, reverse_hg, rtho_stream, train
 from hypergrad.errors import DimensionMismatchError, NonFiniteError
 from hypergrad.layouts import VectorLayout
-from hypergrad.numerics import make_rng
+from hypergrad.numerics import ensure_finite_scalar, make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   WeightedSoftmax)
 from hypergrad.outer import Constraints, NonNeg, ProjectedAdam, UnitInterval
@@ -592,6 +592,44 @@ def test_failed_rows_are_marked_among_all_rows(seed):
         next(stream)
     assert err.value.step == 2
     assert err.value.rows.tolist() == [i == st.S - 1 for i in range(st.S)]
+
+
+class _InfiniteAfter:
+    """``e`` whose value is inf from its ``n``-th call on; its gradient
+    stays finite, so only the response fails."""
+
+    def __init__(self, e, n):
+        self.e, self.n = e, n
+
+    def grad(self, w):
+        return self.e.grad(w)
+
+    def value(self, w):
+        self.n -= 1
+        return ensure_finite_scalar(self.e.value(w) if self.n > 0 else np.inf,
+                                    "validation error")
+
+
+@pytest.mark.parametrize("seed", [s for s in SEEDS
+                                  if Stack("GDM", "minibatch", s).S > 1][:5])
+def test_a_non_finite_response_marks_its_row(seed):
+    # the last row's partial is finite and its value inf: every engine
+    # marks that row among all S, the stream also after row 0 has left
+    st = Stack("GDM", "minibatch", seed)
+    want = [i == st.S - 1 for i in range(st.S)]
+    for run in (lambda E: forward_hg(st.block, E, st.s, st.lam, 2),
+                lambda E: reverse_hg(st.block, E, st.s, st.lam, 2),
+                lambda E: next(rtho_stream(st.block, E, st.s, st.lam, 2))):
+        with pytest.raises(NonFiniteError, match="validation error") as err:
+            run(st.E[:-1] + [_InfiniteAfter(st.E[-1], 1)])
+        assert err.value.rows.tolist() == want
+    stream = rtho_stream(st.block, st.E[:-1] + [_InfiniteAfter(st.E[-1], 2)],
+                         st.s, st.lam, 1)
+    for em in next(stream):
+        em.leave = em.row == 0
+    with pytest.raises(NonFiniteError, match="validation error") as err:
+        next(stream)
+    assert err.value.rows.tolist() == want
 
 
 def test_a_stack_takes_blocks_of_its_own_rows():
