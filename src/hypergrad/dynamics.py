@@ -85,22 +85,17 @@ class GradientDescent:
         self.objective = objective
         self.hyper_layout = objective.hyper_layout
         self.state_layout = VectorLayout([("w", objective.n_params)])
+        self.n_state = self.state_layout.size
         self._eta = _HyperBinding(self.hyper_layout, eta, "learning rate")
         self._own = _own_indices(self._eta)
 
-    @property
-    def n_state(self):
-        return self.state_layout.size
-
     def init_state(self, w0):
-        w0 = np.asarray(w0, dtype=np.float64)
-        if len(w0) != self.objective.n_params:
-            raise DimensionMismatchError(
-                f"w0 has length {len(w0)}, objective expects {self.objective.n_params}"
-            )
-        return w0.copy()
+        return _start_weights(self.objective, w0).copy()
 
     def weights_of(self, s):
+        """A view of the weight block of a state, or of each row of a
+        (K, d) block (here the whole state), so a write through it lands
+        in the state."""
         return s
 
     def step(self, s, lam, t):
@@ -153,31 +148,25 @@ class Momentum:
         self.state_layout = VectorLayout([("v", d), ("w", d)])
         self._v = self.state_layout.slice_of("v")
         self._w = self.state_layout.slice_of("w")
-        self._size = self.state_layout.size
+        self.n_state = self.state_layout.size
         self._eta = _HyperBinding(self.hyper_layout, eta, "learning rate")
         self._mu = _HyperBinding(self.hyper_layout, mu, "momentum")
         self._own = _own_indices(self._eta, self._mu)
 
-    @property
-    def n_state(self):
-        return self.state_layout.size
-
     def init_state(self, w0):
-        w0 = np.asarray(w0, dtype=np.float64)
-        if len(w0) != self.objective.n_params:
-            raise DimensionMismatchError(
-                f"w0 has length {len(w0)}, objective expects {self.objective.n_params}"
-            )
+        w0 = _start_weights(self.objective, w0)
         return self.state_layout.pack(v=np.zeros_like(w0), w=w0)
 
     def weights_of(self, s):
+        """A view of the weight block of a state, or of each row of a
+        (K, d) block, so a write through it lands in the state."""
         return self._split(s)[1]
 
     def _split(self, s):
         """(v, w) views of a state-sized vector, or of each row of a block."""
-        if s.shape[-1] != self._size:
+        if s.shape[-1] != self.n_state:
             raise DimensionMismatchError(
-                f"vector has length {s.shape[-1]}, layout expects {self._size}"
+                f"vector has length {s.shape[-1]}, layout expects {self.n_state}"
             )
         return s[..., self._v], s[..., self._w]
 
@@ -232,6 +221,15 @@ class Momentum:
 
     def touched_hypers(self, t):
         return _merge_touched(self.objective.touched_hypers(t), self._own)
+
+
+def _start_weights(objective, w0):
+    """``w0`` as a float vector, checked to hold the objective's weights."""
+    w0 = np.asarray(w0, dtype=np.float64)
+    if len(w0) != objective.n_params:
+        raise DimensionMismatchError(
+            f"w0 has length {len(w0)}, objective expects {objective.n_params}")
+    return w0
 
 
 def _own_indices(*bindings):

@@ -45,9 +45,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, TapeReplayError,
                      rows_among)
-from .numerics import ensure_finite
-from .objectives import (_clear_memo, _frozen, _trajectory_scope,
-                         val_grad_state, val_value)
+from .numerics import as_vector, ensure_finite
+from .objectives import _clear_memo, _frozen, _trajectory_scope
 
 
 @dataclass
@@ -60,15 +59,20 @@ class HypergradResult:
     tape: "Tape" = None
 
 
-def _as_block(s, lam, E=None):
+def _as_block(dyn, s, lam, E=None):
     """(s, lam) as float arrays, checked to be (d,) and (m,), or (K, d)
-    and (K, m); ``E`` (if given) holds one validation error per row."""
+    and (K, m), with d the state length ``dyn.n_state``; ``E`` (if
+    given) holds one validation error per row."""
     s = np.asarray(s, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
         raise DimensionMismatchError(
             f"state {s.shape} and hyper vector {lam.shape} must be (d,) and "
             f"(m,), or (K, d) and (K, m)")
+    if s.shape[-1] != dyn.n_state:
+        raise DimensionMismatchError(
+            f"state has length {s.shape[-1]}, the dynamics expect "
+            f"{dyn.n_state}")
     if E is not None:
         per_row(E, len(s))
     return s, lam
@@ -141,28 +145,34 @@ def over_rows(dyn, rows):
     return sub
 
 
-def _val_grads(E, s, layout):
-    """grad E(s) over the state of each row, row i's with ``E[i]``."""
-    return np.stack([val_grad_state(e, row, layout) for e, row in zip(E, s)])
+def _val_grads(dyn, E, s):
+    """grad E(s) over the state of each row, row i's with ``E[i]``: E
+    reads the weights only, so the rest of each row is zero."""
+    out = np.zeros(s.shape)
+    w, g = dyn.weights_of(s), dyn.weights_of(out)
+    for i, e in enumerate(E):
+        g[i] = e.grad(w[i])
+    return out
 
 
-def _partials(E, s, z, layout):
+def _partials(dyn, E, s, z):
     """grad E(s) Z of each row, row i's with ``E[i]`` and its (m, d) slice
     of a (K, m, d) Z, read as a C-contiguous (d, m) copy: a transposed
     view would move the product's bits."""
-    g = _val_grads(E, s, layout)
+    g = _val_grads(dyn, E, s)
     return np.array([gi @ np.ascontiguousarray(zi.T) for gi, zi in zip(g, z)])
 
 
-def _val_values(E, s, layout):
+def _val_values(dyn, E, s):
     """The list of E(s) of each row, row i's with ``E[i]``.
 
     A non-finite value fails with its row marked.
     """
+    w = dyn.weights_of(s)
     values = []
-    for i, (e, row) in enumerate(zip(E, s)):
+    for i, e in enumerate(E):
         try:
-            values.append(val_value(e, row, layout))
+            values.append(e.value(w[i]))
         except NonFiniteError as err:
             err.rows = np.arange(len(s)) == i
             raise
@@ -213,7 +223,7 @@ def record_trajectory(dyn, s0, lam, n_steps):
     A (K, d) block s0 with a (K, m) block lam records one tape of
     (K, d) states.
     """
-    s, lam = _as_block(s0, lam)
+    s, lam = _as_block(dyn, s0, lam)
     s = _frozen(s.copy())
     states = [s]
     for k in range(1, n_steps + 1):
@@ -236,7 +246,7 @@ def train(dyn, s0, lam, n_steps):
     the step's temporaries of the same size; the objective's (t, w) memo
     is emptied after each step, since no later step reads it.
     """
-    s, lam = _as_block(s0, lam)
+    s, lam = _as_block(dyn, s0, lam)
     s = s.copy()
     n = len(s)
     live = np.arange(n)  # the rows still running (a vector never drops any)
@@ -260,8 +270,10 @@ def train(dyn, s0, lam, n_steps):
 
 
 def evaluate_response(dyn, E, s0, lam, n_steps):
-    """f(lam): train from s0 for n_steps and report the validation error."""
-    return val_value(E, train(dyn, s0, lam, n_steps), dyn.state_layout)
+    """f(lam): train from a vector s0 for n_steps and report the
+    validation error."""
+    s_final = train(dyn, as_vector(s0, "start state"), lam, n_steps)
+    return E.value(dyn.weights_of(s_final))
 
 
 def _propagate_z(dyn, s, z, lam, t, q_buf, directions=None):
@@ -304,16 +316,16 @@ def forward_hg(dyn, E, s0, lam, n_steps, directions=None) -> HypergradResult:
     """
     one = OneRow(s0)
     s, lam, E = one.rows(s0, lam, E)
-    s, lam = _as_block(s, lam, E)
+    s, lam = _as_block(dyn, s, lam, E)
     m = lam.shape[-1]
     p = m if directions is None else len(directions)
     with one:
         z = np.zeros((len(s), p, dyn.n_state))
         s, z = _sweep(dyn, s.copy(), z, lam, 0, n_steps, np.zeros(m),
                       directions)
+        grad = ensure_finite(_partials(dyn, E, s, z), "hypergradient")
         return one.result(HypergradResult(
-            gradient=_partials(E, s, z, dyn.state_layout),
-            response=_val_values(E, s, dyn.state_layout)))
+            gradient=grad, response=_val_values(dyn, E, s)))
 
 
 def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
@@ -335,13 +347,13 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     """
     one = OneRow(s0)
     s, lam, E = one.rows(s0, lam, E)
-    s, lam = _as_block(s, lam, E)
+    s, lam = _as_block(dyn, s, lam, E)
     with one, _trajectory_scope(dyn.objective):
         tape = record_trajectory(dyn, s, lam, n_steps)
         if verify_tape:
             tape.verify(dyn)
         s_final = tape.states[-1]
-        alpha = _val_grads(E, s_final, dyn.state_layout)
+        alpha = _val_grads(dyn, E, s_final)
         grad = np.zeros(lam.shape)
         for t in range(n_steps, 0, -1):
             s_prev = tape.states[t - 1]
@@ -350,8 +362,7 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
         ensure_finite(grad, "hypergradient")
         return one.result(HypergradResult(
-            gradient=grad, response=_val_values(E, s_final, dyn.state_layout),
-            tape=tape))
+            gradient=grad, response=_val_values(dyn, E, s_final), tape=tape))
 
 
 @dataclass
@@ -397,11 +408,10 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
     one = OneRow(s0)
     s, lam, E, updater = one.rows(s0, lam, E, updater)
-    s, lam = _as_block(s, lam, E)
+    s, lam = _as_block(dyn, s, lam, E)
     lam = lam.copy()
     z = np.zeros((len(s), lam.shape[-1], s.shape[-1]))
     q_buf = np.zeros(lam.shape[-1])
-    layout = dyn.state_layout
     t = 0
     live = np.arange(len(s))  # the rows still in the block
     while live.size:
@@ -410,9 +420,9 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
                 s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
                 t += delta
                 live_E = [E[row] for row in live]
-                partial = _partials(live_E, s, z, layout)
+                partial = _partials(dyn, live_E, s, z)
                 ensure_finite(partial, "partial hypergradient", step=t)
-                responses = _val_values(live_E, s, layout)
+                responses = _val_values(dyn, live_E, s)
             except NonFiniteError as err:
                 rows_among(err, live, len(E))  # among all S rows
                 raise

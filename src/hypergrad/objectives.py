@@ -119,7 +119,7 @@ class _Batch:
     ``rows[i]`` (see ``_SoftmaxData._stack_batch``).
     """
 
-    __slots__ = ("idx", "x", "y", "onehot", "p", "_g", "grad")
+    __slots__ = ("idx", "x", "onehot", "p", "_g", "grad")
 
     def __init__(self, obj, t, w, p=None):
         rows = obj._rows
@@ -127,7 +127,7 @@ class _Batch:
             raise DimensionMismatchError(
                 f"a stack of {len(rows)} rows takes "
                 f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
-        self.idx, self.x, self.y, self.onehot = obj._stack_batch(t)
+        self.idx, self.x, _, self.onehot = obj._stack_batch(t)
         if p is None:
             mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
             p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
@@ -714,7 +714,7 @@ class QuadraticValidation:
 
     def value(self, w):
         d = w - self.center
-        return 0.5 * float(d @ d)
+        return ensure_finite_scalar(0.5 * float(d @ d), "validation error")
 
     def grad(self, w):
         return w - self.center
@@ -759,18 +759,3 @@ class DatasetValidation:
         mat, bias = self._data._unpack(w)
         return float(((x @ mat.T + bias).argmax(axis=1) == y).mean())
 
-
-def val_value(val, state, state_layout) -> float:
-    """Validation error at a full optimization state (reads the w block)."""
-    return val.value(state_layout.get(state, "w"))
-
-
-def val_grad_state(val, state, state_layout) -> np.ndarray:
-    """Row gradient of the validation error over the full state.
-
-    Zero on every non-weight block (the error depends on weights only).
-    """
-    out = np.zeros_like(state)
-    sl = state_layout.slice_of("w")
-    out[sl] = val.grad(state[sl])
-    return out

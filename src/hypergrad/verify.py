@@ -239,9 +239,10 @@ def check_chain_agreement(instances=None, tol=1e-10):
             continue
         a_mats, b_mats, states = materialized_chain(inst.dyn, inst.s0,
                                                     inst.lam, inst.n_steps)
-        from .objectives import val_grad_state
-
-        grad_e = val_grad_state(inst.e_val, states[-1], inst.dyn.state_layout)
+        # grad E over the state: E reads the weights only
+        grad_e = np.zeros(inst.d)
+        inst.dyn.weights_of(grad_e)[:] = inst.e_val.grad(
+            inst.dyn.weights_of(states[-1]))
         truth = chain_eval(a_mats, b_mats, grad_e)
         for mode, engine in (("forward", forward_hg), ("reverse", reverse_hg)):
             result = engine(inst.dyn, inst.e_val, inst.s0, inst.lam,

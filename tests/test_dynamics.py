@@ -65,6 +65,29 @@ def test_gdm_init_state_zero_velocity():
     assert np.array_equal(dyn.weights_of(s), np.array([7.0]))
 
 
+@pytest.mark.parametrize("kind", ["GD", "GDM"])
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_weights_of_is_a_view_of_the_weight_block(kind, block):
+    # the engines read E at weights_of(s) and write grad E through it
+    dyn, _ = scalar_gd() if kind == "GD" else scalar_gdm()
+    s = dyn.init_state(np.array([7.0]))
+    if block:
+        s = np.stack([s, 2 * s])
+    w = dyn.weights_of(s)
+    assert np.shares_memory(w, s)
+    w[...] = -1.0
+    assert np.all(s[..., dyn.state_layout.slice_of("w")] == -1.0)
+    if kind == "GDM":
+        assert np.all(s[..., dyn.state_layout.slice_of("v")] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["GD", "GDM"])
+def test_init_state_rejects_start_weights_of_the_wrong_length(kind):
+    dyn, _ = scalar_gd() if kind == "GD" else scalar_gdm()
+    with pytest.raises(DimensionMismatchError):
+        dyn.init_state(np.array([1.0, 2.0]))
+
+
 def test_fixed_scalar_hyper_binding():
     # eta given as a constant instead of a segment name
     layout = VectorLayout([("weights", 1)])

@@ -25,8 +25,22 @@ from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
-                                  WeightedSoftmax, val_grad_state, val_value)
+                                  WeightedSoftmax)
 from hypergrad.oracle import materialized_chain
+
+
+def state_grad(e, s, layout):
+    """Reference grad E over a state: E's gradient on the "w" block,
+    zero elsewhere."""
+    out = np.zeros_like(s)
+    sl = layout.slice_of("w")
+    out[sl] = e.grad(s[sl])
+    return out
+
+
+def state_value(e, s, layout):
+    """Reference E at a state: E's value on the "w" block."""
+    return e.value(s[layout.slice_of("w")])
 
 
 def scalar_problem(s0=1.0):
@@ -278,7 +292,7 @@ def test_stream_partials_match_replayed_forward_runs():
             a, b = materialize_step_jacobians(dyn, s, lam, t)
             z = a @ z + b
             s = dyn.step(s, lam, t)
-        expected = val_grad_state(e, s, dyn.state_layout) @ z
+        expected = state_grad(e, s, dyn.state_layout) @ z
         assert np.max(np.abs(em.partial - expected)) < 1e-10
         lam = updater(lam, em.partial)
 
@@ -346,7 +360,7 @@ def test_one_trajectory_everywhere(kind):
     assert s_final.tobytes() == tape.states[-1].tobytes()
     assert s0.tobytes() == s0_bytes
     response = evaluate_response(make(), e, s0, lam, n_steps)
-    assert response == val_value(e, s_final, dyn.state_layout)
+    assert response == state_value(e, s_final, dyn.state_layout)
     assert response == forward_hg(make(), e, s0, lam, n_steps).response
     assert response == reverse_hg(make(), e, s0, lam, n_steps).response
 
@@ -471,7 +485,7 @@ def rebuilt_sweep(make, e, tape, lam):
     """reverse_hg's gradient over ``tape``, every product on a fresh objective."""
     n_steps = tape.n_steps
     dyn = make()
-    alpha = val_grad_state(e, tape.states[-1], dyn.state_layout)
+    alpha = state_grad(e, tape.states[-1], dyn.state_layout)
     grad = np.zeros(len(lam))
     for t in range(n_steps, 0, -1):
         s_prev = tape.states[t - 1].copy()
@@ -563,3 +577,69 @@ def test_tape_states_are_read_only():
             with pytest.raises(ValueError):
                 state[0] = 1.0
     assert s0.flags.writeable  # the caller's s0 is copied, not frozen
+
+
+# ---------------------------------------------------------------------------
+# the state contract and non-finite results
+
+
+def test_evaluate_response_takes_one_start_state():
+    dyn, e, s0, layout = scalar_problem()
+    lam = layout.pack(eta=0.5)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_response(dyn, e, np.stack([s0, s0]), np.stack([lam, lam]), 2)
+
+
+def test_every_engine_rejects_a_state_of_the_wrong_length():
+    # GD on one parameter has a length-1 state; a length-2 s0 is a shape
+    # error at each engine's entry, not numpy's ValueError or a result
+    dyn, e, _, layout = scalar_problem()
+    s0, lam = np.zeros(2), layout.pack(eta=0.5)
+    calls = [
+        lambda: forward_hg(dyn, e, s0, lam, 2),
+        lambda: reverse_hg(dyn, e, s0, lam, 2),
+        lambda: next(rtho_stream(dyn, e, s0, lam, delta=2)),
+        lambda: engines.train(dyn, s0, lam, 2),
+        lambda: record_trajectory(dyn, s0, lam, 2),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="length 2"):
+            call()
+
+
+def two_row_quadratic(center0, s00=1.0):
+    """GD on a (2, 1) block with eta = 0.5: row 0 starts at ``s00`` and
+    is validated against ``center0``, row 1 starts at 1 and against 0."""
+    layout = VectorLayout([("eta", 1)])
+    dyn = GradientDescent(QuadraticToy(1, hyper_layout=layout))
+    E = [QuadraticValidation(1, [center0]), QuadraticValidation(1, [0.0])]
+    return dyn, E, np.array([[s00], [1.0]]), np.full((2, 1), 0.5)
+
+
+def raised(call):
+    """The NonFiniteError that ``call`` raises, overflow warnings off."""
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+        call()
+    return err.value
+
+
+@pytest.mark.parametrize("engine", [forward_hg, reverse_hg])
+def test_an_overflowing_hypergradient_fails_with_its_row_marked(engine):
+    # row 0's states stay finite, but grad E(s_T) ds_T/dlam overflows
+    dyn, E, s0, lam = two_row_quadratic(1e200, s00=1e150)
+    err = raised(lambda: engine(dyn, E, s0, lam, 3))
+    assert "hypergradient" in str(err)
+    assert err.rows.tolist() == [True, False]
+    assert raised(lambda: engine(dyn, E[0], s0[0], lam[0], 3)).rows is None
+
+
+@pytest.mark.parametrize("engine", ["forward", "reverse", "stream"])
+def test_an_overflowing_validation_error_fails_with_its_row_marked(engine):
+    # row 0's hypergradient is finite, but E(s_T) is 0.5 (2e154)^2 = inf
+    dyn, E, s0, lam = two_row_quadratic(2e154)
+    run = {"forward": lambda: forward_hg(dyn, E, s0, lam, 3),
+           "reverse": lambda: reverse_hg(dyn, E, s0, lam, 3),
+           "stream": lambda: next(rtho_stream(dyn, E, s0, lam, delta=3))}
+    err = raised(run[engine])
+    assert "validation error" in str(err)
+    assert err.rows.tolist() == [True, False]

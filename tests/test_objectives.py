@@ -227,7 +227,8 @@ def test_full_batch_reads_contiguous_features_in_place():
     w = make_rng(5, 7).standard_normal(c_obj.n_params)
     c_b = c_obj._batch(1, w)
     assert np.shares_memory(c_b.x, c_obj.dataset.features)
-    assert np.shares_memory(c_b.y, c_obj.dataset.labels)
+    # the batch's labels, as ``_losses`` and ``accuracy`` read them
+    assert np.shares_memory(c_obj._stack_batch(1)[2], c_obj.dataset.labels)
     # a non-contiguous matrix is gathered into a C-ordered copy instead
     f_b = f_obj._batch(1, w)
     assert not np.shares_memory(f_b.x, f_obj.dataset.features)
@@ -235,7 +236,7 @@ def test_full_batch_reads_contiguous_features_in_place():
     # the full batch is built once per objective and cached read-only
     for obj, b in ((c_obj, c_b), (f_obj, f_b)):
         assert obj._batch(2, w).x is b.x
-        for arr in (b.idx, b.x, b.y, b.onehot):
+        for arr in (b.idx, b.x, obj._stack_batch(1)[2], b.onehot):
             assert not arr.flags.writeable
     assert c_obj.grad_w(w, lam, 1).tobytes() == f_obj.grad_w(w, lam, 1).tobytes()
     mb_obj, _ = weight_kinds_task("hyper", batch_size=8)  # batch == n: full
@@ -276,7 +277,8 @@ def test_grad_coefs_equal_label_subtract(model, batch_size, order):
     w = make_rng(5, 8).standard_normal(obj.n_params)
     for t in (1, 2, 3):
         b = obj._batch(t, w)
-        assert b.g.tobytes() == label_subtract_coefs(b.p, b.y).tobytes()
+        y = obj._stack_batch(t)[2]
+        assert b.g.tobytes() == label_subtract_coefs(b.p, y).tobytes()
 
 
 @pytest.mark.parametrize("model", ["weighted", "mtl", "validation"])
