@@ -45,12 +45,13 @@ def build_parser():
         description="Exact hypergradients of iterative training dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("clean", "mtl", "rtho", "bench", "randsearch", "check"):
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, text in _HELP.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", metavar="PATH",
                         help="flat key=value config file")
         sp.add_argument("--seed", type=int, help="root RNG seed")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
+        sp.add_argument("--out", metavar="DIR", dest="out_dir",
+                        help="output directory")
         sp.add_argument("--engine", choices=("forward", "reverse"),
                         help="hypergradient engine for batch loops")
         sp.add_argument("--delta", type=int, help="hyper-batch size")
@@ -63,18 +64,6 @@ def build_parser():
         sp.add_argument("--hyper-lr", type=float, dest="hyper_lr",
                         help="outer Adam learning rate")
     return parser
-
-
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "out": "out_dir",
-    "engine": "engine",
-    "delta": "delta",
-    "radius": "radius",
-    "inner_steps": "inner_steps",
-    "hyper_iters": "hyper_iters",
-    "hyper_lr": "hyper_lr",
-}
 
 
 # experiments whose files a subcommand takes besides its own: randsearch
@@ -95,9 +84,8 @@ def resolve_config(args) -> ExperimentConfig:
         raise ConfigError(f"{args.config}: experiment = {cfg.experiment}, "
                           f"but the subcommand is {args.command}")
     cfg.experiment = args.command
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for field_name, value in vars(args).items():  # a flag's dest: its field
+        if value is not None and field_name not in ("command", "config"):
             setattr(cfg, field_name, value)
     return cfg
 

@@ -31,7 +31,8 @@ Two protocols:
   state, stop rules and records, and leaves the block when they fire.
 
 Stopping is rule-based; rules inspect the record trace and are free of
-side effects, so they can be combined and re-evaluated safely.
+side effects, so they can be combined and re-evaluated safely. A lam
+recorded outside its path's constraints fails with InfeasibleHypersError.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ import numpy as np
 
 from .engines import (OneRow, forward_hg, over_rows, per_row, reverse_hg,
                       rtho_stream)
-from .errors import (DimensionMismatchError, HypergradError, NonFiniteError,
-                     rescoped, rows_among)
+from .errors import (DimensionMismatchError, HypergradError,
+                     InfeasibleHypersError, NonFiniteError, rescoped,
+                     rows_among)
 from .outer import ProjectedAdam
 
 # records list lam itself only up to this many entries (summaries always)
@@ -131,14 +133,30 @@ def batch_ho_loop(dyn, E, s0, lam0, constraints, n_steps, stop,
 
 class _OuterPath:
     """One outer trajectory of a loop (on stack row ``row``), its problem
-    lam ``lam[tie]`` if tied."""
+    lam ``lam[tie]`` if tied, of length ``want`` if given; errors name it
+    path ``index``."""
 
-    def __init__(self, lam0, constraints, stop, lr, row=0, tie=None):
+    def __init__(self, lam0, constraints, stop, lr, row=0, tie=None, *,
+                 want=None, index=0):
+        n = len(lam0)
+        if tie is not None:
+            tie = np.asarray(tie)
+            if (tie.ndim != 1 or tie.dtype.kind not in "iu"
+                    or (len(tie) and not 0 <= tie.min() <= tie.max() < n)):
+                raise DimensionMismatchError(
+                    f"path {index}: tie must be a 1-D integer array indexing "
+                    f"its {n}-entry lam, got {tie.dtype} {tie.shape}")
+            n = len(tie)
+        if want is not None and n != want:
+            raise DimensionMismatchError(
+                f"path {index}: hyper vector has length {n}, the problem "
+                f"expects {want}")
         self.updater = ProjectedAdam(constraints, lr=lr)
         self.lam = lam0 if constraints is None else constraints.project(lam0)
         self.stop = stop
         self.row = row
-        self.tie = None if tie is None else np.asarray(tie)
+        self.tie = tie
+        self.index = index
         self.records = []
 
     @property
@@ -154,8 +172,13 @@ class _OuterPath:
 
     def record(self, lam, response, grad_norm, seconds, extras, seen,
                step=None):
-        """Move to ``lam`` and record it, ``extras(lam, seen)`` (if given)
-        filling the record's extras; True once the stop rules fire."""
+        """Move to ``lam`` (InfeasibleHypersError outside the constraints)
+        and record it, ``extras(lam, seen)`` (if given) filling the
+        record's extras; True once the stop rules fire."""
+        constraints = self.updater.constraints
+        if constraints is not None and not constraints.contains(lam):
+            raise InfeasibleHypersError(
+                f"path {self.index}: recorded lam outside its constraints")
         self.lam = lam
         self.records.append(HyperIterRecord(
             index=len(self.records) + 1, response=response,
@@ -195,9 +218,13 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     s0, E = one.rows(s0, E)
     s0 = np.asarray(s0)
     per_row(E, len(s0))
-    _check_paths(paths, dyn.hyper_layout)
-    paths = [_OuterPath(lam0, constraints, stop, lr, *rest)
-             for lam0, constraints, stop, *rest in paths]
+    want = None if dyn.hyper_layout is None else dyn.hyper_layout.size
+    built = []
+    for i, (lam0, constraints, stop, *rest) in enumerate(paths):
+        built.append(_OuterPath(lam0, constraints, stop, lr, *rest, want=want,
+                                index=i))
+        want = len(built[-1].problem_lam)  # without a layout, the first's
+    paths = built
     m = max((len(path.problem_lam) for path in paths), default=0)
     if engine == "forward" and m > 10 * dyn.n_state:
         raise ValueError(
@@ -226,6 +253,7 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             # per own entry, the indicator of the problem entries tied to it
             extra = {} if key is None else {"directions": (
                 first.tie == np.arange(len(first.lam))[:, None]).astype(float)}
+            k = len(first.records) + 1  # every running path's next index
             started = time.perf_counter()
             result = None  # free the previous tape before recording the next
             try:
@@ -233,25 +261,24 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
                     result = compute(over_rows(dyn, rows),
                                      [E[r] for r in rows], s0[rows], lams,
                                      n_steps, **extra)
+                gradients = result.gradient
+                gradients.flags.writeable = False
+                shared = time.perf_counter() - started
+                for (_, group), gradient, response in zip(block, gradients,
+                                                          result.response):
+                    n_computed[group[0].row] += 1
+                    for path in group:
+                        own = time.perf_counter()
+                        g = (gradient if key is not None
+                             else path.own_gradient(gradient))
+                        lam = path.updater(path.lam, g)
+                        path.record(lam, response, float(np.linalg.norm(g)),
+                                    shared + time.perf_counter() - own,
+                                    record_extras, result)
             except HypergradError as err:
                 if isinstance(err, NonFiniteError):
                     rows_among(err, rows, len(s0))
-                k = len(first.records) + 1
                 raise rescoped(err, f"hyper-iteration {k}") from err
-            gradients = result.gradient
-            gradients.flags.writeable = False
-            shared = time.perf_counter() - started
-            for (_, group), gradient, response in zip(block, gradients,
-                                                      result.response):
-                n_computed[group[0].row] += 1
-                for path in group:
-                    own = time.perf_counter()
-                    g = (gradient if key is not None
-                         else path.own_gradient(gradient))
-                    lam = path.updater(path.lam, g)
-                    path.record(lam, response, float(np.linalg.norm(g)),
-                                shared + time.perf_counter() - own,
-                                record_extras, result)
     return [(path.lam, path.records) for path in paths], n_computed
 
 
@@ -263,29 +290,6 @@ def _own_tangents(group):
     keys = {None if path.tie is None else (len(path.lam), path.tie.tobytes())
             for path in group}
     return keys.pop() if len(keys) == 1 else None
-
-
-def _check_paths(paths, layout):
-    """Raise DimensionMismatchError, naming the path, for a tie that is
-    not a 1-D integer array indexing the path's lam, or a problem lam
-    whose length is not the layout's (or, without one, the first
-    path's)."""
-    want = None if layout is None else layout.size
-    for i, (lam0, _, _, *rest) in enumerate(paths):
-        n = len(lam0)
-        if len(rest) > 1 and rest[1] is not None:
-            tie = np.asarray(rest[1])
-            if (tie.ndim != 1 or tie.dtype.kind not in "iu"
-                    or (len(tie) and not 0 <= tie.min() <= tie.max() < n)):
-                raise DimensionMismatchError(
-                    f"path {i}: tie must be a 1-D integer array indexing its "
-                    f"{n}-entry lam, got {tie.dtype} {tie.shape}")
-            n = len(tie)
-        want = n if want is None else want
-        if n != want:
-            raise DimensionMismatchError(
-                f"path {i}: hyper vector has length {n}, the problem "
-                f"expects {want}")
 
 
 def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
@@ -304,11 +308,13 @@ def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
     """
     one = OneRow(s0)  # wrapped here, unwrapped on the way out
     s0, lam0, E = one.rows(s0, lam0, E)
-    paths = [_OuterPath(lam, constraints, stop, lr) for lam in lam0]
+    paths = [_OuterPath(lam, constraints, stop, lr, index=i)
+             for i, lam in enumerate(lam0)]
     if not _stopped(stop, []):
         stream = rtho_stream(dyn, E, s0, np.array([path.lam for path in paths]),
                              delta, updater=[path.updater for path in paths])
         started = time.perf_counter()
+        k = 1  # the emission being computed or recorded
         try:
             with one:
                 for emitted in stream:
@@ -319,8 +325,8 @@ def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
                             emission.lam, emission.response,
                             float(np.linalg.norm(emission.partial)), seconds,
                             record_extras, emission, step=emission.t)
+                    k += 1
         except HypergradError as err:
-            k = max(len(path.records) for path in paths) + 1
             raise rescoped(err, f"hyper-iteration {k}") from err
         finally:
             stream.close()

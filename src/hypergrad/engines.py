@@ -78,6 +78,13 @@ def _as_block(dyn, s, lam, E=None):
     return s, lam
 
 
+def _unwarned():
+    """A scope without numpy's overflow, invalid and divide warnings: the
+    engines check what they compute with ``ensure_finite``, so a
+    non-finite value is a NonFiniteError under any warnings filter."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def per_row(E, n):
     """Check that ``E`` holds one validation error per row of ``n``."""
     if not isinstance(E, (list, tuple)) or len(E) != n:
@@ -226,9 +233,10 @@ def record_trajectory(dyn, s0, lam, n_steps):
     s, lam = _as_block(dyn, s0, lam)
     s = _frozen(s.copy())
     states = [s]
-    for k in range(1, n_steps + 1):
-        s = _frozen(dyn.step(s, lam, k))
-        states.append(s)
+    with _unwarned():
+        for k in range(1, n_steps + 1):
+            s = _frozen(dyn.step(s, lam, k))
+            states.append(s)
     return Tape(states=states, lam=lam.copy())
 
 
@@ -251,17 +259,18 @@ def train(dyn, s0, lam, n_steps):
     n = len(s)
     live = np.arange(n)  # the rows still running (a vector never drops any)
     t = 1
-    while t <= n_steps and live.size:
-        try:
-            s = dyn.step(s, lam, t)
-            _clear_memo(dyn.objective)  # no later step reads this one's batch
-            t += 1
-        except NonFiniteError as err:
-            if err.rows is None or err.rows.shape != live.shape:
-                raise
-            keep = ~err.rows
-            live, s, lam = live[keep], s[keep], lam[keep]
-            dyn = over_rows(dyn, keep)
+    with _unwarned():
+        while t <= n_steps and live.size:
+            try:
+                s = dyn.step(s, lam, t)
+                _clear_memo(dyn.objective)  # no later step reads its batch
+                t += 1
+            except NonFiniteError as err:
+                if err.rows is None or err.rows.shape != live.shape:
+                    raise
+                keep = ~err.rows
+                live, s, lam = live[keep], s[keep], lam[keep]
+                dyn = over_rows(dyn, keep)
     if live.size == n:
         return s
     out = np.full((n, s.shape[-1]), np.nan)
@@ -319,7 +328,7 @@ def forward_hg(dyn, E, s0, lam, n_steps, directions=None) -> HypergradResult:
     s, lam = _as_block(dyn, s, lam, E)
     m = lam.shape[-1]
     p = m if directions is None else len(directions)
-    with one:
+    with one, _unwarned():
         z = np.zeros((len(s), p, dyn.n_state))
         s, z = _sweep(dyn, s.copy(), z, lam, 0, n_steps, np.zeros(m),
                       directions)
@@ -348,7 +357,7 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     one = OneRow(s0)
     s, lam, E = one.rows(s0, lam, E)
     s, lam = _as_block(dyn, s, lam, E)
-    with one, _trajectory_scope(dyn.objective):
+    with one, _trajectory_scope(dyn.objective), _unwarned():
         tape = record_trajectory(dyn, s, lam, n_steps)
         if verify_tape:
             tape.verify(dyn)
@@ -415,7 +424,7 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
     t = 0
     live = np.arange(len(s))  # the rows still in the block
     while live.size:
-        with one:
+        with one, _unwarned():  # closed before the consumer runs
             try:
                 s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
                 t += delta

@@ -36,8 +36,7 @@ from .datasets import (Dataset, MinibatchSchedule, SeedStack, blob_task,
 from .driver import (LearningRateDecayedToZero, MaxHyperIters, batch_ho_loop,
                      lockstep_ho_loop, stream_ho_loop)
 from .dynamics import GradientDescent, Momentum
-from .errors import (InfeasibleHypersError, IngestError, NonFiniteError,
-                     rescoped, rows_among)
+from .errors import IngestError, NonFiniteError, rescoped, rows_among
 from .layouts import VectorLayout
 from .numerics import ensure_finite
 from .objectives import DatasetValidation, MultitaskLinear, WeightedSoftmax
@@ -192,10 +191,6 @@ def run_hyperclean(cfg: ExperimentConfig) -> RunReport:
         stop=MaxHyperIters(cfg.hyper_iters), engine=cfg.engine,
         lr=cfg.hyper_lr, record_extras=cleaning_extras,
     )
-    for r in records:
-        if not constraints.contains(r.lam):
-            raise InfeasibleHypersError(f"infeasible weights recorded at "
-                                        f"hyper-iteration {r.index}")
 
     kept = np.nonzero(lam_final > 0.0)[0]
     cleaning = cleaning_extras(lam_final, None)
@@ -376,11 +371,7 @@ def _coupled_runs(obj, e_vals, cfg, radii):
         cfg.inner_steps, engine=cfg.engine, lr=cfg.hyper_lr,
     )
     finals, models = {}, []  # one retrain per distinct (set, final model lam)
-    for (_, cons, _, row, tie), (lam, records) in zip(starts, paths):
-        for r in records:
-            if not cons.contains(r.lam):
-                raise InfeasibleHypersError(
-                    f"infeasible hypers at hyper-iteration {r.index}")
+    for (_, _, _, row, tie), (lam, _) in zip(starts, paths):
         models.append(lam if tie is None else lam[tie])
         finals.setdefault((row, models[-1].tobytes()), (row, models[-1]))
     rows = np.array([row for row, _ in finals.values()])

@@ -404,7 +404,7 @@ class WeightedSoftmax(_SoftmaxData):
                  weight_segment: str | None = "weights"):
         super().__init__(dataset, hyper_layout, schedule)
         self.weight_segment = weight_segment
-        self._unit = None
+        self._unit = self._weight_slice = None
         if weight_segment is None:
             # value() dots the losses with these, exactly as it dots them
             # with all-ones weights passed as hypers
@@ -412,8 +412,9 @@ class WeightedSoftmax(_SoftmaxData):
         elif self._rows.ndim:
             raise ValueError(f"a seed stack of {len(dataset)} training "
                              f"sets takes unit weights")
-        else:
-            _segment(hyper_layout, weight_segment, dataset.n)  # one per example
+        else:  # one weight per example
+            self._weight_slice = _segment(hyper_layout, weight_segment,
+                                          dataset.n)
         self._scale = 1.0 / dataset.n
 
     def _weights(self, lam):
@@ -423,7 +424,7 @@ class WeightedSoftmax(_SoftmaxData):
         if lam.shape[-1] != self.hyper_layout.size:
             raise DimensionMismatchError(f"hyper vector has length {lam.shape[-1]}, "
                                          f"layout expects {self.hyper_layout.size}")
-        return lam[..., self.hyper_layout.slice_of(self.weight_segment)]
+        return lam[..., self._weight_slice]
 
     def _weighted(self, rows, idx, lam):
         if self.weight_segment is None:
@@ -453,7 +454,10 @@ class WeightedSoftmax(_SoftmaxData):
             return np.zeros_like(w)
         b = self._batch(t, w)
         idx, x, g = b.idx, b.x, b.g
-        qb = self.hyper_layout.get(q, self.weight_segment)[idx]
+        if q.shape != (self.hyper_layout.size,):
+            raise DimensionMismatchError(f"vector has shape {q.shape}, layout "
+                                         f"expects ({self.hyper_layout.size},)")
+        qb = q[self._weight_slice][idx]
         nz = np.nonzero(qb)[0]
         if nz.size == 0:
             return np.zeros_like(w)
@@ -473,15 +477,13 @@ class WeightedSoftmax(_SoftmaxData):
         # alpha . grad(ce_i) for each batch example, in one pass
         per_example = ((b.x @ amat.swapaxes(-1, -2) + ab[..., None, :])
                        * b.g).sum(axis=-1)
-        seg = self.hyper_layout.slice_of(self.weight_segment)
-        out[..., seg.start + b.idx] = self._scale * per_example
+        out[..., self._weight_slice.start + b.idx] = self._scale * per_example
         return out
 
     def touched_hypers(self, t):
         if self.weight_segment is None:
             return _NO_HYPERS
-        seg = self.hyper_layout.slice_of(self.weight_segment)
-        return np.sort(seg.start + self.schedule[0].indices(t))
+        return np.sort(self._weight_slice.start + self.schedule[0].indices(t))
 
 
 class MultitaskLinear(_SoftmaxData):

@@ -1,7 +1,8 @@
 """Independent ground truths the engines are checked against.
 
-Nothing here shares code with the engines beyond the dynamics' ``step``:
-finite differences probe the trained response directly, the chain
+Nothing here shares code with the engines beyond the dynamics' ``step``
+and the training loop: finite differences probe the trained response
+(``engines.evaluate_response``, which runs ``engines.train``), the chain
 evaluator multiplies explicitly materialized Jacobians, and the
 zero-learning-rate identity is a hand-derivable closed form. Agreement
 between these and the engines is the core correctness argument of the

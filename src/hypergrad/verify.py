@@ -78,10 +78,21 @@ def elementwise_close(a, b, rel, abs_tol):
 _HORIZONS = (1, 5, 20)
 
 
-def _make_dyn(kind, obj, eta, mu):
-    if kind == "GD":
-        return GradientDescent(obj, eta=eta)
-    return Momentum(obj, eta=eta, mu=mu)
+def _instance(family, kind, obj, e_val, lam, n_steps, w0, eta, mu):
+    """``kind``'s dynamics ("GD" or "GDM") on ``obj`` from the weights
+    ``w0``: the instance "{kind}-{family}-T{n_steps}"."""
+    dyn = (GradientDescent(obj, eta=eta) if kind == "GD"
+           else Momentum(obj, eta=eta, mu=mu))
+    return Instance(f"{kind}-{family}-T{n_steps}", dyn, e_val,
+                    dyn.init_state(w0), lam, n_steps)
+
+
+def _optimizer_hypers(kind, eta):
+    """The layout of ``kind``'s optimizer hypers (eta, and for GDM mu)
+    and their lam, mu at 0.5."""
+    names = ("eta",) if kind == "GD" else ("eta", "mu")
+    layout = VectorLayout([(name, 1) for name in names])
+    return layout, layout.pack(**dict(zip(names, (eta, 0.5))))
 
 
 def _quad_instances(seed):
@@ -89,18 +100,11 @@ def _quad_instances(seed):
     out = []
     for kind in ("GD", "GDM"):
         for n_steps in _HORIZONS:
-            if kind == "GD":
-                layout = VectorLayout([("eta", 1)])
-                lam = layout.pack(eta=0.3)
-            else:
-                layout = VectorLayout([("eta", 1), ("mu", 1)])
-                lam = layout.pack(eta=0.3, mu=0.5)
-            obj = QuadraticToy(3, hyper_layout=layout)
-            dyn = _make_dyn(kind, obj, "eta", "mu")
-            e_val = QuadraticValidation(3, center=rng.standard_normal(3))
-            s0 = dyn.init_state(rng.standard_normal(3))
-            out.append(Instance(f"{kind}-quad-T{n_steps}", dyn, e_val,
-                                s0, lam, n_steps))
+            layout, lam = _optimizer_hypers(kind, 0.3)
+            out.append(_instance(
+                "quad", kind, QuadraticToy(3, hyper_layout=layout),
+                QuadraticValidation(3, center=rng.standard_normal(3)), lam,
+                n_steps, rng.standard_normal(3), "eta", "mu"))
     return out
 
 
@@ -112,18 +116,12 @@ def _softmax_instances(seed):
             # optimizer hypers only (m = 1 for GD, 2 for GDM)
             train, val, _ = blob_task(seed + 1, 6, 12, 1, n_classes=2,
                                       n_features=10)
-            if kind == "GD":
-                layout = VectorLayout([("eta", 1)])
-                lam = layout.pack(eta=0.2)
-            else:
-                layout = VectorLayout([("eta", 1), ("mu", 1)])
-                lam = layout.pack(eta=0.2, mu=0.5)
+            layout, lam = _optimizer_hypers(kind, 0.2)
             obj = WeightedSoftmax(train, hyper_layout=layout,
                                   weight_segment=None)
-            dyn = _make_dyn(kind, obj, "eta", "mu")
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-softmax-opt-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            out.append(_instance(
+                "softmax-opt", kind, obj, DatasetValidation(val), lam,
+                n_steps, 0.1 * rng.standard_normal(obj.n_params), "eta", "mu"))
 
             # three example weights, fixed optimizer (m = 3, d = 62 for GD)
             train, val, _ = blob_task(seed + 2, 3, 12, 1, n_classes=2,
@@ -131,25 +129,22 @@ def _softmax_instances(seed):
             layout = VectorLayout([("weights", 3)])
             obj = WeightedSoftmax(train, hyper_layout=layout,
                                   weight_segment="weights")
-            dyn = _make_dyn(kind, obj, 0.2, 0.5)
-            lam = layout.pack(weights=0.5 + rng.random(3))
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-softmax-w3-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            out.append(_instance(
+                "softmax-w3", kind, obj, DatasetValidation(val),
+                layout.pack(weights=0.5 + rng.random(3)), n_steps,
+                0.1 * rng.standard_normal(obj.n_params), 0.2, 0.5))
 
             # fifty example weights on minibatches (m = 50)
             train, val, _ = blob_task(seed + 3, 50, 16, 1, n_classes=2,
                                       n_features=10)
             layout = VectorLayout([("weights", 50)])
-            schedule = MinibatchSchedule(n=50, batch_size=8, seed=seed)
-            obj = WeightedSoftmax(train, hyper_layout=layout,
-                                  schedule=schedule,
-                                  weight_segment="weights")
-            dyn = _make_dyn(kind, obj, 0.2, 0.5)
-            lam = layout.pack(weights=0.5 + rng.random(50))
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-softmax-w50-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            obj = WeightedSoftmax(
+                train, hyper_layout=layout, weight_segment="weights",
+                schedule=MinibatchSchedule(n=50, batch_size=8, seed=seed))
+            out.append(_instance(
+                "softmax-w50", kind, obj, DatasetValidation(val),
+                layout.pack(weights=0.5 + rng.random(50)), n_steps,
+                0.1 * rng.standard_normal(obj.n_params), 0.2, 0.5))
     return out
 
 
@@ -158,39 +153,36 @@ def _mtl_instances(seed):
     out = []
     for kind in ("GD", "GDM"):
         for n_steps in _HORIZONS:
-            # shared coupling strength + shared ridge (m = 2)
+            # shared coupling strength + shared ridge (m = 2); the data
+            # term is a batch *sum*, so every mtl instance keeps the step
+            # size small enough that the unrolled response stays FD-friendly
             train, val, _, _ = clustered_task_data(seed + 4, 3, 2, 4, 4, 6, 1)
             layout = VectorLayout([("coupling", 1), ("rho", 1)])
             obj = MultitaskLinear(train, hyper_layout=layout,
                                   coupling="uniform")
-            # the data term is a batch *sum*, so keep the step size small
-            # enough that the unrolled response stays FD-friendly
-            dyn = _make_dyn(kind, obj, 0.02, 0.3)
-            lam = layout.pack(coupling=0.08, rho=0.05)
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-mtl-m2-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            out.append(_instance(
+                "mtl-m2", kind, obj, DatasetValidation(val),
+                layout.pack(coupling=0.08, rho=0.05), n_steps,
+                0.1 * rng.standard_normal(obj.n_params), 0.02, 0.3))
 
             # uniform coupling + per-task ridge (m = 3)
             train, val, _, _ = clustered_task_data(seed + 5, 2, 2, 4, 4, 6, 1)
             layout = VectorLayout([("coupling", 1), ("rho", 2)])
             obj = MultitaskLinear(train, hyper_layout=layout,
                                   coupling="uniform", per_task_rho=True)
-            dyn = _make_dyn(kind, obj, 0.02, 0.3)
-            lam = layout.pack(coupling=0.05, rho=[0.03, 0.08])
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-mtl-m3-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            out.append(_instance(
+                "mtl-m3", kind, obj, DatasetValidation(val),
+                layout.pack(coupling=0.05, rho=[0.03, 0.08]), n_steps,
+                0.1 * rng.standard_normal(obj.n_params), 0.02, 0.3))
 
             # full interaction matrix + shared ridge (m = 50)
             train, val, _, _ = clustered_task_data(seed + 6, 7, 2, 3, 3, 5, 1)
             layout = VectorLayout([("coupling", 49), ("rho", 1)])
             obj = MultitaskLinear(train, hyper_layout=layout, coupling="full")
-            dyn = _make_dyn(kind, obj, 0.02, 0.3)
-            lam = layout.pack(coupling=0.02 * rng.random(49), rho=0.04)
-            s0 = dyn.init_state(0.1 * rng.standard_normal(obj.n_params))
-            out.append(Instance(f"{kind}-mtl-m50-T{n_steps}", dyn,
-                                DatasetValidation(val), s0, lam, n_steps))
+            out.append(_instance(
+                "mtl-m50", kind, obj, DatasetValidation(val),
+                layout.pack(coupling=0.02 * rng.random(49), rho=0.04), n_steps,
+                0.1 * rng.standard_normal(obj.n_params), 0.02, 0.3))
     return out
 
 
@@ -222,12 +214,7 @@ def check_fd_agreement(instances=None, tol=1e-4):
     out = []
     for inst in instances:
         fd = fd_hypergrad(inst.dyn, inst.e_val, inst.s0, inst.lam, inst.n_steps)
-        for mode, engine in (("forward", forward_hg), ("reverse", reverse_hg)):
-            result = engine(inst.dyn, inst.e_val, inst.s0, inst.lam,
-                            inst.n_steps)
-            g = gap(result.gradient, fd)
-            out.append(CheckResult(f"fd/{inst.name}/{mode}", g <= tol,
-                                   f"gap={g:.3e}"))
+        out += _both_engines("fd", inst, fd, tol)
     return out
 
 
@@ -243,27 +230,32 @@ def check_chain_agreement(instances=None, tol=1e-10):
         grad_e = np.zeros(inst.d)
         inst.dyn.weights_of(grad_e)[:] = inst.e_val.grad(
             inst.dyn.weights_of(states[-1]))
-        truth = chain_eval(a_mats, b_mats, grad_e)
-        for mode, engine in (("forward", forward_hg), ("reverse", reverse_hg)):
-            result = engine(inst.dyn, inst.e_val, inst.s0, inst.lam,
-                            inst.n_steps)
-            g = gap(result.gradient, truth)
-            out.append(CheckResult(f"chain/{inst.name}/{mode}", g <= tol,
-                                   f"gap={g:.3e}"))
+        out += _both_engines("chain", inst,
+                             chain_eval(a_mats, b_mats, grad_e), tol)
+    return out
+
+
+def _both_engines(check, inst, truth, tol):
+    """Each engine's hypergradient on ``inst`` against ``truth``: one
+    CheckResult "{check}/{name}/{engine}" per engine."""
+    out = []
+    for mode, engine in (("forward", forward_hg), ("reverse", reverse_hg)):
+        result = engine(inst.dyn, inst.e_val, inst.s0, inst.lam, inst.n_steps)
+        g = gap(result.gradient, truth)
+        out.append(CheckResult(f"{check}/{inst.name}/{mode}", g <= tol,
+                               f"gap={g:.3e}"))
     return out
 
 
 def check_closed_form(tol=1e-10, anchor_tol=1e-12):
     """GD on the scalar quadratic against the analytic response derivative."""
     out = []
-    layout = VectorLayout([("eta", 1)])
     for s0_val, eta, n_steps in [(1.0, 0.5, 2)] + [
             (s, e, t) for s in (1.0, -2.0, 0.7)
             for e in (0.1, 0.5, 0.9, 1.5) for t in (1, 3, 7, 12)]:
-        obj = QuadraticToy(1, hyper_layout=layout)
-        dyn = GradientDescent(obj, eta="eta")
+        layout, lam = _optimizer_hypers("GD", eta)
+        dyn = GradientDescent(QuadraticToy(1, hyper_layout=layout), eta="eta")
         e_val = QuadraticValidation(1)
-        lam = layout.pack(eta=eta)
         f_true, df_true = quadratic_gd_response(s0_val, eta, n_steps)
         anchor = (s0_val, eta, n_steps) == (1.0, 0.5, 2)
         tol_here = anchor_tol if anchor else tol
@@ -282,11 +274,10 @@ def check_zero_lr_identity(seed=0, tol=1e-10):
     out = []
 
     # scalar anchor: w0=2, delta=3, J = E = half w^2 -> both sides -12
-    layout = VectorLayout([("eta", 1)])
-    obj = QuadraticToy(1, hyper_layout=layout)
-    dyn = GradientDescent(obj, eta="eta")
+    layout, lam = _optimizer_hypers("GD", 0.0)
+    dyn = GradientDescent(QuadraticToy(1, hyper_layout=layout), eta="eta")
     lhs, rhs = zero_lr_first_emission_check(
-        dyn, QuadraticValidation(1), np.array([2.0]), layout.pack(eta=0.0), 3)
+        dyn, QuadraticValidation(1), np.array([2.0]), lam, 3)
     ok = abs(lhs - rhs) <= tol * (1 + abs(rhs)) and abs(rhs + 12.0) <= 1e-12
     out.append(CheckResult("identity/scalar-anchor", ok,
                            f"lhs={lhs:.12g} rhs={rhs:.12g}"))
@@ -297,14 +288,13 @@ def check_zero_lr_identity(seed=0, tol=1e-10):
         delta = int(rng.integers(1, 6))
         train, val, _ = blob_task(seed + 10 + i, n, 8, 1, n_classes=2,
                                   n_features=int(rng.integers(2, 8)))
-        layout = VectorLayout([("eta", 1)])
         schedule = MinibatchSchedule(n=n, batch_size=max(2, n // 3), seed=i)
         obj = WeightedSoftmax(train, hyper_layout=layout, schedule=schedule,
                               weight_segment=None)
         dyn = GradientDescent(obj, eta="eta")
         w0 = rng.standard_normal(obj.n_params)
         lhs, rhs = zero_lr_first_emission_check(
-            dyn, DatasetValidation(val), w0, layout.pack(eta=0.0), delta)
+            dyn, DatasetValidation(val), w0, lam, delta)
         ok = abs(lhs - rhs) <= tol * (1 + abs(rhs))
         out.append(CheckResult(f"identity/random-{i}", ok,
                                f"lhs={lhs:.12g} rhs={rhs:.12g}"))

@@ -1,10 +1,15 @@
 """End-to-end command-line runs on deliberately tiny problems."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypergrad
 from hypergrad.cli import build_parser, main, resolve_config
 from hypergrad.data_io import read_jsonl, write_idx
 from hypergrad.errors import ConfigError
@@ -380,8 +385,9 @@ def _mismatch_shapes(monkeypatch):
     *[("clean", lambda tmp, dims=dims: _empty_images(tmp, dims), None, 4,
        f"empty-images: empty image stack, dims {dims}")
       for dims in ((0, 2, 2), (60, 0, 4))],
-    ("clean", lambda tmp: TINY_CLEAN, _reject_every_lambda, 5,
-     "infeasible hyperparameters"),
+    *[(command, lambda tmp, text=text: text, _reject_every_lambda, 5,
+       "infeasible hyperparameters")
+      for command, text in (("clean", TINY_CLEAN), ("rtho", TINY_RTHO))],
     # a shape mismatch inside a run is a fault of the program
     ("clean", lambda tmp: TINY_CLEAN, _mismatch_shapes, 6,
      "internal error: vector has length 3"),
@@ -433,7 +439,8 @@ def _mismatch_shapes(monkeypatch):
 ], ids=["ok", "failed-checks", "config", "divergence", "ingest",
         "test-image-size", "test-lacks-a-class", "test-new-class",
         "pool-too-small", "pool-leaves-no-test", "single-class-0",
-        "single-class-1", "no-images", "no-pixels", "infeasible", "internal",
+        "single-class-1", "no-images", "no-pixels", "infeasible",
+        "rtho-infeasible", "internal",
         "val_images", "val_labels", "train_csv", "val_csv", "test_csv",
         "mtl-train_images", "rtho-train_images", "bench-train_images",
         "test_images-without-labels", "n_features", "n_clusters",
@@ -452,6 +459,22 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, command, cfg_text,
     got, out, err = run_cli(argv, capsys)
     assert got == code, err
     assert stderr_tag in err
+
+
+def test_divergence_exits_3_when_warnings_are_errors(tmp_path):
+    # numpy's overflow warnings stay silent inside the engines, so a run
+    # under -W error still reports the divergence, and nothing before it
+    cfg = write_cfg(tmp_path, TINY_MTL.replace("inner_lr = 0.01",
+                                               "inner_lr = 1e15"))
+    src = str(Path(hypergrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-W", "error", "-m", "hypergrad.cli", "mtl",
+         "--config", cfg, "--out", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical divergence"), proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--hyper-lr", "inf"),

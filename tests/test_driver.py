@@ -11,7 +11,8 @@ from hypergrad.driver import (HyperIterRecord, LearningRateDecayedToZero,
                               MaxHyperIters, batch_ho_loop, lockstep_ho_loop, stream_ho_loop)
 from hypergrad.dynamics import GradientDescent
 from hypergrad.engines import HypergradResult, Tape
-from hypergrad.errors import DimensionMismatchError, NonFiniteError, rescoped
+from hypergrad.errors import (DimensionMismatchError, InfeasibleHypersError,
+                             NonFiniteError, rescoped)
 from hypergrad.layouts import VectorLayout
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
@@ -196,6 +197,28 @@ def test_scoped_error_keeps_its_step_and_rows(loop, step):
     assert err.value.step == step and err.value.rows is None
     assert str(err.value).count(f"(at step {step})") == 1
     assert isinstance(err.value.__cause__, NonFiniteError)
+
+
+@pytest.mark.parametrize("loop", ["batch", "stream"])
+def test_a_lam_outside_its_constraints_names_its_path_and_iteration(
+        loop, monkeypatch):
+    # the fourth record, path 1's second, is infeasible; the message
+    # names hyper-iteration 2 once
+    verdicts = iter([True, True, True, False])
+    monkeypatch.setattr(Constraints, "contains",
+                        lambda self, lam: next(verdicts))
+    dyn, e, s0, layout = scalar_problem()
+    cons = Constraints(layout, {"eta": NonNeg()})
+    lam0 = np.array([layout.pack(eta=0.1), layout.pack(eta=0.2)])
+    with pytest.raises(InfeasibleHypersError) as err:
+        if loop == "batch":
+            lockstep_ho_loop(dyn, e, s0, [(lam, cons, MaxHyperIters(5))
+                                          for lam in lam0], 3)
+        else:
+            stream_ho_loop(dyn, [e, e], np.array([s0, s0]), lam0, cons, 3,
+                           MaxHyperIters(5))
+    assert str(err.value) == ("hyper-iteration 2: path 1: recorded lam "
+                              "outside its constraints")
 
 
 def test_rescoped_keeps_the_rows_of_a_block():

@@ -6,6 +6,7 @@ analytic value; everything else is cross-checked between engines and
 against materialized linear algebra.
 """
 
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -617,9 +618,13 @@ def two_row_quadratic(center0, s00=1.0):
 
 
 def raised(call):
-    """The NonFiniteError that ``call`` raises, overflow warnings off."""
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
-        call()
+    """The NonFiniteError that ``call`` raises under a filter that turns
+    warnings into errors: the engines keep numpy from warning of an
+    overflow, so the error marks its rows under any filter."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as err:
+            call()
     return err.value
 
 
