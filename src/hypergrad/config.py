@@ -207,9 +207,5 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_config(path, cfg: ExperimentConfig):
-    Path(path).write_text(config_to_text(cfg))
-
-
 def config_as_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)

@@ -55,21 +55,6 @@ def read_idx(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def write_idx(path, array):
-    """Inverse of read_idx; accepts 1-D (labels) or 3-D (images) uint8 data."""
-    array = np.ascontiguousarray(array, dtype=np.uint8)
-    if array.ndim == 1:
-        magic = _IDX_LABEL_MAGIC
-    elif array.ndim == 3:
-        magic = _IDX_IMAGE_MAGIC
-    else:
-        raise ValueError(f"IDX supports 1-D or 3-D data, got shape {array.shape}")
-    with open(path, "wb") as fh:
-        fh.write(magic.to_bytes(4, "big"))
-        fh.write(struct.pack(f">{array.ndim}I", *array.shape))
-        fh.write(array.tobytes())
-
-
 def ingest_idx(images_path, labels_path):
     """Build a Dataset from an IDX image stack and its label file."""
     images = read_idx(images_path)
@@ -126,11 +111,6 @@ def write_jsonl(path, rows):
     with open(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
-
-
-def read_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_curves_csv(path, header, rows):

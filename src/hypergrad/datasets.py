@@ -56,6 +56,13 @@ class Dataset:
         return Dataset(features=self.features[idx], labels=self.labels[idx],
                        n_classes=self.n_classes)
 
+    def sample(self, size, seed) -> "Dataset":
+        """``size`` examples drawn from ``seed``, in order; all if None."""
+        if size is None or size >= self.n:
+            return self
+        idx = make_rng(seed, 0x5B5E7).choice(self.n, size=size, replace=False)
+        return self.subset(np.sort(idx))
+
 
 @dataclass
 class SeedStack:
@@ -81,6 +88,12 @@ class SeedStack:
                                  or self.labels.max() >= self.n_classes):
             raise ValueError(f"class ids must lie in [0, {self.n_classes})")
         self.features.flags.writeable = self.labels.flags.writeable = False
+
+    @classmethod
+    def of(cls, sets) -> "SeedStack":
+        """The stack of equal-shape ``sets`` (one copy of their arrays)."""
+        return cls(np.stack([ds.features for ds in sets]),
+                   np.stack([ds.labels for ds in sets]), sets[0].n_classes)
 
     def __len__(self):
         return self.features.shape[0]

@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import (OneRow, forward_hg, over_rows, per_row, reverse_hg,
-                      rtho_stream)
+from .engines import OneRow, forward_hg, over_rows, reverse_hg, rtho_stream
 from .errors import (DimensionMismatchError, HypergradError,
                      InfeasibleHypersError, NonFiniteError, rescoped,
                      rows_among)
@@ -205,19 +204,20 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     hypergradients computed per set.
 
     Over a seed stack (``dyn.objective`` holds S training sets, ``s0``
-    is a (S, d) block and ``E`` one validation error per set) each path
-    trains on set ``row``; a problem without one (a vector ``s0``, one
-    ``E``) is the one-set stack, ``row`` 0 by default. Every distinct
-    (row, lam) of a hyper-iteration is one row of one block call. A
-    non-finite value fails the run, the error's ``rows`` marking the
-    failed sets among the S (none without a stack).
+    is a (S, d) block) each path trains on set ``row`` and is scored by
+    row ``row`` of ``E`` (S validation sets, or one shared by all; a
+    stack of another size is a DimensionMismatchError); a vector ``s0``
+    is the one-set stack, ``row`` 0 by default. Every distinct (row,
+    lam) of a hyper-iteration is one row of one block call. A non-finite
+    value fails the run, the error's ``rows`` marking the failed sets
+    among the S (none without a stack).
     """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
     one = OneRow(s0)  # a vector problem is the one-set problem
-    s0, E = one.rows(s0, E)
-    s0 = np.asarray(s0)
-    per_row(E, len(s0))
+    s0 = np.asarray(one.rows(s0)[0])
+    # each stack serves the S rows: a mask of another length fails
+    dyn, E = over_rows(dyn, E, np.ones(len(s0), dtype=bool))
     want = None if dyn.hyper_layout is None else dyn.hyper_layout.size
     built = []
     for i, (lam0, constraints, stop, *rest) in enumerate(paths):
@@ -258,9 +258,8 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
             result = None  # free the previous tape before recording the next
             try:
                 with one:
-                    result = compute(over_rows(dyn, rows),
-                                     [E[r] for r in rows], s0[rows], lams,
-                                     n_steps, **extra)
+                    result = compute(*over_rows(dyn, E, rows), s0[rows],
+                                     lams, n_steps, **extra)
                 gradients = result.gradient
                 gradients.flags.writeable = False
                 shared = time.perf_counter() - started
@@ -297,17 +296,18 @@ def stream_ho_loop(dyn, E, s0, lam0, constraints, delta, stop, lr=0.005,
     """Real-time loop: one projected update per emission until ``stop``.
 
     Returns (lam, records). A (S, d) block s0 with a (S, m) block lam0
-    and one validation error per row in ``E`` runs S streams as one
-    block (see ``engines.rtho_stream``) and returns one (lam, records)
-    per row; a vector problem runs as the one-row block. Each row has
-    its own Adam state and records; the constraints and stop rules (free
-    of side effects) are shared, and a row leaves the block when its
-    rules fire. A record's ``seconds`` is the time since the previous
-    emission: for a block, the sweep of every row still in it.
-    ``record_extras(lam, emission)`` sees each row's own emission.
+    runs S streams as one block (see ``engines.rtho_stream``), row i
+    scored by row i of ``E`` (S validation sets, or one shared by all),
+    and returns one (lam, records) per row; a vector problem runs as the
+    one-row block. Each row has its own Adam state and records; the
+    constraints and stop rules (free of side effects) are shared, and a
+    row leaves the block when its rules fire. A record's ``seconds`` is
+    the time since the previous emission: for a block, the sweep of
+    every row still in it. ``record_extras(lam, emission)`` sees each
+    row's own emission.
     """
     one = OneRow(s0)  # wrapped here, unwrapped on the way out
-    s0, lam0, E = one.rows(s0, lam0, E)
+    s0, lam0 = one.rows(s0, lam0)
     paths = [_OuterPath(lam, constraints, stop, lr, index=i)
              for i, lam in enumerate(lam0)]
     if not _stopped(stop, []):

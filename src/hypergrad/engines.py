@@ -18,10 +18,10 @@ compute the exact d f / d lam of the unrolled iteration:
   after each ``delta``-step sweep, so an outer updater can adjust lam
   mid-flight. Its consumer decides when to stop.
 
-All three run on blocks only: a (K, d) s0 with a (K, m) lam and one
-validation error per row (row i training on set ``rows[i]`` of a seed
-stack, see ``over_rows``), one product call for all K rows (a tape of
-(K, d) states, or a (K, m, d) Z), row i bit for bit what row i gives
+All three run on blocks only: a (K, d) s0 with a (K, m) lam, row i on
+set ``rows[i]`` of the seed stacks of the objective and of E (see
+``over_rows``), one product call and one E call for all K rows (a tape
+of (K, d) states, or a (K, m, d) Z), row i bit for bit what row i gives
 alone. A vector problem is the one-row block (``OneRow``).
 
 Both forward engines run the same sweep (``_sweep``): ``forward_hg`` one
@@ -59,10 +59,9 @@ class HypergradResult:
     tape: "Tape" = None
 
 
-def _as_block(dyn, s, lam, E=None):
+def _as_block(dyn, s, lam):
     """(s, lam) as float arrays, checked to be (d,) and (m,), or (K, d)
-    and (K, m), with d the state length ``dyn.n_state``; ``E`` (if
-    given) holds one validation error per row."""
+    and (K, m), with d the state length ``dyn.n_state``."""
     s = np.asarray(s, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if s.ndim not in (1, 2) or lam.shape[:-1] != s.shape[:-1]:
@@ -73,8 +72,6 @@ def _as_block(dyn, s, lam, E=None):
         raise DimensionMismatchError(
             f"state has length {s.shape[-1]}, the dynamics expect "
             f"{dyn.n_state}")
-    if E is not None:
-        per_row(E, len(s))
     return s, lam
 
 
@@ -83,13 +80,6 @@ def _unwarned():
     engines check what they compute with ``ensure_finite``, so a
     non-finite value is a NonFiniteError under any warnings filter."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
-def per_row(E, n):
-    """Check that ``E`` holds one validation error per row of ``n``."""
-    if not isinstance(E, (list, tuple)) or len(E) != n:
-        raise DimensionMismatchError(
-            f"a block of {n} states takes {n} validation errors")
 
 
 class OneRow:
@@ -136,54 +126,37 @@ class OneRow:
         return self.out(emitted)
 
 
-def over_rows(dyn, rows):
-    """``dyn`` with row i of its blocks on row ``rows[i]`` of its stack.
+def over_rows(dyn, E, rows):
+    """(dyn, E) with row i of their blocks on row ``rows[i]`` of their
+    stacks.
 
     ``rows`` is a boolean mask or an index array (which may repeat a
-    row) over the rows the objective's seed stack serves now (see
-    ``objectives._SoftmaxData.take``). Dynamics whose objective trains
-    on one set (its row is 0-d) or on no data train every row on the
-    same data and come back as they are.
+    row) over the rows they serve now (see ``objectives._SoftmaxData.take``).
+    A term on one set (a 0-d row), one center or no data serves every
+    row and comes back as it is.
     """
-    if np.ndim(getattr(dyn.objective, "_rows", None)) == 0:
-        return dyn
-    sub = copy.copy(dyn)
-    sub.objective = dyn.objective.take(rows)
-    return sub
+    objective, E = (term.take(rows) if hasattr(term, "take") else term
+                    for term in (dyn.objective, E))
+    if objective is not dyn.objective:
+        dyn = copy.copy(dyn)
+        dyn.objective = objective
+    return dyn, E
 
 
 def _val_grads(dyn, E, s):
-    """grad E(s) over the state of each row, row i's with ``E[i]``: E
-    reads the weights only, so the rest of each row is zero."""
+    """grad E(s) over the state of each row: E reads the weights only,
+    so the rest of each row is zero."""
     out = np.zeros(s.shape)
-    w, g = dyn.weights_of(s), dyn.weights_of(out)
-    for i, e in enumerate(E):
-        g[i] = e.grad(w[i])
+    dyn.weights_of(out)[:] = E.grad(dyn.weights_of(s))
     return out
 
 
 def _partials(dyn, E, s, z):
-    """grad E(s) Z of each row, row i's with ``E[i]`` and its (m, d) slice
-    of a (K, m, d) Z, read as a C-contiguous (d, m) copy: a transposed
-    view would move the product's bits."""
+    """grad E(s) Z of each row, with its (m, d) slice of a (K, m, d) Z
+    read as a C-contiguous (d, m) copy: a transposed view would move
+    the product's bits."""
     g = _val_grads(dyn, E, s)
     return np.array([gi @ np.ascontiguousarray(zi.T) for gi, zi in zip(g, z)])
-
-
-def _val_values(dyn, E, s):
-    """The list of E(s) of each row, row i's with ``E[i]``.
-
-    A non-finite value fails with its row marked.
-    """
-    w = dyn.weights_of(s)
-    values = []
-    for i, e in enumerate(E):
-        try:
-            values.append(e.value(w[i]))
-        except NonFiniteError as err:
-            err.rows = np.arange(len(s)) == i
-            raise
-    return values
 
 
 @dataclass
@@ -270,7 +243,7 @@ def train(dyn, s0, lam, n_steps):
                     raise
                 keep = ~err.rows
                 live, s, lam = live[keep], s[keep], lam[keep]
-                dyn = over_rows(dyn, keep)
+                dyn, _ = over_rows(dyn, None, keep)
     if live.size == n:
         return s
     out = np.full((n, s.shape[-1]), np.nan)
@@ -282,7 +255,8 @@ def evaluate_response(dyn, E, s0, lam, n_steps):
     """f(lam): train from a vector s0 for n_steps and report the
     validation error."""
     s_final = train(dyn, as_vector(s0, "start state"), lam, n_steps)
-    return E.value(dyn.weights_of(s_final))
+    with _unwarned():
+        return E.value(dyn.weights_of(s_final))
 
 
 def _propagate_z(dyn, s, z, lam, t, q_buf, directions=None):
@@ -324,8 +298,7 @@ def forward_hg(dyn, E, s0, lam, n_steps, directions=None) -> HypergradResult:
     gradient is (K, p): E's derivative along each direction.
     """
     one = OneRow(s0)
-    s, lam, E = one.rows(s0, lam, E)
-    s, lam = _as_block(dyn, s, lam, E)
+    s, lam = _as_block(dyn, *one.rows(s0, lam))
     m = lam.shape[-1]
     p = m if directions is None else len(directions)
     with one, _unwarned():
@@ -334,7 +307,7 @@ def forward_hg(dyn, E, s0, lam, n_steps, directions=None) -> HypergradResult:
                       directions)
         grad = ensure_finite(_partials(dyn, E, s, z), "hypergradient")
         return one.result(HypergradResult(
-            gradient=grad, response=_val_values(dyn, E, s)))
+            gradient=grad, response=E.value(dyn.weights_of(s)).tolist()))
 
 
 def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
@@ -355,8 +328,7 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
     NonFiniteError's ``rows`` marking the rows that failed.
     """
     one = OneRow(s0)
-    s, lam, E = one.rows(s0, lam, E)
-    s, lam = _as_block(dyn, s, lam, E)
+    s, lam = _as_block(dyn, *one.rows(s0, lam))
     with one, _trajectory_scope(dyn.objective), _unwarned():
         tape = record_trajectory(dyn, s, lam, n_steps)
         if verify_tape:
@@ -370,8 +342,9 @@ def reverse_hg(dyn, E, s0, lam, n_steps, verify_tape=False) -> HypergradResult:
             if t > 1:
                 alpha = dyn.vjp_state(s_prev, lam, t, alpha)
         ensure_finite(grad, "hypergradient")
-        return one.result(HypergradResult(
-            gradient=grad, response=_val_values(dyn, E, s_final), tape=tape))
+        response = E.value(dyn.weights_of(s_final)).tolist()
+        return one.result(HypergradResult(gradient=grad, response=response,
+                                          tape=tape))
 
 
 @dataclass
@@ -402,52 +375,61 @@ def rtho_stream(dyn, E, s0, lam, delta, updater=None):
     lam, swept ``delta`` steps at a time as one block. After each sweep
     it yields a list of one emission per row still in the block, each
     with grad E(s_t) Z_t, bit for bit that of the row streamed alone.
-    ``dyn.objective`` may hold a seed stack of S training sets (see
-    ``objectives.WeightedSoftmax``); ``E`` and ``updater`` (if given)
-    hold one validation error and one updater per row, the updater
-    mapping (lam, partial) to the row's next (m,) hyper vector, after
-    which training and Z carry on. A row whose emission is marked
-    ``leave`` drops out, and the stream ends when none is left (or when
-    the consumer closes it; see ``driver.stream_ho_loop``). A non-finite
-    value fails the block, the NonFiniteError's ``rows`` marking the
-    failed rows among all S. A vector stream yields single emissions
-    with ``row`` None, and its failures mark no ``rows``.
+    ``dyn.objective`` and ``E`` may hold a seed stack of S sets (see
+    ``objectives.WeightedSoftmax``); ``updater`` (if given) holds one
+    updater per row, mapping (lam, partial) to the row's next (m,) hyper
+    vector, after which training and Z carry on. A row whose emission is
+    marked ``leave`` drops out, and the stream ends when none is left
+    (or when the consumer closes it; see ``driver.stream_ho_loop``). A
+    non-finite value, or a NonFiniteError from a row's updater, fails
+    the block, the error's ``rows`` marking the failed rows among all S.
+    A vector stream yields single emissions with ``row`` None, and its
+    failures mark no ``rows``.
     """
     if delta < 1:
         raise ValueError(f"hyper-batch size must be >= 1, got {delta}")
     one = OneRow(s0)
-    s, lam, E, updater = one.rows(s0, lam, E, updater)
-    s, lam = _as_block(dyn, s, lam, E)
+    s, lam, updater = one.rows(s0, lam, updater)
+    s, lam = _as_block(dyn, s, lam)
     lam = lam.copy()
     z = np.zeros((len(s), lam.shape[-1], s.shape[-1]))
     q_buf = np.zeros(lam.shape[-1])
-    t = 0
-    live = np.arange(len(s))  # the rows still in the block
+    t, n = 0, len(s)
+    live = np.arange(n)  # the rows still in the block
     while live.size:
-        with one, _unwarned():  # closed before the consumer runs
+        with one:
             try:
-                s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
-                t += delta
-                live_E = [E[row] for row in live]
-                partial = _partials(dyn, live_E, s, z)
-                ensure_finite(partial, "partial hypergradient", step=t)
-                responses = _val_values(dyn, live_E, s)
+                with _unwarned():  # closed before the updaters run
+                    s, z = _sweep(dyn, s, z, lam, t, delta, q_buf)
+                    t += delta
+                    partial = _partials(dyn, E, s, z)
+                    ensure_finite(partial, "partial hypergradient", step=t)
+                    responses = E.value(dyn.weights_of(s)).tolist()
+                for i, row in enumerate(live if updater is not None else ()):
+                    lam[i] = _updated(updater[row], lam[i], partial[i],
+                                      np.arange(len(live)) == i)
             except NonFiniteError as err:
-                rows_among(err, live, len(E))  # among all S rows
+                rows_among(err, live, n)  # among all S rows
                 raise
-        emissions = []
-        for i, row in enumerate(live):
-            if updater is not None:
-                new = np.asarray(updater[row](lam[i], partial[i]), float)
-                if new.shape != lam[i].shape:
-                    raise DimensionMismatchError(
-                        f"updater returned shape {new.shape}, not {lam[i].shape}")
-                lam[i] = new
-            emissions.append(StreamEmission(
-                t=t, partial=partial[i], response=responses[i],
-                lam=lam[i].copy(), state=s[i].copy(), row=int(row)))
+        emissions = [StreamEmission(
+            t=t, partial=partial[i], response=responses[i], lam=lam[i].copy(),
+            state=s[i].copy(), row=int(row)) for i, row in enumerate(live)]
         yield one.emission(emissions)
         keep = np.array([not em.leave for em in emissions])
         if not keep.all():
             live, s, z, lam = live[keep], s[keep], z[keep], lam[keep]
-            dyn = over_rows(dyn, keep)
+            dyn, E = over_rows(dyn, E, keep)
+
+
+def _updated(updater, lam, partial, row):
+    """``updater(lam, partial)`` of lam's shape; its NonFiniteError
+    marks block row ``row`` (a mask)."""
+    try:
+        new = np.asarray(updater(lam, partial), float)
+    except NonFiniteError as err:
+        err.rows = row
+        raise
+    if new.shape != lam.shape:
+        raise DimensionMismatchError(
+            f"updater returned shape {new.shape}, not {lam.shape}")
+    return new

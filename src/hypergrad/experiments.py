@@ -255,30 +255,25 @@ def _mtl_data(cfg, seed, splits=("train", "val", "test")):
 
 
 def _mtl_task(cfg, seeds):
-    """(model, validation errors) at ``seeds``.
+    """(model, validation error) at ``seeds``.
 
     The model is the full-coupling, per-task-rho ``MultitaskLinear``
     over one ``SeedStack`` of all seeds' training sets; every method
-    trains on it. Each seed's validation error is its own. Only the
-    training and validation splits are drawn: a seed's test split is
-    drawn when it is scored.
+    trains on it. The validation error holds the stack of the seeds'
+    validation sets, row i scoring seed i. Only the training and
+    validation splits are drawn: a seed's test split is drawn when it
+    is scored.
     """
-    trains, e_vals = [], []
-    for seed in seeds:
-        train, val, _, _ = _mtl_data(cfg, seed, ("train", "val"))
-        trains.append(train)
-        e_vals.append(DatasetValidation(val))
-    stack = SeedStack(np.stack([train.features for train in trains]),
-                      np.stack([train.labels for train in trains]),
-                      cfg.n_classes)
+    trains, vals, _, _ = zip(*(_mtl_data(cfg, seed, ("train", "val"))
+                               for seed in seeds))
     k = cfg.n_classes
     layout = VectorLayout([("coupling", k * k), ("rho", k)])
-    obj = MultitaskLinear(stack, hyper_layout=layout, coupling="full",
-                          per_task_rho=True)
-    return obj, e_vals
+    obj = MultitaskLinear(SeedStack.of(trains), hyper_layout=layout,
+                          coupling="full", per_task_rho=True)
+    return obj, DatasetValidation(SeedStack.of(vals))
 
 
-def _stl_grid(obj, e_vals, cfg):
+def _stl_grid(obj, E, cfg):
     """Per-task ridge sweep on every set: shared value first, then a
     greedy pass per task.
 
@@ -288,10 +283,10 @@ def _stl_grid(obj, e_vals, cfg):
     population, each row on its own set: the shared values, then per
     task each set's current best vector with that task's entry swept
     over the grid (the rest of the vector cannot change within the
-    pass). Fits are memoised per set on the vector's bytes, so each
-    distinct vector trains once per set, and candidates are taken in
-    grid order: a strictly lower validation error wins. Returns one
-    (weights, rho vector) per set.
+    pass), and scored as one block of ``E``. Fits are memoised per set
+    on the vector's bytes, so each distinct vector trains once per set,
+    and candidates are taken in grid order: a strictly lower validation
+    error wins. Returns one (weights, rho vector) per set.
     """
     n_sets, k = len(obj.dataset), obj.n_classes
     fits = [{} for _ in range(n_sets)]  # one memo per set
@@ -307,12 +302,12 @@ def _stl_grid(obj, e_vals, cfg):
             lams = np.zeros((len(new), k * k + k))
             lams[:, k * k:] = [vec for _, vec in new]
             ws = _fit(obj.take(rows), cfg.inner_steps, cfg.inner_lr, lams)
-            for (i, vec), w in zip(new, ws):
-                try:
-                    fits[i][vec.tobytes()] = w, e_vals[i].value(w)
-                except NonFiniteError as err:  # the fit diverged
-                    err.rows = np.arange(n_sets) == i
-                    raise
+            try:
+                scores = E.take(rows).value(ws)
+            except NonFiniteError as err:  # a fit diverged
+                raise rows_among(err, rows, n_sets)
+            for (i, vec), w, score in zip(new, ws, scores):
+                fits[i][vec.tobytes()] = w, score
         for i, cands in enumerate(candidates):
             for vec in cands:
                 score = fits[i][vec.tobytes()][1]
@@ -336,7 +331,7 @@ def _uniform_tie(k):
     return np.repeat([0, 1], [k * k, k])
 
 
-def _coupled_runs(obj, e_vals, cfg, radii):
+def _coupled_runs(obj, E, cfg, radii):
     """Hyper-optimize NMTL and HMTL, once per coupling radius, on every
     set, as one lockstep problem.
 
@@ -367,7 +362,7 @@ def _coupled_runs(obj, e_vals, cfg, radii):
     starts = [(lam0, cons, MaxHyperIters(cfg.hyper_iters), row, tie)
               for row in range(n_sets) for lam0, cons, tie in methods]
     paths, n_computed = lockstep_ho_loop(
-        dyn, e_vals, np.zeros((n_sets, obj.n_params)), starts,
+        dyn, E, np.zeros((n_sets, obj.n_params)), starts,
         cfg.inner_steps, engine=cfg.engine, lr=cfg.hyper_lr,
     )
     finals, models = {}, []  # one retrain per distinct (set, final model lam)
@@ -428,15 +423,15 @@ def run_mtl(cfg: ExperimentConfig) -> RunReport:
     """
     cfg.validate()
     seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
-    obj, e_vals = _mtl_task(cfg, seeds)
+    obj, E = _mtl_task(cfg, seeds)
     timings = {}
     with _seeds_named(seeds):
         started = time.perf_counter()
-        coupled, n_coupled = _coupled_runs(obj, e_vals, cfg,
+        coupled, n_coupled = _coupled_runs(obj, E, cfg,
                                            radii=(None, cfg.radius))
         timings["coupled_s"] = time.perf_counter() - started
         started = time.perf_counter()
-        stl = _stl_grid(obj, e_vals, cfg)
+        stl = _stl_grid(obj, E, cfg)
         timings["stl_s"] = time.perf_counter() - started
 
     methods = {"stl": [], "nmtl": [], "hmtl": [], "hmtl_s": []}
@@ -492,25 +487,23 @@ def _tag_records(records, sink, **tags):
 
 
 def _rtho_task(cfg, seeds):
-    """(hyper layout, training sets, validation errors) at ``seeds``.
+    """(hyper layout, training sets, validation error) at ``seeds``.
 
-    The training sets of all seeds are one ``SeedStack``; each seed's
-    validation error is its own. Only the training and validation
-    splits are drawn (the test split would go unread).
+    The training sets of all seeds are one ``SeedStack``, and the
+    validation error holds the stack of their validation sets, row i
+    scoring seed i on its own ``val_subset`` draw. Only the training and
+    validation splits are drawn (the test split would go unread).
     """
-    shape = (len(seeds), cfg.n_train)
-    features = np.empty((*shape, cfg.n_features))
-    labels = np.empty(shape, dtype=np.int64)
-    e_vals = []
-    for i, seed in enumerate(seeds):
+    trains, vals = [], []
+    for seed in seeds:
         train, val, _ = blob_task(seed, cfg.n_train, cfg.n_val, 0,
                                   n_classes=cfg.n_classes,
                                   n_features=cfg.n_features)
-        features[i], labels[i] = train.features, train.labels
-        e_vals.append(DatasetValidation(val, subset_size=cfg.val_subset,
-                                        subset_seed=seed))
+        trains.append(train)
+        vals.append(val.sample(cfg.val_subset, seed))
     layout = VectorLayout([("eta", 1), ("mu", 1)])
-    return layout, SeedStack(features, labels, cfg.n_classes), e_vals
+    return (layout, SeedStack.of(trains),
+            DatasetValidation(SeedStack.of(vals)))
 
 
 def _rtho_dynamics(cfg, layout, train, seeds):
@@ -529,9 +522,9 @@ def _rtho_dynamics(cfg, layout, train, seeds):
 
 def _rtho_streams(cfg, seeds, task):
     """The real-time streams of ``seeds`` as one block; a summary per seed."""
-    layout, stack, e_vals = task
+    layout, stack, E = task
     dyn = _rtho_dynamics(cfg, layout, stack, seeds)
-    e_trains = [DatasetValidation(stack[i]) for i in range(len(seeds))]
+    e_train = DatasetValidation(stack)
     s0 = np.tile(dyn.init_state(np.zeros(dyn.objective.n_params)),
                  (len(seeds), 1))
     # null teacher: hypers start dead
@@ -541,14 +534,15 @@ def _rtho_streams(cfg, seeds, task):
         w = dyn.weights_of(emission.state)
         return {"eta": float(layout.get(lam, "eta")[0]),
                 "mu": float(layout.get(lam, "mu")[0]),
-                "val_accuracy": 100.0 * e_vals[emission.row].accuracy(w),
-                "train_accuracy": 100.0 * e_trains[emission.row].accuracy(w)}
+                "val_accuracy": 100.0 * E.take(emission.row).accuracy(w),
+                "train_accuracy":
+                    100.0 * e_train.take(emission.row).accuracy(w)}
 
     stop = [MaxHyperIters(cfg.hyper_iters),
             LearningRateDecayedToZero(layout, "eta")]
     constraints = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
     with _seeds_named(seeds):
-        runs = stream_ho_loop(dyn, e_vals, s0, lam0, constraints, cfg.delta,
+        runs = stream_ho_loop(dyn, E, s0, lam0, constraints, cfg.delta,
                               stop, lr=cfg.hyper_lr,
                               record_extras=stream_extras)
     summaries = []
@@ -620,7 +614,7 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
     """
     cfg.validate()
     seeds = [cfg.seed + rep for rep in range(cfg.n_seeds)]
-    layout, stack, e_vals = task = _rtho_task(cfg, seeds)
+    layout, stack, E = task = _rtho_task(cfg, seeds)
     started = time.perf_counter()
     runs = _rtho_streams(cfg, seeds, task)
     stream_s = time.perf_counter() - started
@@ -656,7 +650,7 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
         _tag_records(run["records"], all_records, seed=seed, method="rtho")
         searched = time.perf_counter()
         rs, n_trials, steps_per_trial = _random_search_baseline(
-            cfg, seed, run["total_steps"], (layout, stack[i], e_vals[i]))
+            cfg, seed, run["total_steps"], (layout, stack[i], E.take(i)))
         per_seed.append({"seed": seed,
                          "random_search_s": time.perf_counter() - searched})
         duels.append({
@@ -685,9 +679,10 @@ def run_rtho(cfg: ExperimentConfig) -> RunReport:
 def run_randsearch(cfg: ExperimentConfig) -> RunReport:
     """Standalone random-search baseline on the streaming task."""
     cfg.validate()
-    layout, stack, [e_val] = _rtho_task(cfg, [cfg.seed])
+    layout, stack, E = _rtho_task(cfg, [cfg.seed])
     result, n_trials, steps_per_trial = _random_search_baseline(
-        cfg, cfg.seed, cfg.budget * cfg.inner_steps, (layout, stack[0], e_val))
+        cfg, cfg.seed, cfg.budget * cfg.inner_steps,
+        (layout, stack[0], E.take(0)))
     metrics = {
         "seed": cfg.seed,
         "trials": n_trials,

@@ -13,23 +13,21 @@ term (``_SoftmaxData``): the batch build, the cross-entropy gradient and
 its Gauss-Newton product, each example's row weighted and the batch sum
 scaled. ``WeightedSoftmax`` adds only its example weights (and the 1/N
 scale), ``MultitaskLinear`` only its coupling/ridge penalty, and
-``DatasetValidation`` is the data term's full batch over a validation
-set, its mean cross-entropy. Parameter vectors are laid out as
-``concat(W.ravel(), b)`` with W of shape (n_classes, n_features).
+``DatasetValidation`` is the data term's full batch, its mean
+cross-entropy. Parameter vectors are laid out as ``concat(W.ravel(), b)``
+with W of shape (n_classes, n_features).
 
-The products of both softmax models also take a leading population
-axis: a (K, n_params) block of parameter vectors with a (K, m) block of
-hyper vectors gives K results, row i bit for bit the result of row i
-alone (a direction ``q`` of ``cross_jvp`` stays one (m,) vector). The
-kernels below are written on the last axes for this, so a single vector
-runs the same arithmetic through the same views. Either model holds a
-seed stack (``datasets.SeedStack``); a ``Dataset`` is the one-set stack,
-whose minibatch serves a vector or every row of a population. Over S
-sets (``WeightedSoftmax`` with unit weights only), each with its own
-minibatch schedule, row i of a (S, n_params) block trains on set i, bit
-for bit what set i alone gives. ``take`` maps the rows of a block onto
-the sets (a set may serve several rows). Example weights given as
-hypers take (K, m) blocks too; ``value`` takes one vector on one set.
+Products, validation values and gradients also take a leading
+population axis: a (K, n_params) block of parameter vectors (with a
+(K, m) block of hyper vectors) gives K results, row i bit for bit the
+result of row i alone; the kernels below are written on the last axes
+for this. Each data term holds a seed stack (``datasets.SeedStack``); a
+``Dataset`` is the one-set stack, serving a vector or every row of a
+block. Over S sets (for ``WeightedSoftmax``, with unit weights only),
+row i of a (S, n_params) block is on set i with its own minibatch
+schedule, and ``take`` maps the rows onto the sets (a set may serve
+several rows). A training objective's ``value`` takes one vector on one
+set.
 """
 
 from __future__ import annotations
@@ -37,15 +35,14 @@ from __future__ import annotations
 import copy
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import (Dataset, MinibatchSchedule, SeedStack,
                        full_batch_schedule)
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 from .layouts import VectorLayout
-from .numerics import ensure_finite_scalar, make_rng, row_dot
+from .numerics import ensure_finite_scalar, row_dot
 
 # ---------------------------------------------------------------------------
 # Shared softmax cross-entropy kernels
@@ -58,8 +55,8 @@ def softmax_rows(scores):
 
 
 def _log_softmax_rows(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = scores - scores.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def unpack_linear(w, n_classes, n_features):
@@ -79,10 +76,16 @@ def pack_linear(mat, bias):
     return np.concatenate([mat.reshape(*bias.shape[:-1], -1), bias], axis=-1)
 
 
+def _scores(x, mat, bias):
+    """The logits x W^T + b of each example (of each row, for blocks)."""
+    return x @ mat.swapaxes(-1, -2) + bias[..., None, :]
+
+
 def _ce_losses(x, y, mat, bias):
     """Per-example cross-entropy of a linear softmax model."""
-    logp = _log_softmax_rows(x @ mat.T + bias)
-    return -logp[np.arange(len(y)), y]
+    logp = _log_softmax_rows(_scores(x, mat, bias))
+    y = np.broadcast_to(y, logp.shape[:-1])  # one set serves every row
+    return -np.take_along_axis(logp, y[..., None], axis=-1)[..., 0]
 
 
 def _assemble_wgrad(coefs, x, scale=None):
@@ -122,16 +125,10 @@ class _Batch:
     __slots__ = ("idx", "x", "onehot", "p", "_g", "grad")
 
     def __init__(self, obj, t, w, p=None):
-        rows = obj._rows
-        if rows.ndim and w.shape[:-1] != rows.shape:
-            raise DimensionMismatchError(
-                f"a stack of {len(rows)} rows takes "
-                f"({len(rows)}, {obj.n_params}) blocks, got {w.shape}")
+        obj._check_block(w)
         self.idx, self.x, _, self.onehot = obj._stack_batch(t)
         if p is None:
-            mat, bias = unpack_linear(w, obj.n_classes, obj.n_features)
-            p = _frozen(softmax_rows(self.x @ mat.swapaxes(-1, -2)
-                                     + bias[..., None, :]))
+            p = _frozen(softmax_rows(_scores(self.x, *obj._unpack(w))))
         self.p = p
         self._g = None
         self.grad = None
@@ -256,12 +253,12 @@ class QuadraticToy:
 class _SoftmaxData:
     """Cross-entropy data term of a linear softmax model, batch by batch.
 
-    What both softmax objectives share: the training sets and their
-    shapes, the schedules (full batch by default) and the per-step batch
-    memo. The data term's gradient and Gauss-Newton product weight each
-    example's row (``_weighted``: unit weights unless a subclass says
-    otherwise) and then scale the batch sum by ``_scale`` (none unless a
-    subclass sets one).
+    What both softmax objectives and the validation error share: the
+    sets and their shapes, the schedules (full batch by default) and the
+    per-step batch memo. The data term's gradient and Gauss-Newton
+    product weight each example's row (``_weighted``: unit weights
+    unless a subclass says otherwise) and then scale the batch sum by
+    ``_scale`` (none unless a subclass sets one).
 
     ``dataset`` is a ``SeedStack`` of S training sets, with one schedule
     shared by every set or one per set (all of one shape): the products
@@ -305,19 +302,23 @@ class _SoftmaxData:
         self._cache = _BatchCache()
 
     def take(self, rows):
-        """This objective with its block rows mapped to the sets ``rows``.
+        """This term with its block rows mapped to the sets ``rows``.
 
-        ``rows`` indexes the current rows: a boolean mask keeps some of
-        them, an index array may also repeat them, so that several rows
-        train on one set. The training sets stay where they are; each
-        row keeps its set's schedule, and the copy starts an empty batch
-        memo.
+        ``rows`` indexes the current rows (see ``_picked``): a boolean
+        mask keeps some, an index array may repeat them, and an integer
+        picks one as a one-set term. The sets stay where they are; each
+        row keeps its set's schedule (and its rows of a full batch already
+        built), and the copy starts an empty batch memo. A term on one set
+        (0-d row) serves every row as it is.
         """
-        pick = np.arange(len(self._rows))[rows]
+        if not self._rows.ndim:
+            return self
+        pick = _picked(len(self._rows), rows)
         sub = copy.copy(self)
         sub._rows = self._rows[pick]
-        sub.schedule = tuple(self.schedule[i] for i in pick)
-        sub._full = None
+        sub.schedule = tuple(self.schedule[i] for i in np.ravel(pick))
+        sub._full = (None if self._full is None
+                     else tuple(_frozen(a[pick]) for a in self._full))
         sub._cache = _BatchCache()
         return sub
 
@@ -351,6 +352,14 @@ class _SoftmaxData:
     def _unpack(self, v):
         return unpack_linear(v, self.n_classes, self.n_features)
 
+    def _check_block(self, w):
+        """A stack of K rows takes (K, n_params) blocks; one set any."""
+        rows = self._rows
+        if rows.ndim and w.shape[:-1] != rows.shape:
+            raise DimensionMismatchError(
+                f"a stack of {len(rows)} rows takes "
+                f"({len(rows)}, {self.n_params}) blocks, got {w.shape}")
+
     def _batch(self, t, w):
         return self._cache.get(self, t, w)
 
@@ -378,8 +387,7 @@ class _SoftmaxData:
         Written as the batch build is, so a (S, ...) block of directions
         over a seed stack gives one product per row.
         """
-        v = _gauss_newton_dirs(b.p, b.x @ rmat.swapaxes(-1, -2)
-                               + rb[..., None, :])
+        v = _gauss_newton_dirs(b.p, _scores(b.x, rmat, rb))
         return _assemble_wgrad(self._weighted(v, b.idx, lam), b.x,
                                self._scale)
 
@@ -475,8 +483,7 @@ class WeightedSoftmax(_SoftmaxData):
         b = self._batch(t, w)
         amat, ab = self._unpack(alpha)
         # alpha . grad(ce_i) for each batch example, in one pass
-        per_example = ((b.x @ amat.swapaxes(-1, -2) + ab[..., None, :])
-                       * b.g).sum(axis=-1)
+        per_example = (_scores(b.x, amat, ab) * b.g).sum(axis=-1)
         out[..., self._weight_slice.start + b.idx] = self._scale * per_example
         return out
 
@@ -702,62 +709,79 @@ def _frozen(arr):
     return arr
 
 
+def _picked(n, rows):
+    """``np.arange(n)[rows]``; an IndexError is a DimensionMismatchError."""
+    try:
+        return np.arange(n)[rows]
+    except IndexError as err:
+        raise DimensionMismatchError(f"{n} rows cannot take {rows}") from err
+
+
 # ---------------------------------------------------------------------------
-# Validation errors
+# Validation errors: one (d,) weight vector gives a float, a (K, d) block
+# a (K,) array, row i bit for bit what row i gives alone. A non-finite
+# value is a NonFiniteError; a block's marks its rows.
+
+
+def _finite_values(values):
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NonFiniteError("non-finite value in validation error",
+                             rows=bad if bad.ndim else None)
+    return values if values.ndim else float(values)
 
 
 class QuadraticValidation:
-    """E(w) = 0.5 ||w - center||^2 on the weight block."""
+    """E(w) = 0.5 ||w - center||^2 on the weight block; ``center`` is
+    (d,), shared by every row of a block, or (K, d), one per row."""
 
     def __init__(self, n_params, center=None):
         self.n_params = n_params
         self.center = (np.zeros(n_params) if center is None
                        else np.asarray(center, dtype=np.float64))
 
+    def take(self, rows):
+        if self.center.ndim == 1:
+            return self
+        return QuadraticValidation(
+            self.n_params, self.center[_picked(len(self.center), rows)])
+
     def value(self, w):
-        d = w - self.center
-        return ensure_finite_scalar(0.5 * float(d @ d), "validation error")
+        d = self.grad(w)
+        return _finite_values(0.5 * row_dot(d, d))
 
     def grad(self, w):
+        if self.center.ndim > 1 and w.shape[:-1] != self.center.shape[:-1]:
+            raise DimensionMismatchError(
+                f"{len(self.center)} centers take ({len(self.center)}, "
+                f"{self.n_params}) blocks, got {w.shape}")
         return w - self.center
 
 
-@dataclass
-class DatasetValidation:
-    """Mean cross-entropy of the linear softmax model on a validation set.
-
-    When ``subset_size`` is set, a fixed random subset drawn once from
-    ``subset_seed`` is used instead of the full set, mirroring
-    stream-mode evaluation on a sampled validation slice; the value is
-    still deterministic given the seed. The set (or subset) is held as a
-    full-batch ``_SoftmaxData``, so it is made read-only in place as a
-    training set is.
+class DatasetValidation(_SoftmaxData):
+    """Mean cross-entropy of the linear softmax model on validation sets:
+    the data term's full batch over one set, shared by every row of a
+    block, or over a ``SeedStack``, row i of a block on set i.
     """
 
-    dataset: Dataset
-    subset_size: int | None = None
-    subset_seed: int = 0
+    def __init__(self, dataset: Dataset | SeedStack):
+        super().__init__(dataset, None, None)
+        self._stack_batch(1)  # built once: each take reads its rows
 
-    def __post_init__(self):
-        data = self.dataset
-        if self.subset_size is not None and self.subset_size < data.n:
-            rng = make_rng(self.subset_seed, 0x5B5E7)
-            idx = rng.choice(data.n, size=self.subset_size, replace=False)
-            data = data.subset(np.sort(idx))
-        self._data = _SoftmaxData(data, None, None)
-        self.n_params = self._data.n_params
+    def _xy(self, w):
+        self._check_block(w)
+        return self._stack_batch(1)[1:3]
 
     def value(self, w):
-        _, losses = self._data._losses(w, 1)
-        return ensure_finite_scalar(float(losses.mean()), "validation error")
+        losses = _ce_losses(*self._xy(w), *self._unpack(w))
+        return _finite_values(losses.mean(axis=-1))
 
     def grad(self, w):
         # one softmax build per call: no (t, w) memo spans engine calls
-        b = _Batch(self._data, 1, w)
-        return _assemble_wgrad(b.g, b.x) / self._data.dataset.n
+        b = _Batch(self, 1, w)
+        return _assemble_wgrad(b.g, b.x) / self.dataset.n
 
     def accuracy(self, w):
-        _, x, y, _ = self._data._stack_batch(1)
-        mat, bias = self._data._unpack(w)
-        return float(((x @ mat.T + bias).argmax(axis=1) == y).mean())
-
+        x, y = self._xy(w)
+        hits = _scores(x, *self._unpack(w)).argmax(axis=-1) == y
+        return hits.mean(axis=-1) if w.ndim > 1 else float(hits.mean())

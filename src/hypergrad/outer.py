@@ -37,16 +37,20 @@ class AdamState:
 
 
 def adam_update(state: AdamState, lam, g):
-    """One bias-corrected Adam step; returns (new state, unprojected lam')."""
-    lam = as_vector(lam)
-    g = ensure_finite(as_vector(g), "hypergradient")
+    """One bias-corrected Adam step; returns (new state, unprojected lam').
+    A non-finite g, or one whose square overflows, is a NonFiniteError
+    (an inf second moment would stall the entry from then on)."""
+    lam, g = as_vector(lam), as_vector(g)
     m1 = np.zeros_like(g) if state.m1 is None else state.m1
     m2 = np.zeros_like(g) if state.m2 is None else state.m2
     t = state.count + 1
-    m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
-    m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g
-    m1_hat = m1 / (1.0 - _BETA1 ** t)
-    m2_hat = m2 / (1.0 - _BETA2 ** t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
+        m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g
+        m1_hat = m1 / (1.0 - _BETA1 ** t)
+        m2_hat = m2 / (1.0 - _BETA2 ** t)
+    # m1 is finite where g is, m2_hat >= m2 is not where g is not
+    ensure_finite(m2_hat, "hypergradient's Adam second moment")
     new_lam = lam - state.lr * m1_hat / (np.sqrt(m2_hat) + _EPS)
     new_state = AdamState(lr=state.lr, count=t, m1=m1, m2=m2)
     return new_state, new_lam

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import hypergrad
+from conftest import read_jsonl, write_idx
 from hypergrad.cli import build_parser, main, resolve_config
-from hypergrad.data_io import read_jsonl, write_idx
 from hypergrad.errors import ConfigError
 from hypergrad.numerics import make_rng
 
@@ -475,6 +475,24 @@ def test_divergence_exits_3_when_warnings_are_errors(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical divergence"), proc.stderr
+
+
+def test_an_adam_overflow_exits_3_when_warnings_are_errors(tmp_path):
+    # at inner_lr = 1e8 the states stay finite, but a hypergradient entry
+    # squares past the largest float in Adam's second moment: that is a
+    # divergence (exit 3), not an uncaught RuntimeWarning (exit 1)
+    cfg = write_cfg(tmp_path, TINY_MTL.replace("inner_lr = 0.01",
+                                               "inner_lr = 1e8"))
+    src = str(Path(hypergrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-W", "error", "-m", "hypergrad.cli", "mtl",
+         "--config", cfg, "--out", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical divergence"), proc.stderr
+    assert "Adam second moment" in proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--hyper-lr", "inf"),

@@ -3,7 +3,7 @@
 import pytest
 
 from hypergrad.config import (ExperimentConfig, config_as_dict,
-                              config_to_text, parse_config, write_config)
+                              config_to_text, parse_config)
 from hypergrad.errors import ConfigError
 
 
@@ -11,7 +11,7 @@ def test_round_trip_through_file(tmp_path):
     cfg = ExperimentConfig(experiment="clean", seed=3, n_train=123,
                            inner_lr=0.025, batch_size=16, out_dir="elsewhere")
     path = tmp_path / "run.cfg"
-    write_config(path, cfg)
+    path.write_text(config_to_text(cfg))
     back = parse_config(path)
     assert back == cfg
 
@@ -78,7 +78,7 @@ def test_float_values_round_trip(tmp_path):
     # a float survives the text round trip exactly
     cfg = ExperimentConfig(experiment="bench", hyper_lr=0.00125)
     path = tmp_path / "c.cfg"
-    write_config(path, cfg)
+    path.write_text(config_to_text(cfg))
     assert parse_config(path).hyper_lr == 0.00125
 
 

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from conftest import read_jsonl, write_idx
 from hypergrad.data_io import (corrupt_labels, ingest_idx, read_idx,
-                               read_jsonl, write_curves_csv, write_idx,
-                               write_jsonl)
+                               write_curves_csv, write_jsonl)
 from hypergrad.datasets import Dataset
 from hypergrad.errors import IngestError
 from hypergrad.numerics import make_rng

@@ -215,7 +215,7 @@ def test_a_lam_outside_its_constraints_names_its_path_and_iteration(
             lockstep_ho_loop(dyn, e, s0, [(lam, cons, MaxHyperIters(5))
                                           for lam in lam0], 3)
         else:
-            stream_ho_loop(dyn, [e, e], np.array([s0, s0]), lam0, cons, 3,
+            stream_ho_loop(dyn, e, np.array([s0, s0]), lam0, cons, 3,
                            MaxHyperIters(5))
     assert str(err.value) == ("hyper-iteration 2: path 1: recorded lam "
                               "outside its constraints")
@@ -233,8 +233,16 @@ def test_rescoped_keeps_the_rows_of_a_block():
 
 @pytest.mark.parametrize("loop", ["batch", "stream"])
 def test_a_block_takes_one_validation_error_per_row(loop):
-    dyn, e, s0, layout = scalar_problem()
+    # a stack of three centers cannot score a block of two rows; one
+    # center shared by every row can
+    dyn, _, s0, layout = scalar_problem()
+    e = QuadraticValidation(1, np.zeros((3, 1)))
     s, lam0 = np.stack([s0, s0]), layout.pack(eta=0.1)
+    if loop == "batch":
+        batch_ho_loop(dyn, e.take(0), s, lam0, None, 2, MaxHyperIters(1))
+    else:
+        stream_ho_loop(dyn, e.take(0), s, np.stack([lam0, lam0]), None, 2,
+                       MaxHyperIters(1))
     with pytest.raises(DimensionMismatchError):
         if loop == "batch":
             batch_ho_loop(dyn, e, s, lam0, None, 2, MaxHyperIters(1))
@@ -345,21 +353,21 @@ def test_lockstep_frees_each_block_tape_before_the_next(monkeypatch):
     # two paths that never share: every iteration computes both groups
     # as one two-row block, whose tape must be dead when the next
     # iteration's is recorded
-    dyn, e, s0, layout = scalar_problem()
+    dyn, shared, s0, layout = scalar_problem()
     previous = []
 
     def compute(dyn, e, s0, lam, n_steps):
         if previous:
             assert previous[-1]() is None, "previous block's tape alive"
-        assert s0.shape == (2, 1) and len(e) == 2
+        assert s0.shape == (2, 1) and e is shared  # one E serves both
         tape = Tape(states=[s0.copy()], lam=lam.copy())
         previous.append(weakref.ref(tape))
         return HypergradResult(gradient=np.full_like(lam, 0.1),
                                response=[0.0] * len(lam), tape=tape)
     monkeypatch.setattr(driver, "reverse_hg", compute)
     paths, n_computed = lockstep_ho_loop(
-        dyn, e, s0, [(layout.pack(eta=0.2), None, MaxHyperIters(3)),
-                     (layout.pack(eta=0.4), None, MaxHyperIters(3))], 2)
+        dyn, shared, s0, [(layout.pack(eta=0.2), None, MaxHyperIters(3)),
+                          (layout.pack(eta=0.4), None, MaxHyperIters(3))], 2)
     assert len(previous) == 3 and n_computed == [6]
     assert [len(records) for _, records in paths] == [3, 3]
 
@@ -486,7 +494,7 @@ def test_stream_loop_lr_decay_rule_stops_stream():
     # the validation target so smaller eta is always better
     class Inflate:
         def value(self, w):
-            return -0.5 * float(w @ w)
+            return -0.5 * (w * w).sum(axis=-1)
 
         def grad(self, w):
             return -w

@@ -101,7 +101,7 @@ def test_zero_steps_zero_gradient():
 def test_constant_validation_kills_reverse_gradient():
     class FlatE:
         def value(self, w):
-            return 4.0
+            return np.full(w.shape[:-1], 4.0)
 
         def grad(self, w):
             return np.zeros_like(w)
@@ -166,11 +166,11 @@ def test_a_lone_row_is_its_vector_run_as_one_row():
     lam = layout.pack(eta=0.2, mu=0.5, weights=1.0)
     for engine in (forward_hg, reverse_hg):
         vec = engine(dyn, e, s0, lam, 4)
-        one = engine(dyn, [e], s0[None], lam[None], 4)
+        one = engine(dyn, e, s0[None], lam[None], 4)
         assert one.gradient.shape == (1, len(lam))
         assert np.array_equal(one.gradient[0], vec.gradient)
         assert one.response == [vec.response]
-    tape = reverse_hg(dyn, [e], s0[None], lam[None], 4).tape
+    tape = reverse_hg(dyn, e, s0[None], lam[None], 4).tape
     assert [x.shape for x in tape.states] == [(1, dyn.n_state)] * 5
     assert tape.lam.shape == (1, len(lam))
     tape.verify(dyn)
@@ -240,7 +240,7 @@ def test_a_block_updater_must_return_its_row_hyper_vector(returned):
     # shape error, not numpy's ValueError
     dyn, e, s0, layout = softmax_problem(n_weights=False)
     lam = np.tile(layout.pack(eta=0.1, mu=0.5), (2, 1))
-    stream = rtho_stream(dyn, [e, e], np.stack([s0, s0]), lam, 2,
+    stream = rtho_stream(dyn, e, np.stack([s0, s0]), lam, 2,
                          updater=[lambda lam, partial: lam,
                                   lambda lam, partial: returned])
     with pytest.raises(DimensionMismatchError):
@@ -613,7 +613,7 @@ def two_row_quadratic(center0, s00=1.0):
     is validated against ``center0``, row 1 starts at 1 and against 0."""
     layout = VectorLayout([("eta", 1)])
     dyn = GradientDescent(QuadraticToy(1, hyper_layout=layout))
-    E = [QuadraticValidation(1, [center0]), QuadraticValidation(1, [0.0])]
+    E = QuadraticValidation(1, [[center0], [0.0]])
     return dyn, E, np.array([[s00], [1.0]]), np.full((2, 1), 0.5)
 
 
@@ -635,7 +635,8 @@ def test_an_overflowing_hypergradient_fails_with_its_row_marked(engine):
     err = raised(lambda: engine(dyn, E, s0, lam, 3))
     assert "hypergradient" in str(err)
     assert err.rows.tolist() == [True, False]
-    assert raised(lambda: engine(dyn, E[0], s0[0], lam[0], 3)).rows is None
+    assert raised(lambda: engine(dyn, E.take(0), s0[0], lam[0],
+                                 3)).rows is None
 
 
 @pytest.mark.parametrize("engine", ["forward", "reverse", "stream"])
@@ -648,3 +649,29 @@ def test_an_overflowing_validation_error_fails_with_its_row_marked(engine):
     err = raised(run[engine])
     assert "validation error" in str(err)
     assert err.rows.tolist() == [True, False]
+
+
+def test_an_overflowing_response_is_a_non_finite_error():
+    # E(s_T) is 0.5 (2e154)^2 = inf: the finite-difference oracle's
+    # response fails as the engines do, not with numpy's RuntimeWarning
+    dyn, E, s0, lam = two_row_quadratic(2e154)
+    err = raised(lambda: evaluate_response(dyn, E.take(0), s0[0], lam[0], 3))
+    assert "validation error" in str(err) and err.rows is None
+
+
+def test_an_updater_failure_marks_its_row():
+    # row 0's updater overflows on its partial: the stream fails with
+    # row 0 marked among both rows, and the vector stream marks none
+    dyn, E, s0, lam = two_row_quadratic(0.0)
+
+    def overflowing(lam, partial):
+        raise NonFiniteError("non-finite value in the update")
+
+    def keeping(lam, partial):
+        return lam
+
+    stream = rtho_stream(dyn, E, s0, lam, 2, updater=[overflowing, keeping])
+    err = raised(lambda: next(stream))
+    assert err.rows.tolist() == [True, False]
+    vector = rtho_stream(dyn, E.take(0), s0[0], lam[0], 2, updater=overflowing)
+    assert raised(lambda: next(vector)).rows is None

@@ -191,7 +191,7 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
     cfg = ExperimentConfig(experiment="mtl", seed=0, n_seeds=2, n_classes=3,
                            n_clusters=2, n_features=6, n_train=12, n_val=12,
                            n_test=30, inner_steps=15, inner_lr=0.01)
-    obj, e_vals = experiments._mtl_task(cfg, [0, 1])
+    obj, E = experiments._mtl_task(cfg, [0, 1])
     fitted, blocks = [], []
     fit = experiments._fit
 
@@ -204,7 +204,7 @@ def test_stl_grid_fits_each_rho_vector_once(monkeypatch):
         return fit(obj, n_steps, lr, lam)
 
     monkeypatch.setattr(experiments, "_fit", counting)
-    grid = experiments._stl_grid(obj, e_vals, cfg)
+    grid = experiments._stl_grid(obj, E, cfg)
     # per seed 7 shared values, then 7 per task; the greedy pass
     # revisits the current best vector once per task, and each pass is
     # one block over both seeds

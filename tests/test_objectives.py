@@ -349,9 +349,9 @@ def test_validation_grad_equals_label_subtract(subset):
     # the validation error reads its (subset of the) set as the data
     # term's full batch, the seeded subset's rows in order
     train = tiny_task(n=9, p=3, k=3)
-    e = DatasetValidation(train, subset_size=subset, subset_seed=2)
+    e = DatasetValidation(train.sample(subset, 2))
     w = make_rng(1, 10).standard_normal(3 * 4)
-    _, x, y, onehot = e._data._stack_batch(1)
+    _, x, y, onehot = e._stack_batch(1)
     rows = np.arange(9) if subset is None else np.sort(
         make_rng(2, 0x5B5E7).choice(9, size=subset, replace=False))
     assert np.array_equal(x, train.features[rows])
@@ -585,8 +585,55 @@ def test_dataset_validation_grad_matches_fd():
 
 def test_dataset_validation_subset_is_fixed():
     train = tiny_task(n=30)
-    e = DatasetValidation(train, subset_size=10, subset_seed=4)
+    e = DatasetValidation(train.sample(10, 4))
     w = make_rng(1, 9).standard_normal(2 * 4)
     assert e.value(w) == e.value(w)
     full = DatasetValidation(train)
     assert e.value(w) != full.value(w)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_validation_block_is_each_set_alone(seed):
+    # value, grad and accuracy of a (K, d) block over a stack of S sets,
+    # its rows mapped (and repeated) by take, and over one set shared by
+    # every row: row i is bit for bit what its set gives row i alone
+    rng = make_rng(seed, 0xB10C)
+    n_sets, n = int(rng.integers(1, 7)), int(rng.integers(1, 600))
+    f = int(rng.integers(1, 30))
+    k = int(rng.integers(8, 11) if seed % 2 else rng.integers(2, 8))
+    sets = [Dataset(rng.standard_normal((n, f)), rng.integers(0, k, size=n),
+                    k) for _ in range(n_sets)]
+    rows = rng.integers(0, n_sets, size=int(rng.integers(1, 2 * n_sets + 1)))
+    w = rng.standard_normal((len(rows), k * (f + 1)))
+    stacked = DatasetValidation(SeedStack.of(sets)).take(rows)
+    shared = DatasetValidation(sets[0])
+    for block, alone in ((stacked, [DatasetValidation(sets[r]) for r in rows]),
+                         (shared, [shared] * len(rows))):
+        value, grad, acc = block.value(w), block.grad(w), block.accuracy(w)
+        assert value.shape == acc.shape == (len(rows),)
+        for i, e in enumerate(alone):
+            assert value[i] == e.value(w[i])
+            assert grad[i].tobytes() == e.grad(w[i]).tobytes()
+            assert acc[i] == e.accuracy(w[i])
+    with pytest.raises(DimensionMismatchError):
+        stacked.value(w[0])
+    with pytest.raises(DimensionMismatchError):
+        stacked.grad(np.vstack([w, w]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_quadratic_validation_block_is_each_center_alone(seed):
+    rng = make_rng(seed, 0xC3)
+    n_sets, d = int(rng.integers(1, 7)), int(rng.integers(1, 50))
+    centers = rng.standard_normal((n_sets, d))
+    rows = rng.integers(0, n_sets, size=int(rng.integers(1, 2 * n_sets + 1)))
+    w = rng.standard_normal((len(rows), d))
+    block = QuadraticValidation(d, centers).take(rows)
+    value, grad = block.value(w), block.grad(w)
+    for i, r in enumerate(rows):
+        alone = QuadraticValidation(d, centers[r])
+        diff = w[i] - centers[r]
+        assert value[i] == alone.value(w[i]) == 0.5 * float(diff @ diff)
+        assert grad[i].tobytes() == alone.grad(w[i]).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        block.value(np.vstack([w, w]))

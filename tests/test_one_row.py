@@ -132,14 +132,14 @@ def test_a_vector_problem_is_its_one_row_block(dynamics, objective, seed):
     response = state_value(E, s_final, dyn.state_layout)
     for engine in (forward_hg, reverse_hg):
         vec = engine(fresh(), E, s0, lam, n_steps)
-        one = engine(fresh(), [E], s0[None], lam[None], n_steps)
+        one = engine(fresh(), E, s0[None], lam[None], n_steps)
         assert vec.gradient.shape == lam.shape
         assert np.array_equal(vec.gradient, one.gradient[0])
         assert vec.response == one.response[0] == response
     assert np.array_equal(forward_hg(fresh(), E, s0, lam, n_steps).gradient,
                           want)
     vec = reverse_hg(fresh(), E, s0, lam, n_steps).tape
-    one = reverse_hg(fresh(), [E], s0[None], lam[None], n_steps).tape
+    one = reverse_hg(fresh(), E, s0[None], lam[None], n_steps).tape
     assert len(vec) == len(one) == n_steps + 1
     assert all(a.shape == s0.shape and np.array_equal(a, b[0])
                for a, b in zip(vec.states, one.states))
@@ -147,7 +147,7 @@ def test_a_vector_problem_is_its_one_row_block(dynamics, objective, seed):
     assert vec.states[-1].tobytes() == s_final.tobytes()
 
     vec = list(islice(rtho_stream(fresh(), E, s0, lam, delta), 2))
-    one = list(islice(rtho_stream(fresh(), [E], s0[None], lam[None], delta),
+    one = list(islice(rtho_stream(fresh(), E, s0[None], lam[None], delta),
                       2))
     for k, (a, [b]) in enumerate(zip(vec, one), start=1):
         assert a.row is None and b.row == 0 and a.t == b.t == k * delta
@@ -172,7 +172,7 @@ def test_a_vector_failure_marks_no_rows(dynamics, objective, seed):
             run(s0, E, lam)
         assert err.value.step == 1 and err.value.rows is None
         with pytest.raises(NonFiniteError) as err:
-            run(s0[None], [E], lam[None])
+            run(s0[None], E, lam[None])
         assert err.value.step == 1 and err.value.rows.tolist() == [True]
 
 

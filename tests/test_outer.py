@@ -1,8 +1,11 @@
 """Outer loop pieces: Adam, constraint projections, random search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hypergrad.errors import NonFiniteError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
 from hypergrad.outer import (AdamState, Box, BoxL1, Constraints, Exponential,
@@ -55,6 +58,22 @@ def test_projected_adam_without_constraints_is_plain_adam():
     opt = ProjectedAdam(lr=0.005)
     lam = opt.update(np.array([1.0]), np.array([0.5]))
     assert abs(lam[0] - 0.995) < 1e-6
+
+
+def test_an_overflowing_adam_moment_fails_instead_of_stalling():
+    # 1e200 squared overflows: an inf second moment would make every
+    # later step of the entry 0 (0.5 would come back for g = 1e200 and
+    # again for g = 1.0), so it is a NonFiniteError under any filter
+    opt = ProjectedAdam(None, lr=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="Adam second moment"):
+            opt(np.array([0.5]), np.array([1e200]))
+        with pytest.raises(NonFiniteError):
+            ProjectedAdam(None, lr=0.1)(np.array([0.5]), np.array([np.nan]))
+    assert opt.state.count == 0  # the failed step left the state alone
+    lam = opt(np.array([0.5]), np.array([1e150]))  # squares to 1e300
+    assert lam[0] < 0.5
 
 
 # ---------------------------------------------------------------------------

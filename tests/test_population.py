@@ -33,7 +33,7 @@ from hypergrad.dynamics import GradientDescent, Momentum
 from hypergrad.engines import forward_hg, reverse_hg, rtho_stream, train
 from hypergrad.errors import DimensionMismatchError, NonFiniteError
 from hypergrad.layouts import VectorLayout
-from hypergrad.numerics import ensure_finite_scalar, make_rng
+from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   WeightedSoftmax)
 from hypergrad.outer import Constraints, NonNeg, ProjectedAdam, UnitInterval
@@ -280,8 +280,8 @@ class _SometimesHuge:
 
 def _search_task(cfg):
     """(task, dynamics) the random search of ``cfg.seed`` runs on."""
-    layout, stack, [e_val] = experiments._rtho_task(cfg, [cfg.seed])
-    return ((layout, stack[0], e_val),
+    layout, stack, e_val = experiments._rtho_task(cfg, [cfg.seed])
+    return ((layout, stack[0], e_val.take(0)),
             experiments._rtho_dynamics(cfg, layout, stack[0], [cfg.seed]))
 
 
@@ -391,7 +391,8 @@ class Stack:
     ``block`` is the dynamics over the stack; ``alone(i)`` builds fresh
     dynamics over set i only (with no memo shared with anything), with
     the same schedule. ``s`` and ``lam`` are (S, d) and (S, m) blocks,
-    one λ per seed; ``E`` holds one validation error per seed.
+    one λ per seed; ``E`` is the validation error over a stack of one
+    validation set per seed.
     """
 
     def __init__(self, dynamics, batch, seed):
@@ -423,10 +424,10 @@ class Stack:
                                   + 2))
         self.m = self.layout.size
         self.z = rng.standard_normal((n_sets, self.block.n_state, self.m))
-        self.E = [DatasetValidation(Dataset(
+        self.E = DatasetValidation(SeedStack.of([Dataset(
             features=rng.standard_normal((7, p)),
-            labels=rng.integers(0, k, size=7), n_classes=k))
-            for _ in range(n_sets)]
+            labels=rng.integers(0, k, size=7), n_classes=k)
+            for _ in range(n_sets)]))
 
     def alone(self, i):
         return self._make(WeightedSoftmax(
@@ -496,7 +497,7 @@ def test_stacked_stream_equals_each_seed_alone(dynamics, batch, seed):
     assert all([em.row for em in sweep] == list(range(st.S))
                for sweep in sweeps)
     for i, updater in enumerate(_updaters(st)):
-        alone = list(islice(rtho_stream(st.alone(i), st.E[i], st.s[i],
+        alone = list(islice(rtho_stream(st.alone(i), st.E.take(i), st.s[i],
                                         st.lam[i], delta, updater=updater),
                             n_emit))
         assert all(_emissions_equal(sweep[i], em)
@@ -518,7 +519,7 @@ def test_a_row_that_leaves_stops_alone(seed):
     rest = [st.S - 1] * 3 if st.S > 1 else []  # a lone row 0 ends it
     assert [len(sweep) for sweep in sweeps] == [st.S, st.S] + rest
     for i, updater in enumerate(_updaters(st)):
-        alone = list(islice(rtho_stream(st.alone(i), st.E[i], st.s[i],
+        alone = list(islice(rtho_stream(st.alone(i), st.E.take(i), st.s[i],
                                         st.lam[i], 3, updater=updater), 5))
         mine = [em for sweep in sweeps for em in sweep if em.row == i]
         assert len(mine) == (2 if i == 0 else 5)
@@ -552,7 +553,7 @@ def test_a_seed_stopping_early_leaves_the_others_unchanged(seed):
                           record_extras=lambda lam, em: {"row": em.row})
     assert len(runs) == st.S
     for i, (lam, records) in enumerate(runs):
-        want_lam, want = stream_ho_loop(st.alone(i), st.E[i], st.s[i],
+        want_lam, want = stream_ho_loop(st.alone(i), st.E.take(i), st.s[i],
                                         st.lam[i], box, 2,
                                         MaxHyperIters(2 if i == quits else 6),
                                         lr=0.01)
@@ -595,19 +596,26 @@ def test_failed_rows_are_marked_among_all_rows(seed):
 
 
 class _InfiniteAfter:
-    """``e`` whose value is inf from its ``n``-th call on; its gradient
-    stays finite, so only the response fails."""
+    """Block validation error ``e`` that reads the last row's weights as
+    inf from its ``n``-th value call on, so that row's value is not
+    finite; its gradient stays finite, so only the response fails.
+    ``take`` keeps the count."""
 
     def __init__(self, e, n):
         self.e, self.n = e, n
+
+    def take(self, rows):
+        return _InfiniteAfter(self.e.take(rows), self.n)
 
     def grad(self, w):
         return self.e.grad(w)
 
     def value(self, w):
         self.n -= 1
-        return ensure_finite_scalar(self.e.value(w) if self.n > 0 else np.inf,
-                                    "validation error")
+        if self.n <= 0:
+            w = w.copy()
+            w[-1] = np.inf
+        return self.e.value(w)
 
 
 @pytest.mark.parametrize("seed", [s for s in SEEDS
@@ -621,10 +629,9 @@ def test_a_non_finite_response_marks_its_row(seed):
                 lambda E: reverse_hg(st.block, E, st.s, st.lam, 2),
                 lambda E: next(rtho_stream(st.block, E, st.s, st.lam, 2))):
         with pytest.raises(NonFiniteError, match="validation error") as err:
-            run(st.E[:-1] + [_InfiniteAfter(st.E[-1], 1)])
+            run(_InfiniteAfter(st.E, 1))
         assert err.value.rows.tolist() == want
-    stream = rtho_stream(st.block, st.E[:-1] + [_InfiniteAfter(st.E[-1], 2)],
-                         st.s, st.lam, 1)
+    stream = rtho_stream(st.block, _InfiniteAfter(st.E, 2), st.s, st.lam, 1)
     for em in next(stream):
         em.leave = em.row == 0
     with pytest.raises(NonFiniteError, match="validation error") as err:
@@ -719,8 +726,8 @@ def test_a_diverging_seed_fails_the_run_and_is_named(monkeypatch):
     task = experiments._rtho_task
 
     def huge_seed_1(cfg, seeds):
-        layout, stack, e_vals = task(cfg, seeds)
-        return layout, _times_1e200(stack, 1), e_vals
+        layout, stack, E = task(cfg, seeds)
+        return layout, _times_1e200(stack, 1), E
 
     monkeypatch.setattr(experiments, "_rtho_task", huge_seed_1)
     with pytest.raises(NonFiniteError,
@@ -735,7 +742,7 @@ def test_single_seed_run_is_the_one_row_block():
     # the vector stream on the same seed
     cfg = _rtho_cfg(n_seeds=1, seed=4)
     report = experiments.run_rtho(cfg)
-    layout, stack, [e_val] = experiments._rtho_task(cfg, [4])
+    layout, stack, e_val = experiments._rtho_task(cfg, [4])
     dyn = experiments._rtho_dynamics(cfg, layout, stack[0], [4])
     box = Constraints(layout, {"eta": NonNeg(), "mu": UnitInterval()})
     _, want = stream_ho_loop(dyn, e_val, dyn.init_state(
@@ -763,8 +770,8 @@ class MtlStack:
     parted HMTL and HMTL-S paths of one seed do. ``block`` is the
     dynamics over those rows; ``alone(i)`` builds fresh dynamics over
     set ``rows[i]`` only, with its schedule. ``s``, ``lam`` and ``alpha``
-    are (K, d), (K, m) and (K, d) blocks; ``E`` holds one validation
-    error per row (that of the row's set).
+    are (K, d), (K, m) and (K, d) blocks; ``E`` is the validation error
+    over a stack of one validation set per set, taken at ``rows``.
     """
 
     def __init__(self, dynamics, coupling, per_task, eta, seed):
@@ -813,11 +820,10 @@ class MtlStack:
         self.alpha = rng.standard_normal((self.K, d))
         self.t = int(rng.integers(1, 3 * self.schedules[0].batches_per_epoch
                                   + 2))
-        e_sets = [DatasetValidation(Dataset(
+        self.E = DatasetValidation(SeedStack.of([Dataset(
             features=rng.standard_normal((7, p)),
-            labels=rng.integers(0, k, size=7), n_classes=k))
-            for _ in range(n_sets)]
-        self.E = [e_sets[r] for r in self.rows]
+            labels=rng.integers(0, k, size=7), n_classes=k)
+            for _ in range(n_sets)])).take(self.rows)
 
     def alone(self, i):
         r = self.rows[i]
@@ -861,7 +867,7 @@ def test_block_hypergradient_equals_each_row_alone(dynamics, coupling,
     assert block.gradient.shape == st.lam.shape
     assert len(block.response) == st.K
     for i in range(st.K):
-        alone = engine(st.alone(i), st.E[i], st.s[i], st.lam[i], n_steps)
+        alone = engine(st.alone(i), st.E.take(i), st.s[i], st.lam[i], n_steps)
         assert np.array_equal(block.gradient[i], alone.gradient)
         assert block.response[i] == alone.response
     if engine is reverse_hg:  # one tape of (K, d) states
@@ -873,10 +879,14 @@ def test_block_hypergradient_equals_each_row_alone(dynamics, coupling,
 def test_a_block_takes_one_validation_error_per_row():
     st = MtlStack("GD", "full", True, "hyper", 0)
     for engine in (reverse_hg, forward_hg):
+        # one set scores every row; a stack of another row count fails
+        assert len(engine(st.block, st.E.take(0), st.s, st.lam, 2)
+                   .response) == st.K
         with pytest.raises(DimensionMismatchError):
-            engine(st.block, st.E[0], st.s, st.lam, 2)
+            engine(st.block, st.E.take(np.arange(st.K) > 0), st.s, st.lam, 2)
         with pytest.raises(DimensionMismatchError):
-            engine(st.block, st.E + st.E, st.s, st.lam, 2)
+            engine(st.block, st.E.take(np.r_[:st.K, :st.K]), st.s, st.lam,
+                   2)
 
 
 def test_a_full_batch_over_the_stack_is_read_in_place():
@@ -996,10 +1006,10 @@ def _huge_seed_4(monkeypatch):
     task = experiments._mtl_task
 
     def huge(cfg, seeds):
-        obj, e_vals = task(cfg, seeds)
+        obj, E = task(cfg, seeds)
         stack = _times_1e200(obj.dataset, seeds.index(4))
         return MultitaskLinear(stack, hyper_layout=obj.hyper_layout,
-                               per_task_rho=True), e_vals
+                               per_task_rho=True), E
 
     monkeypatch.setattr(experiments, "_mtl_task", huge)
 

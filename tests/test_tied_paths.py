@@ -80,11 +80,11 @@ class Tied:
         self.r = rng.standard_normal((*lead, d))
         self.t = int(rng.integers(1, 3 * epoch + 2))
         self.n_steps = int(rng.integers(2, 9))
-        e_sets = [DatasetValidation(Dataset(
-            features=rng.standard_normal((7, p)),
-            labels=rng.integers(0, k, size=7), n_classes=k))
-            for _ in range(n_sets)]
-        self.E = e_sets[0] if n_sets == 1 else e_sets
+        e_sets = [Dataset(features=rng.standard_normal((7, p)),
+                          labels=rng.integers(0, k, size=7), n_classes=k)
+                  for _ in range(n_sets)]
+        self.E = DatasetValidation(e_sets[0] if n_sets == 1
+                                   else SeedStack.of(e_sets))
 
     def tied_gradient(self, gradient):
         """The full gradient summed back per own entry, as a tied path

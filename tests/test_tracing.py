@@ -61,9 +61,9 @@ def test_a_seed_block_stream_counts_one_call_per_column(perfbench):
         stack, hyper_layout=layout, weight_segment=None,
         schedule=[MinibatchSchedule(n=6, batch_size=2, seed=s)
                   for s in (1, 2)]))
-    val = [DatasetValidation(Dataset(rng.standard_normal((5, 4)),
-                                     np.array([0, 1, 2, 0, 1])))
-           for _ in range(2)]
+    val = DatasetValidation(SeedStack.of(
+        [Dataset(rng.standard_normal((5, 4)), np.array([0, 1, 2, 0, 1]))
+         for _ in range(2)]))
     s0 = np.zeros((2, dyn.n_state))
     lam0 = np.array([[0.2, 0.5], [0.1, 0.3]])
     delta, emissions = 3, 4
@@ -77,6 +77,8 @@ def test_a_seed_block_stream_counts_one_call_per_column(perfbench):
     assert counts["dynamics.jvp_hyper.calls"] == T * m  # eta and mu
     assert counts["dynamics.step.calls"] == T
     assert counts["engines.rtho_stream.calls"] == emissions
+    # one gradient and one value of the validation block per emission
+    assert counts["objectives.validation.calls"] == 2 * emissions
     assert gates.self_test() == []
 
 
@@ -96,7 +98,7 @@ def test_a_seed_block_tape_counts_one_sweep_per_hyper_iteration(perfbench):
     layout = VectorLayout([("coupling", k * k), ("rho", k)])
     dyn = GradientDescent(MultitaskLinear(stack, hyper_layout=layout,
                                           per_task_rho=True), eta=0.05)
-    val = [DatasetValidation(split[1]) for split in splits]
+    val = DatasetValidation(SeedStack.of([split[1] for split in splits]))
     lam0 = layout.pack(coupling=np.zeros(k * k), rho=np.full(k, 0.1))
     T, iters = 4, 3
     with layertrace.Tracer() as tracer:
@@ -111,6 +113,8 @@ def test_a_seed_block_tape_counts_one_sweep_per_hyper_iteration(perfbench):
     assert metrics["dynamics.vjp_hyper.calls"] == iters * T
     assert metrics["dynamics.vjp_state.calls"] == iters * (T - 1)
     assert metrics["dynamics.step.calls"] == iters * T
+    # one gradient and one value of the validation block per call
+    assert metrics["objectives.validation.calls"] == 2 * iters
     # the block's tape holds both rows' states
     assert metrics["engines.tape_bytes_max"] == (T + 1) * 2 * dyn.n_state * 8
     # lockstep_ho_loop is not among the tracer's targets (yet)
