@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import OneRow, forward_hg, over_rows, reverse_hg, rtho_stream
+from .engines import (OneRow, _updated, forward_hg, over_rows, reverse_hg,
+                      rtho_stream)
 from .errors import (DimensionMismatchError, HypergradError,
                      InfeasibleHypersError, NonFiniteError, rescoped,
                      rows_among)
@@ -209,8 +210,9 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
     stack of another size is a DimensionMismatchError); a vector ``s0``
     is the one-set stack, ``row`` 0 by default. Every distinct (row,
     lam) of a hyper-iteration is one row of one block call. A non-finite
-    value fails the run, the error's ``rows`` marking the failed sets
-    among the S (none without a stack).
+    value, or a NonFiniteError from a path's update, fails the run, the
+    error's ``rows`` marking the failed sets among the S (none without a
+    stack).
     """
     if engine not in ("forward", "reverse"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -263,14 +265,15 @@ def lockstep_ho_loop(dyn, E, s0, paths, n_steps, engine="reverse", lr=0.005,
                 gradients = result.gradient
                 gradients.flags.writeable = False
                 shared = time.perf_counter() - started
-                for (_, group), gradient, response in zip(block, gradients,
-                                                          result.response):
+                for j, ((_, group), gradient, response) in enumerate(
+                        zip(block, gradients, result.response)):
                     n_computed[group[0].row] += 1
                     for path in group:
                         own = time.perf_counter()
                         g = (gradient if key is not None
                              else path.own_gradient(gradient))
-                        lam = path.updater(path.lam, g)
+                        lam = _updated(path.updater, path.lam, g,
+                                       np.arange(len(block)) == j)
                         path.record(lam, response, float(np.linalg.norm(g)),
                                     shared + time.perf_counter() - own,
                                     record_extras, result)

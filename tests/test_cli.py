@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -480,7 +481,8 @@ def test_divergence_exits_3_when_warnings_are_errors(tmp_path):
 def test_an_adam_overflow_exits_3_when_warnings_are_errors(tmp_path):
     # at inner_lr = 1e8 the states stay finite, but a hypergradient entry
     # squares past the largest float in Adam's second moment: that is a
-    # divergence (exit 3), not an uncaught RuntimeWarning (exit 1)
+    # divergence (exit 3) naming the seed whose update failed, not an
+    # uncaught RuntimeWarning (exit 1)
     cfg = write_cfg(tmp_path, TINY_MTL.replace("inner_lr = 0.01",
                                                "inner_lr = 1e8"))
     src = str(Path(hypergrad.__file__).parents[1])
@@ -493,6 +495,7 @@ def test_an_adam_overflow_exits_3_when_warnings_are_errors(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical divergence"), proc.stderr
     assert "Adam second moment" in proc.stderr
+    assert re.search(r"numerical divergence: seed \d+", proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--hyper-lr", "inf"),

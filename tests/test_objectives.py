@@ -17,7 +17,9 @@ from hypergrad.numerics import make_rng
 from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
                                   WeightedSoftmax, _assemble_wgrad,
-                                  pack_linear, softmax_rows, unpack_linear)
+                                  _gauss_newton_dirs, _log_softmax_rows,
+                                  _over_classes, pack_linear, softmax_rows,
+                                  unpack_linear)
 
 
 def fd_grad(fn, w, h=1e-6):
@@ -637,3 +639,60 @@ def test_a_quadratic_validation_block_is_each_center_alone(seed):
         assert grad[i].tobytes() == alone.grad(w[i]).tobytes()
     with pytest.raises(DimensionMismatchError):
         block.value(np.vstack([w, w]))
+
+
+# ---------------------------------------------------------------------------
+# Class-axis kernels
+
+
+def _same_bits(got, want):
+    """Equal shapes, and equal bits wherever either is a number.
+
+    Where both are NaN any NaN matches: when the NaN of inf - inf meets a
+    NaN of the other sign, the result keeps whichever was the first
+    operand, and the two reduction orders put them in different places.
+    """
+    nan = np.isnan(got) & np.isnan(want)
+    return (got.shape == want.shape
+            and bool(((got.view(np.uint64) == want.view(np.uint64)) | nan).all()))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_class_reductions_equal_the_last_axis_bit_for_bit(k):
+    # the helper's class-major form below 8 classes (and its last-axis
+    # form from 8 on) against max/sum over the last axis, with signed
+    # zeros, infinities and NaNs mixed in, and a row of all -0.0 (which
+    # both orders sum to +0.0)
+    rng = make_rng(k, 0xC1A55)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for _ in range(60):
+        lead = tuple(int(v) for v in rng.integers(1, 7, size=rng.integers(0, 3)))
+        a = (rng.standard_normal((*lead, int(rng.integers(1, 40)), k))
+             * 10.0 ** int(rng.integers(-3, 4)))
+        hit = rng.random(a.shape) < 0.2
+        a[hit] = rng.choice(specials, int(hit.sum()))
+        a[(0,) * (a.ndim - 1)] = -0.0
+        before = a.copy()
+        with np.errstate(invalid="ignore"):
+            pairs = ((np.maximum, a.max(axis=-1, keepdims=True)),
+                     (np.add, a.sum(axis=-1, keepdims=True)))
+            for ufunc, want in pairs:
+                got = _over_classes(ufunc, a)
+                assert _same_bits(got, want) and got.flags.c_contiguous, (
+                    f"{ufunc.__name__} over {k} classes, shape {a.shape}, "
+                    f"differs from the last-axis reduction on numpy "
+                    f"{np.__version__}")
+        assert np.array_equal(a, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("k", [4, 10])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_class_kernels_return_c_contiguous_rows(lead, k):
+    # the products downstream are matmuls whose bits depend on their
+    # operands' layout, so each kernel hands back C-contiguous (..., b, k)
+    rng = make_rng(k, len(lead), 0x1A7)
+    scores = rng.standard_normal((*lead, 7, k))
+    p = softmax_rows(scores)
+    for got in (p, _log_softmax_rows(scores),
+                _gauss_newton_dirs(p, rng.standard_normal(scores.shape))):
+        assert got.shape == scores.shape and got.flags.c_contiguous

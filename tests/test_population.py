@@ -56,8 +56,21 @@ KINDS = ["weighted-unit", "mtl-none", "mtl-full", "mtl-uniform",
          "weighted-hyper"]
 
 
-def population(dynamics, objective, batch, seed):
-    """(dyn, s0 block, lam block, T) on shapes and K drawn from ``seed``.
+def with_ten_classes(seeds):
+    """(seed, None) per seed, then (seed, 10) for the first ten seeds.
+
+    Each case draws its class count from the seed unless given one. The
+    drawn counts (2 to 5) take the softmax kernels' class-major
+    reductions, and 10 classes their last-axis form (see
+    ``objectives._over_classes``); a drawn case keeps the id of the seed.
+    """
+    return ([pytest.param(seed, None, id=str(seed)) for seed in seeds]
+            + [pytest.param(seed, 10, id=f"{seed}-k10") for seed in seeds[:10]])
+
+
+def population(dynamics, objective, batch, seed, n_classes=None):
+    """(dyn, s0 block, lam block, T) on shapes and K drawn from ``seed``,
+    with ``n_classes`` classes if given.
 
     The objective is built afresh on every call, so two calls with the
     same arguments share no memo.
@@ -66,6 +79,7 @@ def population(dynamics, objective, batch, seed):
                    batch == "full")
     n_rows = int(rng.integers(1, 9))
     k = int(rng.integers(2, 6))
+    k = k if n_classes is None else n_classes
     n = int(rng.integers(k, 25))
     p = int(rng.integers(1, 9))
     labels = rng.integers(0, k, size=n)
@@ -170,15 +184,17 @@ def weighted_products(dyn, s, lam, t, r, directions):
     return out
 
 
-@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("seed, k", with_ten_classes(SEEDS[:10]))
 @pytest.mark.parametrize("batch", ["full", "minibatch"])
 @pytest.mark.parametrize("dynamics", ["GD", "GDM"])
-def test_weighted_block_products_equal_vector_products(dynamics, batch, seed):
+def test_weighted_block_products_equal_vector_products(dynamics, batch, seed,
+                                                       k):
     # example weights given as hypers: a (K, m) lam block gives, row for
     # row and bit for bit, every product the vectors give, for a unit
     # direction on one example of the batch (the B-column assembly), a
     # direction over several examples and the learning rate's
-    dyn, s, lam, n_steps = population(dynamics, "weighted-hyper", batch, seed)
+    dyn, s, lam, n_steps = population(dynamics, "weighted-hyper", batch, seed,
+                                      k)
     rng = make_rng(seed, 0x3E1)
     t = int(rng.integers(1, n_steps + 1))
     r = rng.standard_normal(s.shape)
@@ -191,7 +207,7 @@ def test_weighted_block_products_equal_vector_products(dynamics, batch, seed):
     eta[layout.slice_of("eta")] = 1.0
     directions = {"unit": unit, "spread": spread, "eta": eta}
     block = weighted_products(dyn, s, lam, t, r, directions)
-    vector_dyn = population(dynamics, "weighted-hyper", batch, seed)[0]
+    vector_dyn = population(dynamics, "weighted-hyper", batch, seed, k)[0]
     for i in range(len(s)):
         alone = weighted_products(vector_dyn, s[i], lam[i], t, r[i],
                                   directions)
@@ -395,10 +411,11 @@ class Stack:
     validation set per seed.
     """
 
-    def __init__(self, dynamics, batch, seed):
+    def __init__(self, dynamics, batch, seed, n_classes=None):
         rng = make_rng(seed, 0x5EED, dynamics == "GD", batch == "full")
         self.S = n_sets = int(rng.integers(1, 7))
         k = int(rng.integers(2, 6))
+        k = k if n_classes is None else n_classes
         n = int(rng.integers(k, 25))
         p = int(rng.integers(1, 9))
         labels = rng.integers(0, k, size=(n_sets, n))
@@ -435,10 +452,10 @@ class Stack:
             schedule=self.schedules[i], weight_segment=None))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed, k", with_ten_classes(SEEDS))
 @pytest.mark.parametrize("dynamics, batch", STACK_CASES)
-def test_stacked_step_equals_each_seed_alone(dynamics, batch, seed):
-    st = Stack(dynamics, batch, seed)
+def test_stacked_step_equals_each_seed_alone(dynamics, batch, seed, k):
+    st = Stack(dynamics, batch, seed, k)
     block = st.block.step(st.s, st.lam, st.t)
     assert block.shape == st.s.shape
     for i in range(st.S):
@@ -446,12 +463,12 @@ def test_stacked_step_equals_each_seed_alone(dynamics, batch, seed):
                               st.alone(i).step(st.s[i], st.lam[i], st.t))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed, k", with_ten_classes(SEEDS))
 @pytest.mark.parametrize("dynamics, batch", STACK_CASES)
-def test_stacked_jvp_state_equals_each_seed_alone(dynamics, batch, seed):
+def test_stacked_jvp_state_equals_each_seed_alone(dynamics, batch, seed, k):
     # a column of a C-contiguous (S, d, m) Z, as the stream hands it over,
     # against the same column of each seed's own (d, m) slice
-    st = Stack(dynamics, batch, seed)
+    st = Stack(dynamics, batch, seed, k)
     alone = [st.alone(i) for i in range(st.S)]
     for j in range(st.m):
         block = st.block.jvp_state(st.s, st.lam, st.t, st.z[..., j])
@@ -461,10 +478,10 @@ def test_stacked_jvp_state_equals_each_seed_alone(dynamics, batch, seed):
             assert np.array_equal(block[i], want)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed, k", with_ten_classes(SEEDS))
 @pytest.mark.parametrize("dynamics, batch", STACK_CASES)
-def test_stacked_jvp_hyper_equals_each_seed_alone(dynamics, batch, seed):
-    st = Stack(dynamics, batch, seed)
+def test_stacked_jvp_hyper_equals_each_seed_alone(dynamics, batch, seed, k):
+    st = Stack(dynamics, batch, seed, k)
     alone = [st.alone(i) for i in range(st.S)]
     for q in np.eye(st.m):
         block = st.block.jvp_hyper(st.s, st.lam, st.t, q)
