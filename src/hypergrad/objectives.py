@@ -346,9 +346,9 @@ class _SoftmaxData:
         A scalar row gives a (b, ...) batch, K rows a (K, b, ...) one. A
         full batch is built once per objective: the stack's arrays (its
         one set, or its sets in order) read in place if C-contiguous,
-        else a read-only gathered copy. A minibatch gathers its rows at
-        every build. The one-hot is bool: p - onehot has the bits of
-        p - 1.0 and p - 0.0.
+        else a read-only gathered copy. A minibatch gathers its rows,
+        read-only too, at every build. The one-hot is bool: p - onehot
+        has the bits of p - 1.0 and p - 0.0.
         """
         if self._full is not None:
             return self._full
@@ -358,7 +358,8 @@ class _SoftmaxData:
         if not self.schedule[0].full_batch:  # the schedules share one shape
             at = (rows[..., None], idx)
             x, y = data.features[at], data.labels[at]
-            return idx, x, y, y[..., None] == np.arange(self.n_classes)
+            onehot = y[..., None] == np.arange(self.n_classes)
+            return tuple(map(_frozen, (idx, x, y, onehot)))
         x, y = data.features, data.labels
         if not np.array_equal(rows, np.arange(len(data))):
             x, y = x[rows], y[rows]
@@ -369,6 +370,13 @@ class _SoftmaxData:
 
     def _unpack(self, v):
         return unpack_linear(v, self.n_classes, self.n_features)
+
+    def _check_direction(self, q):
+        """A forward product takes one (m,) hyper direction."""
+        m = self.hyper_layout.size
+        if q.shape != (m,):
+            raise DimensionMismatchError(f"vector has shape {q.shape}, layout "
+                                         f"expects ({m},)")
 
     def _check_block(self, w):
         """A stack of K rows takes (K, n_params) blocks; one set any."""
@@ -478,21 +486,20 @@ class WeightedSoftmax(_SoftmaxData):
     def cross_jvp(self, w, lam, t, q):
         if self.weight_segment is None:
             return np.zeros_like(w)
+        self._check_direction(q)
         b = self._batch(t, w)
-        idx, x, g = b.idx, b.x, b.g
-        if q.shape != (self.hyper_layout.size,):
-            raise DimensionMismatchError(f"vector has shape {q.shape}, layout "
-                                         f"expects ({self.hyper_layout.size},)")
-        qb = q[self._weight_slice][idx]
+        qb = q[self._weight_slice][b.idx]
         nz = np.nonzero(qb)[0]
         if nz.size == 0:
             return np.zeros_like(w)
         if nz.size == 1:
             # unit-direction case (B-column assembly): one example's
             # gradient, no batch-wide pass needed
-            i, gi = int(nz[0]), g[..., nz[0], :]
-            return (self._scale * qb[i]) * pack_linear(gi[..., None] * x[i], gi)
-        return _assemble_wgrad(g * qb[:, None], x, self._scale)
+            i, gi = int(nz[0]), b.g[..., nz[0], :]
+            return (self._scale * qb[i]) * pack_linear(gi[..., None] * b.x[i],
+                                                       gi)
+        # linear in the weights: the data gradient with q as the weights
+        return self._data_grad(b, q)
 
     def cross_vjp(self, w, lam, t, alpha):
         out = np.zeros_like(lam)
@@ -509,7 +516,8 @@ class WeightedSoftmax(_SoftmaxData):
     def touched_hypers(self, t):
         if self.weight_segment is None:
             return _NO_HYPERS
-        return np.sort(self._weight_slice.start + self.schedule[0].indices(t))
+        return _frozen(np.sort(self._weight_slice.start
+                               + self.schedule[0].indices(t)))
 
 
 class MultitaskLinear(_SoftmaxData):
@@ -531,6 +539,8 @@ class MultitaskLinear(_SoftmaxData):
     The data term is the batch sum of cross-entropies, and the penalty
     is scaled by batch/n, so one full pass matches the full-batch
     objective. ``dataset`` may be a ``SeedStack`` (see ``_SoftmaxData``).
+    The penalty is linear in lam, so ``cross_jvp``'s product is its
+    gradient in W with lam = q.
     """
 
     def __init__(self, dataset: Dataset | SeedStack,
@@ -548,46 +558,49 @@ class MultitaskLinear(_SoftmaxData):
                                         k * k if coupling == "full" else 1)
         self._rho_slice = _segment(hyper_layout, "rho",
                                    k if per_task_rho else 1)
+        self._touched = _frozen(np.concatenate(
+            [hyper_layout.indices("coupling"), hyper_layout.indices("rho")]))
         # the masks np.triu(., 0) and np.triu(., 1) zero out, built once
-        self._below_diag = np.tri(k, k=-1, dtype=bool)
-        self._on_or_below_diag = np.tri(k, dtype=bool)
+        self._below_diag = _frozen(np.tri(k, k=-1, dtype=bool))
+        self._on_or_below_diag = _frozen(np.tri(k, dtype=bool))
         self._bound_key = None
         self._bound = None
 
     # -- hyper access -------------------------------------------------
 
-    def _symmetrize(self, raw):
-        """Upper triangle of ``raw`` (diagonal included) mirrored below it."""
-        upper = np.where(self._below_diag, 0.0, raw)
-        return upper + np.where(self._on_or_below_diag, 0.0,
-                                raw).swapaxes(-1, -2)
+    def _penalty(self, lam):
+        """The penalty's lambda-only terms at lam (one per row of a block).
+
+        C is the uniform entry everywhere or the upper triangle of the
+        coupling block (diagonal included) mirrored below it; rho is one
+        entry per task or one shared by all. The arrays do not alias lam.
+        """
+        k, lead = self.n_classes, lam.shape[:-1]
+        if self.coupling == "uniform":
+            a = lam[..., self._coupling_slice, None]
+            c = np.broadcast_to(a, (*lead, k, k)).copy()
+        else:
+            raw = lam[..., self._coupling_slice].reshape(*lead, k, k)
+            c = np.where(self._below_diag, 0.0, raw)
+            c += np.where(self._on_or_below_diag, 0.0, raw).swapaxes(-1, -2)
+        rho = lam[..., self._rho_slice].copy()
+        if not self.per_task_rho:
+            rho = np.broadcast_to(rho, (*lead, k))
+        return _BoundPenalty(c, rho, *_penalty_factors(c, rho))
 
     def _bind(self, lam):
-        """The lambda-only terms of the penalty, built once per distinct lam.
+        """The penalty at lam, built once per distinct lam.
 
         Keyed on lam's shape and bytes, so a lam mutated in place is
-        rebuilt; the arrays are private copies and read-only. A (K, m)
-        lam block binds one penalty per row.
+        rebuilt; the arrays are read-only.
         """
         key = (lam.shape, lam.tobytes())
         if key != self._bound_key:
-            k, lead = self.n_classes, lam.shape[:-1]
-            layout = self.hyper_layout
-            if layout is not None and lam.shape[-1] != layout.size:
+            if lam.shape[-1] != self.hyper_layout.size:
                 raise DimensionMismatchError(
                     f"hyper vector has length {lam.shape[-1]}, layout "
-                    f"expects {layout.size}")
-            if self.coupling == "uniform":
-                a = lam[..., self._coupling_slice, None]
-                c = np.broadcast_to(a, (*lead, k, k)).copy()
-            else:
-                raw = lam[..., self._coupling_slice].reshape(*lead, k, k)
-                c = self._symmetrize(raw)
-            rho = lam[..., self._rho_slice].copy()
-            if not self.per_task_rho:
-                rho = np.broadcast_to(rho, (*lead, k))
-            self._bound = _BoundPenalty(_frozen(c), _frozen(rho),
-                                        *map(_frozen, _penalty_factors(c, rho)))
+                    f"expects {self.hyper_layout.size}")
+            self._bound = _BoundPenalty(*map(_frozen, self._penalty(lam)))
             self._bound_key = key
         return self._bound
 
@@ -616,49 +629,29 @@ class MultitaskLinear(_SoftmaxData):
             float(losses.sum()) + self._frac(t) * self.regularizer(w, lam),
             "training objective", step=t)
 
-    def grad_w(self, w, lam, t):
-        out = self._data_grad(self._batch(t, w), lam)
-        mat, _ = self._unpack(w)
-        bound = self._bind(lam)
-        reg = _reg_grad_mat(mat, bound.lap4, bound.rho2)
+    def _add_penalty_grad(self, out, t, mat, penalty):
+        """Add frac * (4 L M + 2 rho M), M = ``mat``, to out's weight rows."""
+        reg = penalty.lap4 @ mat
+        reg += penalty.rho2 * mat
         n_mat = mat.shape[-2] * mat.shape[-1]
         out[..., :n_mat] += self._frac(t) * reg.reshape(*out.shape[:-1], n_mat)
         return out
 
+    def grad_w(self, w, lam, t):
+        out = self._data_grad(self._batch(t, w), lam)
+        return self._add_penalty_grad(out, t, self._unpack(w)[0],
+                                      self._bind(lam))
+
     def hvp_w(self, w, lam, t, r):
         b = self._batch(t, w)
         rmat, rb = self._unpack(r)
-        out = self._data_hvp(b, lam, rmat, rb)
-        bound = self._bind(lam)
-        reg = _reg_grad_mat(rmat, bound.lap4, bound.rho2)
-        n_mat = rmat.shape[-2] * rmat.shape[-1]
-        out[..., :n_mat] += self._frac(t) * reg.reshape(*out.shape[:-1], n_mat)
-        return out
+        return self._add_penalty_grad(self._data_hvp(b, lam, rmat, rb), t,
+                                      rmat, self._bind(lam))
 
     def cross_jvp(self, w, lam, t, q):
-        mat, _ = self._unpack(w)
-        if self.hyper_layout is not None and len(q) != self.hyper_layout.size:
-            raise DimensionMismatchError(
-                f"vector has length {len(q)}, layout expects {self.hyper_layout.size}"
-            )
-        k = self.n_classes
-        acc = np.zeros_like(mat)
-        if self.coupling == "uniform":
-            qa = q[self._coupling_slice][0]
-            if qa != 0.0:
-                ones = np.full((k, k), qa)
-                acc += _reg_grad_mat(mat, *_penalty_factors(ones, np.zeros(k)))
-        else:
-            qeff = self._symmetrize(q[self._coupling_slice].reshape(k, k))
-            if np.any(qeff):
-                acc += _reg_grad_mat(mat, *_penalty_factors(qeff, np.zeros(k)))
-        qr = q[self._rho_slice]
-        rho_dir = qr if self.per_task_rho else np.broadcast_to(qr, (k,))
-        acc += 2.0 * rho_dir[:, None] * mat
-        out = np.zeros_like(w)
-        n_mat = k * self.n_features
-        out[..., :n_mat] = self._frac(t) * acc.reshape(*w.shape[:-1], n_mat)
-        return out
+        self._check_direction(q)
+        return self._add_penalty_grad(np.zeros_like(w), t,
+                                      self._unpack(w)[0], self._penalty(q))
 
     def cross_vjp(self, w, lam, t, alpha):
         mat, _ = self._unpack(w)
@@ -690,8 +683,7 @@ class MultitaskLinear(_SoftmaxData):
         return out
 
     def touched_hypers(self, t):
-        return np.concatenate([self.hyper_layout.indices("coupling"),
-                               self.hyper_layout.indices("rho")])
+        return self._touched
 
 
 def _segment(layout, name, want):
@@ -718,13 +710,6 @@ def _penalty_factors(c, rho):
     on = np.arange(c.shape[-1])
     diag[..., on, on] = c.sum(axis=-1)
     return 4.0 * (diag - c), 2.0 * rho[..., None]
-
-
-def _reg_grad_mat(mat, lap4, rho2):
-    """Gradient of the penalty in the weight rows: 4 L W + 2 rho * W."""
-    grad = lap4 @ mat
-    grad += rho2 * mat
-    return grad
 
 
 def _frozen(arr):
@@ -760,8 +745,8 @@ class QuadraticValidation:
 
     def __init__(self, n_params, center=None):
         self.n_params = n_params
-        self.center = (np.zeros(n_params) if center is None
-                       else np.asarray(center, dtype=np.float64))
+        self.center = _frozen(np.zeros(n_params) if center is None
+                              else np.array(center, dtype=np.float64))
 
     def take(self, rows):
         if self.center.ndim == 1:

@@ -11,6 +11,7 @@ import pytest
 
 from hypergrad.datasets import (Dataset, MinibatchSchedule, SeedStack,
                                 blob_task, full_batch_schedule)
+from hypergrad.dynamics import GradientDescent
 from hypergrad.errors import DimensionMismatchError
 from hypergrad.layouts import VectorLayout
 from hypergrad.numerics import make_rng
@@ -18,8 +19,8 @@ from hypergrad.objectives import (DatasetValidation, MultitaskLinear,
                                   QuadraticToy, QuadraticValidation,
                                   WeightedSoftmax, _assemble_wgrad,
                                   _gauss_newton_dirs, _log_softmax_rows,
-                                  _over_classes, pack_linear, softmax_rows,
-                                  unpack_linear)
+                                  _over_classes, _trajectory_scope,
+                                  pack_linear, softmax_rows, unpack_linear)
 
 
 def fd_grad(fn, w, h=1e-6):
@@ -344,6 +345,77 @@ def test_cached_batch_arrays_are_read_only(model, batch_size):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[..., 0] = 1.0
+
+
+def _refuses_writes(arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("kind, batch_size", [("weighted", 3), ("unit", 3),
+                                              ("mtl", None), ("mtl", 3)])
+def test_an_objective_shares_only_read_only_arrays(kind, batch_size):
+    # after a step and a product, the memo entry, the kept softmax, the
+    # full batch, the bound penalty and the touched set serve later
+    # calls, so none of them may be written by accident
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    sched = (full_batch_schedule(8) if batch_size is None
+             else MinibatchSchedule(n=8, batch_size=batch_size, seed=5))
+    if kind == "mtl":
+        layout = VectorLayout([("eta", 1), ("coupling", 9), ("rho", 3)])
+        obj = MultitaskLinear(train, layout, sched, per_task_rho=True)
+    else:
+        layout = VectorLayout([("eta", 1)]
+                              + [("weights", 8)] * (kind == "weighted"))
+        obj = WeightedSoftmax(train, layout, sched, weight_segment=(
+            "weights" if kind == "weighted" else None))
+    dyn = GradientDescent(obj)
+    rng = make_rng(5, 10)
+    lam = 0.1 + rng.random(layout.size)
+    s = rng.standard_normal(obj.n_params)
+    s.flags.writeable = False
+    with _trajectory_scope(obj):
+        dyn.step(s, lam, 2)
+        dyn.jvp_hyper(s, lam, 2, rng.standard_normal(layout.size))
+        b = obj._cache._last[3]
+        kept = [a for pair in obj._cache._steps.values() for a in pair]
+    arrays = [b.idx, b.x, b.onehot, b.p, b.g, *kept, obj.touched_hypers(2),
+              dyn.touched_hypers(2)]
+    arrays += [b.grad] if b.grad is not None else []
+    arrays += obj._full or ()
+    arrays += obj._bound if kind == "mtl" else ()
+    _refuses_writes(arrays)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "quadratic"])
+def test_a_validation_error_shares_only_read_only_arrays(kind):
+    # the full batch, or a private copy of the center
+    train, _, _ = blob_task(5, 8, 4, 4, n_classes=3, n_features=4)
+    w = make_rng(5, 11).standard_normal(15)
+    center = w + 1.0
+    e = (DatasetValidation(train) if kind == "dataset"
+         else QuadraticValidation(15, center))
+    before = e.value(w)
+    e.grad(w)
+    _refuses_writes(e._full if kind == "dataset" else [e.center])
+    center[0] = 5.0
+    assert e.value(w) == before
+
+
+@pytest.mark.parametrize("shape", ["m,m", "2,m", "m+1"])
+@pytest.mark.parametrize("model", ["weighted", "full", "uniform"])
+def test_cross_jvp_takes_one_hyper_direction(model, shape):
+    if model == "weighted":
+        obj, layout = make_weighted(tiny_task())
+    else:
+        obj, layout, _ = mtl_setup(coupling=model, per_task_rho=False, k=2)
+    m = layout.size
+    q = {"m,m": np.ones((m, m)), "2,m": np.ones((2, m)),
+         "m+1": np.ones(m + 1)}[shape]
+    w = make_rng(5, 12).standard_normal(obj.n_params)
+    with pytest.raises(DimensionMismatchError, match="expects"):
+        obj.cross_jvp(w, np.ones(m), 1, q)
 
 
 @pytest.mark.parametrize("subset", [None, 5])

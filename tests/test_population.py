@@ -947,6 +947,51 @@ def _reference_cross_vjp(obj, w, lam, t, alpha):
     return out
 
 
+def _reference_cross_jvp(obj, w, lam, t, q):
+    """``MultitaskLinear.cross_jvp`` of one vector, in its 1-D arithmetic.
+
+    The direction's coupling part (skipped when it is zero, with the
+    zero ridge factor's product added for its signed zeros) and then its
+    ridge part, accumulated from zeros and scaled by the batch share.
+    """
+    mat, _ = obj._unpack(w)
+    k = obj.n_classes
+    acc = np.zeros_like(mat)
+    if obj.coupling == "uniform":
+        qc = np.full((k, k), q[obj._coupling_slice][0])
+    else:
+        raw = q[obj._coupling_slice].reshape(k, k)
+        qc = (np.where(np.tri(k, k=-1, dtype=bool), 0.0, raw)
+              + np.where(np.tri(k, dtype=bool), 0.0, raw).T)
+    if np.any(qc):
+        grad = (4.0 * (np.diag(qc.sum(axis=1)) - qc)) @ mat
+        grad += 0.0 * mat
+        acc += grad
+    acc += 2.0 * np.broadcast_to(q[obj._rho_slice], (k,))[:, None] * mat
+    out = np.zeros_like(w)
+    out[:k * obj.n_features] = obj._frac(t) * acc.ravel()
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+@pytest.mark.parametrize("dynamics, coupling, per_task, eta", MTL_CASES)
+def test_cross_jvp_keeps_its_1d_arithmetic(dynamics, coupling, per_task, eta,
+                                           seed):
+    # the vector product, and each row of a block, at every unit, a
+    # random and a zero direction, down to the sign of a zero
+    st = MtlStack(dynamics, coupling, per_task, eta, seed)
+    w = st.block.weights_of(st.s)
+    rng = make_rng(seed, 0xC71)
+    for q in [*np.eye(st.m), rng.standard_normal(st.m), np.zeros(st.m)]:
+        block = st.block.objective.cross_jvp(w, st.lam, st.t, q)
+        for i in range(st.K):
+            alone = st.alone(i).objective
+            want = _reference_cross_jvp(alone, w[i], st.lam[i], st.t,
+                                        q).tobytes()
+            assert alone.cross_jvp(w[i], st.lam[i], st.t, q).tobytes() == want
+            assert block[i].tobytes() == want
+
+
 def _reference_vjp_hyper(dyn, s, lam, t, alpha):
     """``vjp_hyper`` of one vector, with 1-D dots for eta and mu."""
     obj, eta, mu = dyn.objective, dyn._eta, getattr(dyn, "_mu", None)

@@ -1,4 +1,4 @@
-"""Print the seven experiment digests and the check digest of a source tree.
+"""Print the eight experiment digests and the check digest of a source tree.
 
     python3 tools/digests.py [TREE]
 
@@ -7,11 +7,13 @@ TREE (by default the tree that holds this script) must hold
 script runs the four canonical configs ``configs/*.cfg`` and the
 benchmark's three workloads at seed 0, each through the tree's own
 ``hypergrad`` command line in a fresh interpreter, and prints one
-``name digest`` line per run; an eighth line, ``check``, is the SHA-256
-of what ``hypergrad check --seed 0`` prints (the oracle battery: each
-check's verdict and its gap, rounded). A change that leaves the arithmetic alone leaves all
-eight lines as they were, so comparing the output on two trees is the
-bit-identity check.
+``name digest`` line per run. ``mtl-2seed-forward`` runs the
+``mtl-2seed`` workload with ``--engine forward``, so the multitask
+objective's forward products are hashed too. The last line, ``check``,
+is the SHA-256 of what ``hypergrad check --seed 0`` prints (the oracle
+battery: each check's verdict and its gap, rounded). A change that
+leaves the arithmetic alone leaves all nine lines as they were, so
+comparing the output on two trees is the bit-identity check.
 
 Nothing is written into TREE: the run outputs go to a temporary
 directory, no interpreter writes a bytecode cache, and the workloads
@@ -31,6 +33,9 @@ from pathlib import Path
 
 CONFIGS = ("clean", "mtl", "rtho", "bench")
 SEED = 0
+# (name, workload, extra CLI flags) of each run beyond the workloads as
+# the benchmark runs them
+VARIANTS = (("mtl-2seed-forward", "mtl-2seed", ("--engine", "forward")),)
 
 
 def _workloads(tree):
@@ -61,12 +66,14 @@ def main():
     args = sys.argv[1:]
     tree = Path(args[0] if args else Path(__file__).parent.parent).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        runs = []
-        for name, workload in _workloads(tree).items():
+        runs, workloads = [], _workloads(tree)
+        for name, base, flags in (*((n, n, ()) for n in workloads),
+                                  *VARIANTS):
             out = Path(tmp) / name
             cfg = Path(tmp) / f"{name}.cfg"
-            cfg.write_text(workload.config_text(SEED))
-            runs.append((name, workload.cli_argv(cfg, out), out))
+            cfg.write_text(workloads[base].config_text(SEED))
+            runs.append((name, [*workloads[base].cli_argv(cfg, out), *flags],
+                         out))
         for command in CONFIGS:
             out = Path(tmp) / command
             runs.append((f"configs/{command}.cfg",
